@@ -26,13 +26,11 @@ from .errors import (
     NonAffineRuleError,
     ResourceLimitError,
 )
+from .patterns import DEFAULT_CELL_BUDGET
 from .shift import vs_step
 from .symbols import DottedSequence, Interval, Ordering, godel_encode, index_to_digits
 
 HALT = "halt"
-
-#: Enumeration guard: maximum number of cells a build may enumerate.
-DEFAULT_CELL_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Neural realization of a piecewise-affine automaton.
 
-The network state is one vector x; the update is x(t+1) = F(W x(t) + b)
-with unitwise activations (saturating ramp or Heaviside step with
+The network state is one vector x; the update is x(t+1) = F(W x(t)) with
+unitwise activations (saturating ramp or Heaviside step with
 theta(s) = 1 iff s >= 0).  Units are organized in banks and updated on a
 fixed 5-phase schedule per macro step:
 
@@ -13,9 +13,8 @@ fixed 5-phase schedule per macro step:
      lambda*y + a, released only when its cell's branch unit is active,
   5. write-back: the machine configuration layer (MCL) sums the LTL bank.
 
-All thresholds ride on a single always-on unit, so the synthesized network
-needs no bias vector (the ``biases`` field stays zero and exists for
-generality).  Both endpoint tests carry a small margin eps_b; this shifts
+All thresholds ride on a single always-on unit, so the network needs no
+bias vector.  Both endpoint tests carry a small margin eps_b; this shifts
 every detection cell to [lo - eps_b, hi - eps_b), which keeps the branch
 bank exactly one-hot even when a float state sits one ulp below a cell
 corner.
@@ -23,6 +22,15 @@ corner.
 For a machine with p input-axis cells, q stack-axis cells and C = p*q
 rectangles the unit count is n = 3 + 3(p + q) + 3C: MCL 2, always-on 1,
 comparators 2(p+q), axis units p+q, branch units C, affine units 2C.
+
+Units are laid out so that each phase is one contiguous range with a single
+activation: MCL (phase 5, ramp), always-on unit and comparators (phase 1,
+step), axis units (phase 2, step), BSL (phase 3, step), LTL (phase 4, ramp).
+A micro step therefore computes only the phase's row slice of W x and
+activates it in one vectorised call.  The BLAS matrix-vector product sums
+each row in the same order whether or not the other rows are computed, so
+the slice update is bit-identical to a full W x followed by a per-unit
+update of the phase; tests/test_network.py holds it to that.
 """
 
 import csv
@@ -48,7 +56,6 @@ class NetworkSpec:
     """
 
     weights: np.ndarray
-    biases: np.ndarray
     activations: tuple  # per unit: RAMP or STEP
     phases: tuple  # per unit: 1..MICRO_STEPS_PER_MACRO, or 0 (never updated)
     roles: tuple  # per unit: readable role string
@@ -59,6 +66,21 @@ class NetworkSpec:
     bsl_index: dict = field(default_factory=dict)  # (i, j) -> unit
     ltl_index: dict = field(default_factory=dict)  # (i, j, coord) -> unit
     micro_steps_per_macro: int = MICRO_STEPS_PER_MACRO
+    # phase_ranges[k] = (lo, hi, activation) of the units updated in phase k + 1
+    phase_ranges: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ranges = []
+        for phase in range(1, self.micro_steps_per_macro + 1):
+            units = [u for u, ph in enumerate(self.phases) if ph == phase]
+            kinds = {self.activations[u] for u in units}
+            if not units or units[-1] - units[0] + 1 != len(units) or len(kinds) != 1:
+                raise InternalConsistencyError(
+                    "phase %d units must form one non-empty contiguous range with one "
+                    "activation, got %d units with activations %r" % (phase, len(units), sorted(kinds))
+                )
+            ranges.append((units[0], units[-1] + 1, kinds.pop()))
+        self.phase_ranges = tuple(ranges)
 
     @property
     def n(self):
@@ -198,7 +220,6 @@ def synthesize(nda, eps_b=1e-12, unit_budget=4096):
 
     spec = NetworkSpec(
         weights=weights,
-        biases=np.zeros(n, dtype=np.float64),
         activations=tuple(activations),
         phases=tuple(phases),
         roles=tuple(roles),
@@ -213,12 +234,14 @@ def synthesize(nda, eps_b=1e-12, unit_budget=4096):
 
 def _validate_synthesis(spec, nda, tol=1e-9):
     """Drive one macro step from every cell corner and compare to the table."""
+    bsl_lo, bsl_hi, _ = spec.phase_ranges[2]  # branch unit of (i, j) is bsl_lo + i*q + j
     for cell in nda.cells:
         corner = PhasePoint(cell.x_interval.lo, cell.y_interval.lo)
         state = embed(spec, corner)
         for _ in range(3):
             state = na_micro_step(spec, state)
-        active = [key for key, unit in spec.bsl_index.items() if state.x[unit] == 1.0]
+        active = [divmod(int(k), spec.y_cells)
+                  for k in np.flatnonzero(state.x[bsl_lo:bsl_hi] == 1.0)]
         if active != [(cell.i, cell.j)]:
             raise InternalConsistencyError(
                 "branch bank not one-hot on cell (%d, %d): active %r" % (cell.i, cell.j, active)
@@ -241,20 +264,21 @@ def embed(spec, point):
     return NeuralState(x=x, macro=0, micro=0)
 
 
-def _activate(kind, value):
+def activate(kind, net):
+    """Unitwise activation of a net-input array.
+
+    ramp: min(1, max(0, s)), with 0 for NaN; step: 1 iff s >= 0, so 0 for NaN.
+    """
     if kind == RAMP:
-        return min(1.0, max(0.0, value))
-    return 1.0 if value >= 0.0 else 0.0
+        return np.where(net > 0.0, np.minimum(net, 1.0), 0.0)
+    return (net >= 0.0).astype(np.float64)
 
 
 def na_micro_step(spec, state):
     """Advance one micro step: units of the next phase update, others hold."""
-    phase = state.micro + 1
-    net = spec.weights @ state.x + spec.biases
+    lo, hi, kind = spec.phase_ranges[state.micro]
     x = state.x.copy()
-    for unit in range(spec.n):
-        if spec.phases[unit] == phase:
-            x[unit] = _activate(spec.activations[unit], net[unit])
+    x[lo:hi] = activate(kind, spec.weights[lo:hi] @ state.x)
     micro = state.micro + 1
     macro = state.macro
     if micro == spec.micro_steps_per_macro:
@@ -320,15 +344,12 @@ def require_sound(run):
 
 
 def network_csv(spec):
-    """CSV blocks: unit roles, then biases, then nonzero weights."""
+    """CSV blocks: unit roles, then nonzero weights."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["record", "a", "b", "c", "d"])
     for unit in range(spec.n):
         w.writerow(["unit", unit, spec.roles[unit], spec.activations[unit], spec.phases[unit]])
-    for unit in range(spec.n):
-        if spec.biases[unit] != 0.0:
-            w.writerow(["bias", unit, repr(float(spec.biases[unit])), "", ""])
     rows, cols = np.nonzero(spec.weights)
     for t, s in zip(rows.tolist(), cols.tolist()):
         w.writerow(["weight", t, s, repr(float(spec.weights[t, s])), ""])

@@ -20,7 +20,7 @@ from .errors import DomainError, ResourceLimitError
 from .svg import grid_svg, strip_svg
 from .symbols import BLANK, index_to_digits
 
-#: Enumeration guard for partition builders.
+#: Enumeration guard: maximum number of cells a partition or cell-table build may enumerate.
 DEFAULT_CELL_BUDGET = 1_000_000
 
 
@@ -171,6 +171,9 @@ class PatternClassMap:
     assignment: tuple = ()
     class_patterns: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "_class_of", dict(self.assignment))
+
     @property
     def class_count(self):
         return len(self.class_patterns)
@@ -181,9 +184,8 @@ class PatternClassMap:
         return [ij for ij, _ in self.assignment]
 
     def class_of(self, cell):
-        table = dict(self.assignment)
         try:
-            return table[cell]
+            return self._class_of[cell]
         except KeyError:
             raise DomainError("cell %r outside the partition" % (cell,)) from None
 

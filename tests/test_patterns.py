@@ -120,6 +120,25 @@ def test_square_partition_class_ids_contiguous():
         seen.add(cid)
 
 
+@pytest.mark.parametrize("cmap, outside", [
+    (interval_partition(3, 2, blank_pinned=True), [9, -1, (0, 0)]),
+    (square_partition(3, 1, 2, mode="joint"), [(3, 0), (0, 9), 0]),
+    (square_partition(3, 1, 1, mode="product", m_right=5), [(0, 5), (3, 0)]),
+])
+def test_class_of_agrees_with_members(cmap, outside):
+    grid = set(cmap.cells())
+    covered = []
+    for cid in range(cmap.class_count):
+        members = cmap.members(cid)
+        assert members
+        assert all(cmap.class_of(cell) == cid for cell in members)
+        covered.extend(members)
+    assert sorted(covered) == sorted(grid)
+    for cell in outside:
+        with pytest.raises(DomainError):
+            cmap.class_of(cell)
+
+
 def test_class_map_lookup_errors():
     cmap = interval_partition(2, 2)
     with pytest.raises(DomainError):
