@@ -10,6 +10,11 @@ cell differing in both tails, solve psi' = a + lambda * psi per coordinate,
 then verify the solution on random tapes of the same cell.  Windows matching
 no rule become identity (halt) cells, making accept and reject states fixed
 points; the accept point is the origin.
+
+The table is an index grid: cell (i, j) is the rectangle
+[i/p, (i+1)/p) x [j/q, (j+1)/q) with p = m_in**r and q = m_st**l, and it sits
+at position i*q + j of the row-major cell tuple.  A cell stores only its
+index and its affine action; its rectangle follows from (i, j) and (p, q).
 """
 
 import csv
@@ -28,7 +33,7 @@ from .errors import (
 )
 from .patterns import DEFAULT_CELL_BUDGET
 from .shift import vs_step
-from .symbols import DottedSequence, Interval, Ordering, godel_encode, index_to_digits
+from .symbols import DottedSequence, Ordering, godel_encode, index_to_digits
 
 HALT = "halt"
 
@@ -83,8 +88,6 @@ class NdaCell:
 
     i: int  # cell index along y1 (input axis)
     j: int  # cell index along y2 (stack axis)
-    x_interval: Interval
-    y_interval: Interval
     a1: Fraction
     a2: Fraction
     lam1: Fraction
@@ -94,9 +97,6 @@ class NdaCell:
     def apply(self, point):
         return PhasePoint(self.a1 + self.lam1 * point.y1, self.a2 + self.lam2 * point.y2)
 
-    def contains(self, point):
-        return point.y1 in self.x_interval and point.y2 in self.y_interval
-
 
 @dataclass(frozen=True)
 class Nda:
@@ -105,17 +105,16 @@ class Nda:
     enc: EncodingPair
     l: int
     r: int
-    cells: tuple  # of NdaCell, row-major in (i, j)
+    cells: tuple  # of NdaCell; cell (i, j) at position i * y_cells + j
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(
-            self, "_by_index", {(c.i, c.j): c for c in self.cells}
-        )
-        expected = self.x_cells * self.y_cells
-        if len(self.cells) != expected or len(self._by_index) != expected:
+        q = self.y_cells
+        if len(self.cells) != self.x_cells * q or any(
+            (c.i, c.j) != divmod(k, q) for k, c in enumerate(self.cells)
+        ):
             raise InternalConsistencyError(
-                "cell table must cover the %d x %d grid exactly" % (self.x_cells, self.y_cells)
+                "cell table must list the %d x %d grid in row-major order" % (self.x_cells, q)
             )
 
     @property
@@ -127,10 +126,9 @@ class Nda:
         return self.enc.m_st**self.l
 
     def cell_at(self, i, j):
-        try:
-            return self._by_index[(i, j)]
-        except KeyError:
-            raise DomainError("no cell (%d, %d) in a %d x %d table" % (i, j, self.x_cells, self.y_cells)) from None
+        if not (0 <= i < self.x_cells and 0 <= j < self.y_cells):
+            raise DomainError("no cell (%d, %d) in a %d x %d table" % (i, j, self.x_cells, self.y_cells))
+        return self.cells[i * self.y_cells + j]
 
     def locate(self, point):
         i = (point.y1 * self.x_cells).__floor__()
@@ -210,16 +208,14 @@ def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
     if enc.input.alphabet != machine.input_alphabet or enc.stack.alphabet != machine.stack_alphabet:
         raise MachineBuildError("encoding alphabets must match the machine alphabets")
     l, r = machine.dod.l, machine.dod.r
-    m_in, m_st = enc.m_in, enc.m_st
-    if (m_in**r) * (m_st**l) > cell_budget:
-        raise ResourceLimitError(
-            "cell table needs %d cells, budget is %d" % ((m_in**r) * (m_st**l), cell_budget)
-        )
+    p, q = enc.m_in**r, enc.m_st**l
+    if p * q > cell_budget:
+        raise ResourceLimitError("cell table needs %d cells, budget is %d" % (p * q, cell_budget))
     rng = random.Random(seed)
     in_extra = _nonblank(machine.input_alphabet)
     st_extra = _nonblank(machine.stack_alphabet)
 
-    cells = []
+    cells = [None] * (p * q)
     for w_in in product(machine.input_alphabet.symbols, repeat=r):
         for w_st in product(machine.stack_alphabet.symbols, repeat=l):
             tape_a = DottedSequence(w_st, w_in, machine.blank)
@@ -230,15 +226,11 @@ def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
                 raise InternalConsistencyError(
                     "window (%r, %r): representatives matched different rules" % (w_st, w_in)
                 )
-            i = godel_encode(w_in, enc.input) * m_in**r
-            j = godel_encode(w_st, enc.stack) * m_st**l
-            i, j = int(i), int(j)
-            x_iv = Interval(Fraction(i, m_in**r), Fraction(i + 1, m_in**r))
-            y_iv = Interval(Fraction(j, m_st**l), Fraction(j + 1, m_st**l))
+            i = int(godel_encode(w_in, enc.input) * p)
+            j = int(godel_encode(w_st, enc.stack) * q)
 
             if rule_a is None:
-                cells.append(NdaCell(i, j, x_iv, y_iv,
-                                     Fraction(0), Fraction(0), Fraction(1), Fraction(1), HALT))
+                cells[i * q + j] = NdaCell(i, j, Fraction(0), Fraction(0), Fraction(1), Fraction(1), HALT)
                 continue
 
             pa, pb = encode_tape(tape_a, enc), encode_tape(tape_b, enc)
@@ -246,7 +238,7 @@ def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
             out_b = encode_tape(vs_step(machine, tape_b)[0], enc)
             a1, lam1 = _solve_affine(pa.y1, out_a.y1, pb.y1, out_b.y1)
             a2, lam2 = _solve_affine(pa.y2, out_a.y2, pb.y2, out_b.y2)
-            if _integer_power(lam1, m_in) is None or _integer_power(lam2, m_st) is None:
+            if _integer_power(lam1, enc.m_in) is None or _integer_power(lam2, enc.m_st) is None:
                 raise NonAffineRuleError(
                     "rule %r on window (%r, %r): linear parts (%s, %s) are not integer powers "
                     "of the alphabet sizes" % (rule_a.label, w_st, w_in, lam1, lam2)
@@ -257,26 +249,26 @@ def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
                     w_in + tuple(rng.choice(machine.input_alphabet.symbols) for _ in range(rng.randrange(4))),
                     machine.blank,
                 )
-                p = encode_tape(tape, enc)
+                point = encode_tape(tape, enc)
                 expected = encode_tape(vs_step(machine, tape)[0], enc)
-                got = PhasePoint(a1 + lam1 * p.y1, a2 + lam2 * p.y2)
+                got = PhasePoint(a1 + lam1 * point.y1, a2 + lam2 * point.y2)
                 if got != expected:
                     raise NonAffineRuleError(
                         "rule %r is not affine on window (%r, %r): tape %s maps to %r, affine "
                         "prediction %r" % (rule_a.label, w_st, w_in, tape, expected, got)
                     )
-            cells.append(NdaCell(i, j, x_iv, y_iv, a1, a2, lam1, lam2, rule_a.label))
+            cells[i * q + j] = NdaCell(i, j, a1, a2, lam1, lam2, rule_a.label)
 
-    cells.sort(key=lambda c: (c.i, c.j))
     return Nda(enc, l, r, tuple(cells))
 
 
 def nda_csv(nda):
     """CSV text of the cell table (intervals and affine coefficients)."""
+    p, q = nda.x_cells, nda.y_cells
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["i", "j", "y1_lo", "y1_hi", "y2_lo", "y2_hi", "a1", "a2", "lambda1", "lambda2", "label"])
     for c in nda.cells:
-        w.writerow([c.i, c.j, c.x_interval.lo, c.x_interval.hi, c.y_interval.lo, c.y_interval.hi,
-                    c.a1, c.a2, c.lam1, c.lam2, c.label])
+        w.writerow([c.i, c.j, Fraction(c.i, p), Fraction(c.i + 1, p), Fraction(c.j, q),
+                    Fraction(c.j + 1, q), c.a1, c.a2, c.lam1, c.lam2, c.label])
     return out.getvalue()

@@ -23,19 +23,32 @@ For a machine with p input-axis cells, q stack-axis cells and C = p*q
 rectangles the unit count is n = 3 + 3(p + q) + 3C: MCL 2, always-on 1,
 comparators 2(p+q), axis units p+q, branch units C, affine units 2C.
 
-Units are laid out so that each phase is one contiguous range with a single
-activation: MCL (phase 5, ramp), always-on unit and comparators (phase 1,
-step), axis units (phase 2, step), BSL (phase 3, step), LTL (phase 4, ramp).
-A micro step therefore computes only the phase's row slice of W x and
-activates it in one vectorised call.  The BLAS matrix-vector product sums
-each row in the same order whether or not the other rows are computed, so
-the slice update is bit-identical to a full W x followed by a per-unit
-update of the phase; tests/test_network.py holds it to that.
+Units are index grids laid out bank by bank, so a unit's role follows from
+its index and (p, q) alone (``_layout`` gives the bank offsets):
+
+  units                 bank                               phase
+  0, 1                  MCL y1, y2                         5, ramp
+  2                     always-on unit                     1, step
+  cmp + 2a, cmp + 2a+1  lo/hi comparators of axis cell a   1, step
+  ax + a                axis unit of axis cell a           2, step
+  bsl + k               branch unit of cell k              3, step
+  ltl + 2k, ltl + 2k+1  affine units y1, y2 of cell k      4, ramp
+
+where axis cell a < p is input-axis cell a, axis cell p + j is stack-axis
+cell j, and k = i*q + j is the row-major index of cell (i, j).  Each phase
+is one contiguous range with a single activation, so a micro step computes
+only the phase's row slice of W x and activates it in one vectorised call.
+The BLAS matrix-vector product sums each row in the same order whether or
+not the other rows are computed, so the slice update is bit-identical to a
+full W x followed by a per-unit update of the phase; tests/test_network.py
+holds it to that.
 """
 
 import csv
 import io
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -46,48 +59,57 @@ RAMP = "ramp"
 STEP = "step"
 
 MICRO_STEPS_PER_MACRO = 5
+MCL = (0, 1)
+ALWAYS_ON = 2
+
+
+def _layout(p, q):
+    """Bank offsets (comparators, axis units, BSL, LTL) and the unit count n."""
+    cmp = ALWAYS_ON + 1
+    ax = cmp + 2 * (p + q)
+    bsl = ax + p + q
+    ltl = bsl + p * q
+    return cmp, ax, bsl, ltl, ltl + 2 * p * q
 
 
 @dataclass
 class NetworkSpec:
-    """Synthesized network: weights, unit metadata, and index maps.
+    """Synthesized network: dense weights over the grid layout of a p x q table.
 
     Treat instances as immutable; the arrays are shared, not copied.
     """
 
     weights: np.ndarray
-    activations: tuple  # per unit: RAMP or STEP
-    phases: tuple  # per unit: 1..MICRO_STEPS_PER_MACRO, or 0 (never updated)
-    roles: tuple  # per unit: readable role string
     x_cells: int
     y_cells: int
-    mcl: tuple = (0, 1)
-    always_on: int = 2
-    bsl_index: dict = field(default_factory=dict)  # (i, j) -> unit
-    ltl_index: dict = field(default_factory=dict)  # (i, j, coord) -> unit
-    micro_steps_per_macro: int = MICRO_STEPS_PER_MACRO
+    mcl = MCL
+    always_on = ALWAYS_ON
+    micro_steps_per_macro = MICRO_STEPS_PER_MACRO
     # phase_ranges[k] = (lo, hi, activation) of the units updated in phase k + 1
     phase_ranges: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        ranges = []
-        for phase in range(1, self.micro_steps_per_macro + 1):
-            units = [u for u, ph in enumerate(self.phases) if ph == phase]
-            kinds = {self.activations[u] for u in units}
-            if not units or units[-1] - units[0] + 1 != len(units) or len(kinds) != 1:
-                raise InternalConsistencyError(
-                    "phase %d units must form one non-empty contiguous range with one "
-                    "activation, got %d units with activations %r" % (phase, len(units), sorted(kinds))
-                )
-            ranges.append((units[0], units[-1] + 1, kinds.pop()))
-        self.phase_ranges = tuple(ranges)
+        _, ax, bsl, ltl, n = _layout(self.x_cells, self.y_cells)
+        if self.weights.shape != (n, n):
+            raise InternalConsistencyError(
+                "a %d x %d table needs %d x %d weights, got %r"
+                % (self.x_cells, self.y_cells, n, n, self.weights.shape)
+            )
+        self.phase_ranges = (
+            (ALWAYS_ON, ax, STEP),  # the always-on unit recomputes theta(0) = 1
+            (ax, bsl, STEP),
+            (bsl, ltl, STEP),
+            (ltl, n, RAMP),
+            (MCL[0], MCL[1] + 1, RAMP),
+        )
 
     @property
     def n(self):
-        return len(self.activations)
+        return len(self.weights)
 
     def bsl_units(self):
-        return [self.bsl_index[key] for key in sorted(self.bsl_index)]
+        lo, hi, _ = self.phase_ranges[2]
+        return range(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -111,123 +133,51 @@ def synthesize(nda, eps_b=1e-12, unit_budget=4096):
     the branch bank must be one-hot on the correct cell.
     """
     p, q = nda.x_cells, nda.y_cells
-    cell_count = p * q
-    n = 3 + 3 * (p + q) + 3 * cell_count
+    cmp, ax, bsl, ltl, n = _layout(p, q)
     if n > unit_budget:
         raise ResourceLimitError("network needs %d units, budget is %d" % (n, unit_budget))
-
-    mcl_y1, mcl_y2, one = 0, 1, 2
-    cmp_x = {}
-    cmp_y = {}
-    idx = 3
-    for i in range(p):
-        cmp_x[i] = (idx, idx + 1)
-        idx += 2
-    for j in range(q):
-        cmp_y[j] = (idx, idx + 1)
-        idx += 2
-    ax_x = {i: idx + i for i in range(p)}
-    idx += p
-    ax_y = {j: idx + j for j in range(q)}
-    idx += q
-    bsl = {}
-    for i in range(p):
-        for j in range(q):
-            bsl[(i, j)] = idx
-            idx += 1
-    ltl = {}
-    for i in range(p):
-        for j in range(q):
-            ltl[(i, j, 1)] = idx
-            ltl[(i, j, 2)] = idx + 1
-            idx += 2
-    assert idx == n
-
-    roles = [""] * n
-    activations = [RAMP] * n
-    phases = [0] * n
     weights = np.zeros((n, n), dtype=np.float64)
+    y1, y2 = MCL
 
-    roles[mcl_y1], roles[mcl_y2] = "mcl:y1", "mcl:y2"
-    phases[mcl_y1] = phases[mcl_y2] = 5
-    roles[one] = "one"
-    activations[one] = STEP
-    phases[one] = 1  # recomputes theta(0) = 1; value never changes
+    # comparators: lo fires iff y >= lo - eps_b, hi iff y <= hi - eps_b
+    for coord, first, count in ((y1, 0, p), (y2, p, q)):
+        k = np.arange(count)
+        lo_u = cmp + 2 * (first + k)
+        weights[lo_u, coord] = 1.0
+        weights[lo_u, ALWAYS_ON] = -(k / count) + eps_b
+        weights[lo_u + 1, coord] = -1.0
+        weights[lo_u + 1, ALWAYS_ON] = (k + 1) / count - eps_b
+
+    # axis unit a: AND of its two comparators
+    a = np.arange(p + q)
+    weights[ax + a, cmp + 2 * a] = 1.0
+    weights[ax + a, cmp + 2 * a + 1] = 1.0
+    weights[ax + a, ALWAYS_ON] = -1.5
+
+    # branch unit of cell k = (i, j): AND of axis units i and p + j
+    k = np.arange(p * q)
+    i, j = np.divmod(k, q)
+    weights[bsl + k, ax + i] = 1.0
+    weights[bsl + k, ax + p + j] = 1.0
+    weights[bsl + k, ALWAYS_ON] = -1.5
 
     # gating offset: larger than any |lambda*y + a| the affine bank can see
     slab = max(float(abs(c.lam1) + abs(c.a1)) for c in nda.cells)
     slab = max(slab, max(float(abs(c.lam2) + abs(c.a2)) for c in nda.cells))
     big = float(int(slab) + 2)
 
-    for i in range(p):
-        lo_u, hi_u = cmp_x[i]
-        lo, hi = i / p, (i + 1) / p
-        roles[lo_u], roles[hi_u] = "cmp:x:%d:lo" % i, "cmp:x:%d:hi" % i
-        activations[lo_u] = activations[hi_u] = STEP
-        phases[lo_u] = phases[hi_u] = 1
-        weights[lo_u, mcl_y1] = 1.0
-        weights[lo_u, one] = -lo + eps_b
-        weights[hi_u, mcl_y1] = -1.0
-        weights[hi_u, one] = hi - eps_b
-    for j in range(q):
-        lo_u, hi_u = cmp_y[j]
-        lo, hi = j / q, (j + 1) / q
-        roles[lo_u], roles[hi_u] = "cmp:y:%d:lo" % j, "cmp:y:%d:hi" % j
-        activations[lo_u] = activations[hi_u] = STEP
-        phases[lo_u] = phases[hi_u] = 1
-        weights[lo_u, mcl_y2] = 1.0
-        weights[lo_u, one] = -lo + eps_b
-        weights[hi_u, mcl_y2] = -1.0
-        weights[hi_u, one] = hi - eps_b
+    # affine units of cell k, released by its branch unit, summed into the MCL
+    for u, cell in zip(range(ltl, n, 2), nda.cells):
+        weights[u, y1] = float(cell.lam1)
+        weights[u, ALWAYS_ON] = float(cell.a1) - big
+        weights[u + 1, y2] = float(cell.lam2)
+        weights[u + 1, ALWAYS_ON] = float(cell.a2) - big
+    weights[ltl + 2 * k, bsl + k] = big
+    weights[ltl + 2 * k + 1, bsl + k] = big
+    weights[y1, ltl:n:2] = 1.0
+    weights[y2, ltl + 1:n:2] = 1.0
 
-    for i, unit in ax_x.items():
-        roles[unit] = "ax:x:%d" % i
-        activations[unit] = STEP
-        phases[unit] = 2
-        weights[unit, cmp_x[i][0]] = 1.0
-        weights[unit, cmp_x[i][1]] = 1.0
-        weights[unit, one] = -1.5
-    for j, unit in ax_y.items():
-        roles[unit] = "ax:y:%d" % j
-        activations[unit] = STEP
-        phases[unit] = 2
-        weights[unit, cmp_y[j][0]] = 1.0
-        weights[unit, cmp_y[j][1]] = 1.0
-        weights[unit, one] = -1.5
-
-    for (i, j), unit in bsl.items():
-        roles[unit] = "bsl:%d:%d" % (i, j)
-        activations[unit] = STEP
-        phases[unit] = 3
-        weights[unit, ax_x[i]] = 1.0
-        weights[unit, ax_y[j]] = 1.0
-        weights[unit, one] = -1.5
-
-    for cell in nda.cells:
-        u1 = ltl[(cell.i, cell.j, 1)]
-        u2 = ltl[(cell.i, cell.j, 2)]
-        roles[u1] = "ltl:%d:%d:y1" % (cell.i, cell.j)
-        roles[u2] = "ltl:%d:%d:y2" % (cell.i, cell.j)
-        phases[u1] = phases[u2] = 4
-        weights[u1, mcl_y1] = float(cell.lam1)
-        weights[u1, one] = float(cell.a1) - big
-        weights[u1, bsl[(cell.i, cell.j)]] = big
-        weights[u2, mcl_y2] = float(cell.lam2)
-        weights[u2, one] = float(cell.a2) - big
-        weights[u2, bsl[(cell.i, cell.j)]] = big
-        weights[mcl_y1, u1] = 1.0
-        weights[mcl_y2, u2] = 1.0
-
-    spec = NetworkSpec(
-        weights=weights,
-        activations=tuple(activations),
-        phases=tuple(phases),
-        roles=tuple(roles),
-        x_cells=p,
-        y_cells=q,
-        bsl_index=bsl,
-        ltl_index=ltl,
-    )
+    spec = NetworkSpec(weights=weights, x_cells=p, y_cells=q)
     _validate_synthesis(spec, nda)
     return spec
 
@@ -236,7 +186,7 @@ def _validate_synthesis(spec, nda, tol=1e-9):
     """Drive one macro step from every cell corner and compare to the table."""
     bsl_lo, bsl_hi, _ = spec.phase_ranges[2]  # branch unit of (i, j) is bsl_lo + i*q + j
     for cell in nda.cells:
-        corner = PhasePoint(cell.x_interval.lo, cell.y_interval.lo)
+        corner = PhasePoint(Fraction(cell.i, spec.x_cells), Fraction(cell.j, spec.y_cells))
         state = embed(spec, corner)
         for _ in range(3):
             state = na_micro_step(spec, state)
@@ -259,8 +209,8 @@ def _validate_synthesis(spec, nda, tol=1e-9):
 def embed(spec, point):
     """Initial network state holding a phase point in the MCL."""
     x = np.zeros(spec.n, dtype=np.float64)
-    x[spec.mcl[0]], x[spec.mcl[1]] = point.as_floats() if isinstance(point, PhasePoint) else point
-    x[spec.always_on] = 1.0
+    x[MCL[0]], x[MCL[1]] = point.as_floats()
+    x[ALWAYS_ON] = 1.0
     return NeuralState(x=x, macro=0, micro=0)
 
 
@@ -286,14 +236,9 @@ def na_micro_step(spec, state):
     return NeuralState(x=x, macro=macro, micro=micro)
 
 
-def mcl_projection(state_or_vector, spec=None):
+def mcl_projection(state):
     """The two machine-configuration components as floats."""
-    if isinstance(state_or_vector, NeuralState):
-        vec = state_or_vector.x
-    else:
-        vec = state_or_vector
-    i1, i2 = (spec.mcl if spec is not None else (0, 1))
-    return float(vec[i1]), float(vec[i2])
+    return float(state.x[MCL[0]]), float(state.x[MCL[1]])
 
 
 @dataclass(frozen=True)
@@ -343,13 +288,33 @@ def require_sound(run):
     return run
 
 
+def _roles(p, q):
+    """Readable role of every unit, in unit order."""
+    yield from ("mcl:y1", "mcl:y2", "one")
+    axes = [("x", i) for i in range(p)] + [("y", j) for j in range(q)]
+    for axis, i in axes:
+        yield "cmp:%s:%d:lo" % (axis, i)
+        yield "cmp:%s:%d:hi" % (axis, i)
+    for axis, i in axes:
+        yield "ax:%s:%d" % (axis, i)
+    cells = list(product(range(p), range(q)))
+    for i, j in cells:
+        yield "bsl:%d:%d" % (i, j)
+    for i, j in cells:
+        yield "ltl:%d:%d:y1" % (i, j)
+        yield "ltl:%d:%d:y2" % (i, j)
+
+
 def network_csv(spec):
     """CSV blocks: unit roles, then nonzero weights."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["record", "a", "b", "c", "d"])
-    for unit in range(spec.n):
-        w.writerow(["unit", unit, spec.roles[unit], spec.activations[unit], spec.phases[unit]])
+    roles = _roles(spec.x_cells, spec.y_cells)
+    for lo, hi, kind, phase in sorted((lo, hi, kind, phase) for phase, (lo, hi, kind)
+                                      in enumerate(spec.phase_ranges, 1)):
+        for unit in range(lo, hi):
+            w.writerow(["unit", unit, next(roles), kind, phase])
     rows, cols = np.nonzero(spec.weights)
     for t, s in zip(rows.tolist(), cols.tolist()):
         w.writerow(["weight", t, s, repr(float(spec.weights[t, s])), ""])

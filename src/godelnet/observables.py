@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .nda import PhasePoint
-from .network import NeuralState, mcl_projection
+from .network import mcl_projection
 from .patterns import square_partition
 from .symbols import check_permutation, digits_to_index, index_to_digits, recode
 
@@ -50,10 +50,7 @@ def digits_from_float(y, m, window, snap=DEFAULT_SNAP):
 def _coordinates(obj):
     if isinstance(obj, PhasePoint):
         return obj.y1, obj.y2, True
-    if isinstance(obj, NeuralState):
-        y1, y2 = mcl_projection(obj)
-        return y1, y2, False
-    y1, y2 = obj
+    y1, y2 = mcl_projection(obj)
     return y1, y2, False
 
 
@@ -114,20 +111,17 @@ def step_observable(spec, obj):
 
 def amari(state):
     """Mean activation of the full state vector (not recoding-invariant)."""
-    x = state.x if isinstance(state, NeuralState) else state
-    return float(sum(x) / len(x))
+    return float(sum(state.x) / len(state.x))
 
 
 def harmony(weights, state):
     """Quadratic form x . W x of a state under the network weights."""
-    x = state.x if isinstance(state, NeuralState) else state
-    return float(x @ weights @ x)
+    return float(state.x @ weights @ state.x)
 
 
 def dissimilarity(previous, current):
     """1 - cosine similarity of consecutive states; 0 when either is null."""
-    xp = previous.x if isinstance(previous, NeuralState) else previous
-    xc = current.x if isinstance(current, NeuralState) else current
+    xp, xc = previous.x, current.x
     np_ = math.sqrt(float(sum(v * v for v in xp)))
     nc = math.sqrt(float(sum(v * v for v in xc)))
     if np_ == 0.0 or nc == 0.0:
@@ -177,16 +171,10 @@ def rho_pi(obj, pair, window, bases, snap=DEFAULT_SNAP):
         y1 = _rigid_move(obj.y1, pair.input_perm, m_in, r, True, snap)
         y2 = _rigid_move(obj.y2, pair.stack_perm, m_st, l, True, snap)
         return PhasePoint(y1, y2)
-    if isinstance(obj, NeuralState):
-        x = obj.x.copy()
-        x[0] = _rigid_move(float(x[0]), pair.input_perm, m_in, r, False, snap)
-        x[1] = _rigid_move(float(x[1]), pair.stack_perm, m_st, l, False, snap)
-        return replace(obj, x=x)
-    y1, y2 = obj
-    return (
-        _rigid_move(float(y1), pair.input_perm, m_in, r, False, snap),
-        _rigid_move(float(y2), pair.stack_perm, m_st, l, False, snap),
-    )
+    x = obj.x.copy()
+    x[0] = _rigid_move(float(x[0]), pair.input_perm, m_in, r, False, snap)
+    x[1] = _rigid_move(float(x[1]), pair.stack_perm, m_st, l, False, snap)
+    return replace(obj, x=x)
 
 
 def alpha_pi(observable, pair, window, bases, snap=DEFAULT_SNAP):

@@ -142,12 +142,10 @@ class VersatileShift:
                 raise NonDeterminedShiftError(rule)
             if rule.shift < 0 and -rule.shift > len(rule.repl_stack):
                 raise NonDeterminedShiftError(rule)
+        # symbols a wildcard may bind: input alphabet minus the blank
+        object.__setattr__(self, "wild_domain",
+                           frozenset(s for s in self.input_alphabet if s != self.blank))
         self._check_determinism()
-
-    @property
-    def wild_domain(self):
-        """Symbols a wildcard may bind: input alphabet minus the blank."""
-        return frozenset(s for s in self.input_alphabet if s != self.blank)
 
     def _check_determinism(self):
         stack_words = product(self.stack_alphabet.symbols, repeat=self.dod.l)

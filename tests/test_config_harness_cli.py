@@ -1,6 +1,8 @@
 """Configuration loading, the experiment driver, and the CLI."""
 
 import dataclasses
+import hashlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,11 @@ from godelnet.harness import (
     write_report,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import DEMO_DIGESTS  # noqa: E402  (sha256 of the shipped run's artifacts)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +128,13 @@ def test_write_report_is_deterministic(report, tmp_path):
     }
     for name in names_a:
         assert names_a[name] == names_b[name]
+
+
+def test_shipped_experiment_artifacts_keep_their_bytes(report, tmp_path):
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in write_report(report, tmp_path)}
+    # only the digested names are compared, so a new artifact file does not fail this
+    assert {name: written.get(name) for name in DEMO_DIGESTS} == DEMO_DIGESTS
 
 
 def test_cli_parse(capsys):

@@ -1,5 +1,6 @@
 """Affine cell tables derived from machines."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from godelnet import (
 )
 from godelnet.errors import (
     DomainError,
+    InternalConsistencyError,
     MachineBuildError,
     NonAffineRuleError,
     ResourceLimitError,
@@ -58,11 +60,21 @@ def test_encode_tape_values(start_state, plain):
 def test_cell_table_geometry(plain_nda):
     assert plain_nda.x_cells == 3 and plain_nda.y_cells == 5
     assert len(plain_nda.cells) == 15
+    assert [(c.i, c.j) for c in plain_nda.cells] == [(i, j) for i in range(3) for j in range(5)]
     cell = plain_nda.cell_at(1, 4)
-    assert cell.x_interval.lo == Fraction(1, 3)
-    assert cell.y_interval.lo == Fraction(4, 5)
-    with pytest.raises(DomainError):
-        plain_nda.cell_at(3, 0)
+    assert (cell.i, cell.j) == (1, 4)
+    for i, j in ((3, 0), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(DomainError):
+            plain_nda.cell_at(i, j)
+
+
+def test_cell_table_must_be_row_major(plain_nda):
+    cells = list(plain_nda.cells)
+    cells[0], cells[1] = cells[1], cells[0]
+    with pytest.raises(InternalConsistencyError):
+        replace(plain_nda, cells=tuple(cells))
+    with pytest.raises(InternalConsistencyError):
+        replace(plain_nda, cells=plain_nda.cells[:-1])
 
 
 def test_predict_cell_coefficients(plain_nda):
@@ -157,6 +169,8 @@ def test_tail_dependent_machine_is_rejected(machine, plain):
 
 def test_nda_csv(plain_nda):
     lines = nda_csv(plain_nda).strip().splitlines()
-    assert lines[0].startswith("i,j,")
+    assert lines[0].startswith("i,j,y1_lo,y1_hi,y2_lo,y2_hi,")
     assert len(lines) == 1 + 15
+    # cell (1, 4) is the rectangle [1/3, 2/3) x [4/5, 1)
+    assert lines[1 + 1 * 5 + 4].startswith("1,4,1/3,2/3,4/5,1,")
     assert any(",halt" in line for line in lines[1:])

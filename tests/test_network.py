@@ -65,19 +65,54 @@ def chain_case():
     return synthesize(nda), start
 
 
+#: (phase, activation) of each unit by the prefix of its role in network_csv.
+ROLE_SCHEDULE = {
+    "mcl": (5, RAMP),
+    "one": (1, STEP),
+    "cmp": (1, STEP),
+    "ax": (2, STEP),
+    "bsl": (3, STEP),
+    "ltl": (4, RAMP),
+}
+
+
+def _unit_rows(spec):
+    """(unit, role, activation, phase) of every unit row of network_csv."""
+    rows = [line.split(",") for line in network_csv(spec).splitlines() if line.startswith("unit,")]
+    return [(int(u), role, kind, int(phase)) for _, u, role, kind, phase in rows]
+
+
+def _unit_of(spec):
+    """role -> unit, read from network_csv."""
+    return {role: u for u, role, _, _ in _unit_rows(spec)}
+
+
+def _schedule(spec):
+    """Per unit (phase, activation), from ROLE_SCHEDULE and the role of each unit row."""
+    rows = _unit_rows(spec)
+    assert [u for u, _, _, _ in rows] == list(range(spec.n))
+    return [ROLE_SCHEDULE[role.split(":")[0]] for _, role, _, _ in rows]
+
+
+def _bsl_bank(spec, state):
+    """(i, j) -> value of each branch unit."""
+    return {tuple(int(v) for v in role.split(":")[1:]): state.x[u]
+            for role, u in _unit_of(spec).items() if role.startswith("bsl:")}
+
+
 def _scalar_activation(kind, s):
     if kind == RAMP:
         return min(1.0, max(0.0, s))
     return 1.0 if s >= 0.0 else 0.0
 
 
-def _reference_step(spec, x, phase):
+def _reference_step(schedule, weights, x, phase):
     """Dense update: the full W x, then the scalar rule on every unit of the phase."""
-    net = spec.weights @ x
+    net = weights @ x
     out = x.copy()
-    for unit in range(spec.n):
-        if spec.phases[unit] == phase:
-            out[unit] = _scalar_activation(spec.activations[unit], float(net[unit]))
+    for unit, (unit_phase, kind) in enumerate(schedule):
+        if unit_phase == phase:
+            out[unit] = _scalar_activation(kind, float(net[unit]))
     return out
 
 
@@ -98,9 +133,10 @@ def test_unit_budget(plain_nda):
 
 def test_bias_free_construction(plain_net):
     assert not any(line.startswith("bias,") for line in network_csv(plain_net).splitlines())
-    assert plain_net.activations[plain_net.always_on] == STEP
-    assert plain_net.activations[plain_net.mcl[0]] == RAMP
-    assert set(plain_net.phases) == {1, 2, 3, 4, 5}
+    schedule = _schedule(plain_net)
+    assert schedule[plain_net.always_on] == (1, STEP)
+    assert schedule[plain_net.mcl[0]] == (5, RAMP)
+    assert {phase for phase, _ in schedule} == {1, 2, 3, 4, 5}
 
 
 def test_embed_and_project(plain_net, plain_start):
@@ -112,12 +148,13 @@ def test_embed_and_project(plain_net, plain_start):
 
 
 def test_phase_schedule_updates_one_bank_per_micro(plain_net, plain_start):
+    schedule = _schedule(plain_net)
     state = embed(plain_net, plain_start)
     for phase in range(1, 6):
         before = state.x.copy()
         state = na_micro_step(plain_net, state)
         changed = {u for u in range(plain_net.n) if state.x[u] != before[u]}
-        allowed = {u for u in range(plain_net.n) if plain_net.phases[u] == phase}
+        allowed = {u for u, (unit_phase, _) in enumerate(schedule) if unit_phase == phase}
         assert changed <= allowed
     assert state.macro == 1 and state.micro == 0
 
@@ -125,23 +162,25 @@ def test_phase_schedule_updates_one_bank_per_micro(plain_net, plain_start):
 def test_branch_bank_one_hot_for_every_cell(plain_nda, plain_net):
     for cell in plain_nda.cells:
         interior = PhasePoint(
-            cell.x_interval.lo + Fraction(1, 1000),
-            cell.y_interval.lo + Fraction(1, 1000),
+            Fraction(cell.i, 3) + Fraction(1, 1000),
+            Fraction(cell.j, 5) + Fraction(1, 1000),
         )
         state = embed(plain_net, interior)
         for _ in range(3):
             state = na_micro_step(plain_net, state)
-        bank = {key: state.x[unit] for key, unit in plain_net.bsl_index.items()}
+        bank = _bsl_bank(plain_net, state)
         assert bank[(cell.i, cell.j)] == 1.0
         assert sum(bank.values()) == 1.0
 
 
 def test_point_just_below_a_corner_reads_as_the_corner(plain_net):
     # a float one ulp under a cell boundary must select the boundary's cell
-    state = embed(plain_net, (np.nextafter(1 / 3, 0.0), np.nextafter(2 / 5, 0.0)))
+    below = PhasePoint(Fraction(np.nextafter(1 / 3, 0.0)), Fraction(np.nextafter(2 / 5, 0.0)))
+    assert below.as_floats() == (np.nextafter(1 / 3, 0.0), np.nextafter(2 / 5, 0.0))
+    state = embed(plain_net, below)
     for _ in range(3):
         state = na_micro_step(plain_net, state)
-    active = [key for key, unit in plain_net.bsl_index.items() if state.x[unit] == 1.0]
+    active = [key for key, value in _bsl_bank(plain_net, state).items() if value == 1.0]
     assert active == [(1, 2)]
 
 
@@ -204,9 +243,10 @@ def test_micro_states_match_dense_reference_bit_for_bit(case, plain_net, plain_s
         macro_steps = 2 * CHAIN_K + 3
     run = na_run(spec, embed(spec, start), macro_steps)
     assert len(run.states) == 1 + macro_steps * spec.micro_steps_per_macro
+    schedule = _schedule(spec)
     x = run.states[0].x
     for t, state in enumerate(run.states[1:]):
-        x = _reference_step(spec, x, t % spec.micro_steps_per_macro + 1)
+        x = _reference_step(schedule, spec.weights, x, t % spec.micro_steps_per_macro + 1)
         assert _same_bits(state.x, x), "micro state %d differs from the dense reference" % (t + 1)
 
 
@@ -223,24 +263,20 @@ def test_activation_edge_values_match_scalar_rule(kind):
 @pytest.mark.parametrize("case", ["plain", "chain"])
 def test_phase_ranges_tile_all_units(case, plain_net, chain_case):
     spec = plain_net if case == "plain" else chain_case[0]
+    schedule = _schedule(spec)
+    assert [(phase, kind) for _, _, kind, phase in _unit_rows(spec)] == schedule
     assert len(spec.phase_ranges) == spec.micro_steps_per_macro
     covered = []
     for k, (lo, hi, kind) in enumerate(spec.phase_ranges):
         assert lo < hi
-        assert all(spec.phases[u] == k + 1 and spec.activations[u] == kind for u in range(lo, hi))
+        assert all(schedule[u] == (k + 1, kind) for u in range(lo, hi))
         covered.extend(range(lo, hi))
     assert sorted(covered) == list(range(spec.n))
 
 
-def test_phase_ranges_reject_split_or_mixed_phases(plain_net):
-    phases = list(plain_net.phases)
-    phases[0], phases[-1] = phases[-1], phases[0]  # an MCL unit moves into the LTL range
+def test_spec_rejects_weights_of_another_grid(plain_net):
     with pytest.raises(InternalConsistencyError):
-        replace(plain_net, phases=tuple(phases))
-    activations = list(plain_net.activations)
-    activations[plain_net.always_on] = RAMP
-    with pytest.raises(InternalConsistencyError):
-        replace(plain_net, activations=tuple(activations))
+        replace(plain_net, y_cells=plain_net.y_cells + 1)
 
 
 def _corrupted(spec, unit, column, delta):
@@ -251,7 +287,7 @@ def _corrupted(spec, unit, column, delta):
 
 def test_validation_catches_a_corrupted_branch_weight(plain_nda, plain_net):
     # raising the threshold of one branch unit silences it on its own cell
-    unit = plain_net.bsl_index[(1, 2)]
+    unit = _unit_of(plain_net)["bsl:1:2"]
     with pytest.raises(InternalConsistencyError, match="one-hot"):
         _validate_synthesis(_corrupted(plain_net, unit, plain_net.always_on, -1.0), plain_nda)
 
@@ -260,7 +296,7 @@ def test_validation_catches_a_corrupted_branch_weight(plain_nda, plain_net):
 def test_validation_catches_a_corrupted_affine_weight(plain_nda, plain_net, delta):
     # an offset error on one affine unit moves its cell's image off the table
     cell = next(c for c in plain_nda.cells
-                if 0.1 < float(c.apply(PhasePoint(c.x_interval.lo, c.y_interval.lo)).y1) < 0.9)
-    unit = plain_net.ltl_index[(cell.i, cell.j, 1)]
+                if 0.1 < float(c.apply(PhasePoint(Fraction(c.i, 3), Fraction(c.j, 5))).y1) < 0.9)
+    unit = _unit_of(plain_net)["ltl:%d:%d:y1" % (cell.i, cell.j)]
     with pytest.raises(InternalConsistencyError, match="off by"):
         _validate_synthesis(_corrupted(plain_net, unit, plain_net.always_on, delta), plain_nda)

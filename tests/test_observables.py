@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from godelnet import (
+    NeuralState,
     PermutationPair,
     PhasePoint,
     alpha_pi,
@@ -36,6 +37,11 @@ def swap_pair():
     return PermutationPair((0, 2, 1), (0, 4, 3, 1, 2))
 
 
+def _floats(y1, y2):
+    """A float state holding (y1, y2) in its MCL."""
+    return NeuralState(x=np.array([y1, y2], dtype=np.float64))
+
+
 def test_digits_from_float_snapping():
     assert digits_from_float(5 / 9, 3, 2) == (1, 2)
     assert digits_from_float(5 / 9 - 1e-9, 3, 2) == (1, 2)
@@ -63,9 +69,9 @@ def test_cell_lookup_exact_and_float_agree(obs):
         PhasePoint(Fraction(0), Fraction(0)),
     ):
         exact = obs.cell_of(point)
-        assert obs.cell_of(point.as_floats()) == exact
-        nudged = (point.as_floats()[0] - 1e-10, point.as_floats()[1] + 1e-10)
-        assert obs.cell_of(nudged) == exact
+        y1, y2 = point.as_floats()
+        assert obs.cell_of(_floats(y1, y2)) == exact
+        assert obs.cell_of(_floats(y1 - 1e-10, y2 + 1e-10)) == exact
 
 
 def test_step_observable_on_network_state(plain_nda, obs, plain_start):
@@ -83,19 +89,18 @@ def test_step_observable_invariant_under_recoding(obs, swap_pair, plain_orbit, m
 
 
 def test_amari_and_harmony_formulas():
-    x = np.array([0.0, 0.5, 1.0, 0.5])
+    x = NeuralState(x=np.array([0.0, 0.5, 1.0, 0.5]))
     assert amari(x) == pytest.approx(0.5)
     w = np.array([[0.0, 2.0], [1.0, 0.0]])
-    v = np.array([1.0, 3.0])
-    assert harmony(w, v) == pytest.approx(9.0)
+    assert harmony(w, _floats(1.0, 3.0)) == pytest.approx(9.0)
 
 
 def test_dissimilarity_extremes():
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 1.0])
+    a = _floats(1.0, 0.0)
+    b = _floats(0.0, 1.0)
     assert dissimilarity(a, a) == pytest.approx(0.0)
     assert dissimilarity(a, b) == pytest.approx(1.0)
-    assert dissimilarity(np.zeros(2), b) == 0.0
+    assert dissimilarity(_floats(0.0, 0.0), b) == 0.0
 
 
 def test_permutation_pair_must_fix_zero():
@@ -118,7 +123,7 @@ def test_rho_identity_and_involution(swap_pair):
 def test_rho_exact_and_float_agree(swap_pair):
     point = PhasePoint(Fraction(7, 9), Fraction(11, 25))
     exact = rho_pi(point, swap_pair, WINDOW, BASES)
-    fy1, fy2 = rho_pi(point.as_floats(), swap_pair, WINDOW, BASES)
+    fy1, fy2 = rho_pi(_floats(*point.as_floats()), swap_pair, WINDOW, BASES).x
     assert fy1 == pytest.approx(float(exact.y1), abs=1e-12)
     assert fy2 == pytest.approx(float(exact.y2), abs=1e-12)
 
