@@ -66,7 +66,6 @@ class ExperimentConfig:
     macro_steps: int = 6
     soundness: float = 1e-9
     step_invariance: float = 0.0
-    snap: float = 1e-6
     window: tuple = (2, 3)
     seed: int = 11
     observables: tuple = OBSERVABLE_NAMES
@@ -136,12 +135,11 @@ def load_config(path):
         run_id = parser["run"].get("id", run_id).strip()
         macro_steps = _int(parser["run"], "macro_steps", macro_steps)
 
-    soundness, step_inv, snap = 1e-9, 0.0, 1e-6
+    soundness, step_inv = 1e-9, 0.0
     if "tolerances" in parser:
         sec = parser["tolerances"]
         soundness = _float(sec, "soundness", soundness)
         step_inv = _float(sec, "step_invariance", step_inv)
-        snap = _float(sec, "snap", snap)
 
     window, seed = (2, 3), 11
     enabled = list(OBSERVABLE_NAMES)
@@ -179,7 +177,6 @@ def load_config(path):
         macro_steps=macro_steps,
         soundness=soundness,
         step_invariance=step_inv,
-        snap=snap,
         window=window,
         seed=seed,
         observables=tuple(enabled),

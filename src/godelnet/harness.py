@@ -127,8 +127,7 @@ def run_experiment(config):
 
     m_in = pairs[0][1].m_in
     m_st = pairs[0][1].m_st
-    obs_spec = build_step_observable(l, r, m_in, m_st, seed=config.seed,
-                                     snap=config.snap)
+    obs_spec = build_step_observable(l, r, m_in, m_st, seed=config.seed)
 
     # the symbolic run does not depend on the encoding
     state0 = initial_state(machine, config.sentence, grammar.start)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .patterns import DEFAULT_CELL_BUDGET
 from .shift import vs_step
-from .symbols import DottedSequence, Ordering, godel_encode, index_to_digits
+from .symbols import DottedSequence, Ordering, digits_to_index, godel_encode, index_to_digits
 
 HALT = "halt"
 
@@ -226,8 +226,8 @@ def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
                 raise InternalConsistencyError(
                     "window (%r, %r): representatives matched different rules" % (w_st, w_in)
                 )
-            i = int(godel_encode(w_in, enc.input) * p)
-            j = int(godel_encode(w_st, enc.stack) * q)
+            i = digits_to_index(enc.input.digits(w_in), enc.m_in)
+            j = digits_to_index(enc.stack.digits(w_st), enc.m_st)
 
             if rule_a is None:
                 cells[i * q + j] = NdaCell(i, j, Fraction(0), Fraction(0), Fraction(1), Fraction(1), HALT)

@@ -29,79 +29,66 @@ from .symbols import check_permutation, digits_to_index, index_to_digits, recode
 DEFAULT_SNAP = 1e-6
 
 
-def digits_from_float(y, m, window, snap=DEFAULT_SNAP):
-    """First ``window`` base-m digits of a float in [0, 1), snap-corrected.
+def _axis_index(y, m, window, snap=DEFAULT_SNAP):
+    """Cell index of a coordinate on the m**window grid of [0, 1).
 
-    A value within ``snap`` (in units of the m**window grid) of a corner is
-    read as that corner, so encodings perturbed by float error decode to the
-    cell they came from.
+    An exact (``Fraction``) coordinate is floored.  A float within ``snap``
+    (in units of the grid) of a corner is read as that corner, so encodings
+    perturbed by float error land in the cell they came from.
     """
+    cells = m**window
+    if isinstance(y, Fraction):
+        return (y * cells).__floor__()
     if not -snap <= y < 1.0 + snap:
         raise DomainError("float coordinate %r outside the unit interval" % (y,))
-    z = y * (m**window)
+    z = y * cells
     k = math.floor(z)
     nearest = round(z)
     if abs(z - nearest) <= snap:
         k = nearest
-    k = min(max(k, 0), m**window - 1)
-    return index_to_digits(k, m, window)
+    return min(max(k, 0), cells - 1)
 
 
-def _coordinates(obj):
-    if isinstance(obj, PhasePoint):
-        return obj.y1, obj.y2, True
-    y1, y2 = mcl_projection(obj)
-    return y1, y2, False
+def digits_from_float(y, m, window, snap=DEFAULT_SNAP):
+    """First ``window`` base-m digits of a float in [0, 1), snap-corrected."""
+    return index_to_digits(_axis_index(float(y), m, window, snap), m, window)
 
 
 @dataclass(frozen=True)
 class StepObservableSpec:
-    """Window geometry, pattern-class map and per-class coefficients.
+    """Pattern-class map of the phase plane and one coefficient per class.
 
-    The class map lives on the phase plane: x axis = input side, window
-    length r, base m_in; y axis = stack side, window length l, base m_st.
-    Coefficients are drawn once from a seeded shuffle of the uniform grid
-    {1/s, ..., s/s}, so they are pairwise distinct and reproducible.
+    The map's x axis is the input side (window length r, base m_in), its
+    y axis the stack side (length l, base m_st).  Coefficients are drawn
+    once from a seeded shuffle of the uniform grid {1/s, ..., s/s}, so they
+    are pairwise distinct and reproducible.
     """
 
-    l: int
-    r: int
-    m_in: int
-    m_st: int
-    mode: str
     class_map: object
     coefficients: tuple
     seed: int
-    snap: float = DEFAULT_SNAP
 
     def cell_of(self, obj):
-        y1, y2, exact = _coordinates(obj)
-        if exact:
-            i = (y1 * self.m_in**self.r).__floor__()
-            j = (y2 * self.m_st**self.l).__floor__()
-        else:
-            i = digits_to_index(digits_from_float(y1, self.m_in, self.r, self.snap), self.m_in)
-            j = digits_to_index(digits_from_float(y2, self.m_st, self.l, self.snap), self.m_st)
-        return i, j
+        y1, y2 = (obj.y1, obj.y2) if isinstance(obj, PhasePoint) else mcl_projection(obj)
+        cmap = self.class_map
+        return _axis_index(y1, cmap.m, cmap.l), _axis_index(y2, cmap.m_right, cmap.r)
 
     def class_of(self, obj):
         return self.class_map.class_of(self.cell_of(obj))
 
 
-def build_step_observable(l, r, m_in, m_st, seed, mode="product", blank_pinned=True,
-                          snap=DEFAULT_SNAP):
-    """Construct the seeded pattern-class observable for a window (l, r)."""
-    class_map = square_partition(
-        m=m_in, l=r, r=l, m_right=m_st, mode=mode, blank_pinned=blank_pinned,
-    )
+def build_step_observable(l, r, m_in, m_st, seed):
+    """Construct the seeded pattern-class observable for a window (l, r).
+
+    The classes are blank-pinned product classes: each side's digits are
+    permuted independently, and the blank keeps digit 0.
+    """
+    class_map = square_partition(m=m_in, l=r, r=l, m_right=m_st, mode="product", blank_pinned=True)
     count = class_map.class_count
     rng = random.Random(seed)
     grid = rng.sample(range(1, count + 1), count)
     coefficients = tuple(v / count for v in grid)
-    return StepObservableSpec(
-        l=l, r=r, m_in=m_in, m_st=m_st, mode=mode,
-        class_map=class_map, coefficients=coefficients, seed=seed, snap=snap,
-    )
+    return StepObservableSpec(class_map=class_map, coefficients=coefficients, seed=seed)
 
 
 def step_observable(spec, obj):
@@ -145,15 +132,10 @@ class PermutationPair:
                 raise DomainError("%s permutation must fix the blank digit 0, got %r" % (name, perm))
 
 
-def _rigid_move(y, perm, m, window, exact, snap):
-    if exact:
-        k = (y * m**window).__floor__()
-        digits = index_to_digits(k, m, window)
-    else:
-        digits = digits_from_float(y, m, window, snap)
-        k = digits_to_index(digits, m)
-    k_new = digits_to_index(recode(digits, perm), m)
-    if exact:
+def _rigid_move(y, perm, m, window, snap):
+    k = _axis_index(y, m, window, snap)
+    k_new = digits_to_index(recode(index_to_digits(k, m, window), perm), m)
+    if isinstance(y, Fraction):
         return y + Fraction(k_new - k, m**window)
     return y + (k_new - k) / (m**window)
 
@@ -168,12 +150,12 @@ def rho_pi(obj, pair, window, bases, snap=DEFAULT_SNAP):
     l, r = window
     m_in, m_st = bases
     if isinstance(obj, PhasePoint):
-        y1 = _rigid_move(obj.y1, pair.input_perm, m_in, r, True, snap)
-        y2 = _rigid_move(obj.y2, pair.stack_perm, m_st, l, True, snap)
+        y1 = _rigid_move(obj.y1, pair.input_perm, m_in, r, snap)
+        y2 = _rigid_move(obj.y2, pair.stack_perm, m_st, l, snap)
         return PhasePoint(y1, y2)
     x = obj.x.copy()
-    x[0] = _rigid_move(float(x[0]), pair.input_perm, m_in, r, False, snap)
-    x[1] = _rigid_move(float(x[1]), pair.stack_perm, m_st, l, False, snap)
+    x[0] = _rigid_move(float(x[0]), pair.input_perm, m_in, r, snap)
+    x[1] = _rigid_move(float(x[1]), pair.stack_perm, m_st, l, snap)
     return replace(obj, x=x)
 
 

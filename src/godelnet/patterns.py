@@ -15,8 +15,9 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import permutations
+from operator import index
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, InternalConsistencyError, ResourceLimitError
 from .svg import grid_svg, strip_svg
 from .symbols import BLANK, index_to_digits
 
@@ -152,13 +153,14 @@ def orbit(word, m, blank_pinned=False, universe=None, blank=None):
 
 @dataclass(frozen=True)
 class PatternClassMap:
-    """Assignment of grid cells to equality-pattern classes.
+    """Equality-pattern class id of every grid cell, as a row-major grid.
 
-    ``kind`` is "interval" or "square".  Cells are indexed by int (interval)
-    or (i, j) pairs (square); ``assignment`` maps cell index to a contiguous
-    class id, assigned in order of each class's minimal cell index.
-    ``class_patterns`` records the defining pattern (or pattern pair) per
-    class id.
+    ``kind`` is "interval" or "square".  The x axis has m**l cells; a square
+    map's y axis has m_right**r cells and an interval map is the one-column
+    grid.  ``assignment[k]`` is the class id of cell k = i * y_cells + j,
+    where a square cell is named (i, j) and an interval cell by its int i.
+    Class ids are contiguous, assigned in order of each class's minimal cell
+    index; ``class_count`` is their number.
     """
 
     kind: str
@@ -169,41 +171,45 @@ class PatternClassMap:
     mode: str = ""
     blank_pinned: bool = False
     assignment: tuple = ()
-    class_patterns: tuple = ()
+    class_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "_class_of", dict(self.assignment))
+        if len(self.assignment) != self.x_cells * self.y_cells:
+            raise InternalConsistencyError(
+                "class map holds %d ids for a %d x %d grid"
+                % (len(self.assignment), self.x_cells, self.y_cells)
+            )
 
     @property
-    def class_count(self):
-        return len(self.class_patterns)
+    def x_cells(self):
+        return self.m**self.l
+
+    @property
+    def y_cells(self):
+        return self.m_right**self.r if self.kind == "square" else 1
 
     def cells(self):
         if self.kind == "interval":
-            return [k for k, _ in self.assignment]
-        return [ij for ij, _ in self.assignment]
+            return list(range(self.x_cells))
+        return [divmod(k, self.y_cells) for k in range(len(self.assignment))]
 
     def class_of(self, cell):
         try:
-            return self._class_of[cell]
-        except KeyError:
+            i, j = (index(cell), 0) if self.kind == "interval" else map(index, cell)
+        except (TypeError, ValueError):
             raise DomainError("cell %r outside the partition" % (cell,)) from None
+        if not (0 <= i < self.x_cells and 0 <= j < self.y_cells):
+            raise DomainError("cell %r outside the partition" % (cell,))
+        return self.assignment[i * self.y_cells + j]
 
     def members(self, class_id):
-        return [cell for cell, cid in self.assignment if cid == class_id]
+        return [cell for cell, cid in zip(self.cells(), self.assignment) if cid == class_id]
 
 
-def _assign_classes(cells_with_keys):
-    """Contiguous class ids in order of first (minimal) cell occurrence."""
+def _assign_classes(keys):
+    """Contiguous class ids of row-major cell keys, in order of first occurrence."""
     key_to_id = {}
-    patterns = []
-    assignment = []
-    for cell, key in cells_with_keys:
-        if key not in key_to_id:
-            key_to_id[key] = len(patterns)
-            patterns.append(key)
-        assignment.append((cell, key_to_id[key]))
-    return tuple(assignment), tuple(patterns)
+    return tuple(key_to_id.setdefault(key, len(key_to_id)) for key in keys)
 
 
 def interval_partition(m, l, blank_pinned=False, cell_budget=DEFAULT_CELL_BUDGET):
@@ -213,14 +219,10 @@ def interval_partition(m, l, blank_pinned=False, cell_budget=DEFAULT_CELL_BUDGET
     count = m**l
     if count > cell_budget:
         raise ResourceLimitError("interval partition needs %d cells, budget is %d" % (count, cell_budget))
-    rows = []
-    for k in range(count):
-        digits = index_to_digits(k, m, l)
-        rows.append((k, pattern_of(digits, blank_pinned)))
-    assignment, patterns = _assign_classes(rows)
+    ids = _assign_classes(pattern_of(index_to_digits(k, m, l), blank_pinned) for k in range(count))
     return PatternClassMap(
         kind="interval", m=m, l=l, blank_pinned=blank_pinned,
-        assignment=assignment, class_patterns=patterns,
+        assignment=ids, class_count=max(ids) + 1,
     )
 
 
@@ -246,20 +248,19 @@ def square_partition(m, l, r, mode="joint", blank_pinned=False, m_right=None,
     count = (m**l) * (m_right**r)
     if count > cell_budget:
         raise ResourceLimitError("square partition needs %d cells, budget is %d" % (count, cell_budget))
-    rows = []
+    keys = []
     for i in range(m**l):
         left = index_to_digits(i, m, l)
         for j in range(m_right**r):
             right = index_to_digits(j, m_right, r)
             if mode == "joint":
-                key = pattern_of(left + right, blank_pinned)
+                keys.append(pattern_of(left + right, blank_pinned))
             else:
-                key = (pattern_of(left, blank_pinned), pattern_of(right, blank_pinned))
-            rows.append(((i, j), key))
-    assignment, patterns = _assign_classes(rows)
+                keys.append((pattern_of(left, blank_pinned), pattern_of(right, blank_pinned)))
+    ids = _assign_classes(keys)
     return PatternClassMap(
         kind="square", m=m, l=l, r=r, m_right=m_right, mode=mode,
-        blank_pinned=blank_pinned, assignment=assignment, class_patterns=patterns,
+        blank_pinned=blank_pinned, assignment=ids, class_count=max(ids) + 1,
     )
 
 
@@ -272,12 +273,12 @@ def class_map_csv(cmap):
     w = csv.writer(out, lineterminator="\n")
     if cmap.kind == "interval":
         w.writerow(["cell", "corner_digits", "class"])
-        for k, cid in cmap.assignment:
+        for k, cid in enumerate(cmap.assignment):
             digits = index_to_digits(k, cmap.m, cmap.l)
             w.writerow([k, " ".join(map(str, digits)), cid])
     else:
         w.writerow(["i", "j", "x_corner_digits", "y_corner_digits", "class"])
-        for (i, j), cid in cmap.assignment:
+        for (i, j), cid in zip(cmap.cells(), cmap.assignment):
             xd = index_to_digits(i, cmap.m, cmap.l)
             yd = index_to_digits(j, cmap.m_right, cmap.r)
             w.writerow([i, j, " ".join(map(str, xd)), " ".join(map(str, yd)), cid])
@@ -287,12 +288,10 @@ def class_map_csv(cmap):
 def class_map_svg(cmap):
     """Deterministic SVG rendering: cells colored by class id."""
     if cmap.kind == "interval":
-        values = [cid for _, cid in cmap.assignment]
-        return strip_svg(values, cmap.class_count,
+        return strip_svg(cmap.assignment, cmap.class_count,
                          title="interval pattern classes m=%d l=%d" % (cmap.m, cmap.l))
-    nx, ny = cmap.m**cmap.l, cmap.m_right**cmap.r
-    grid = {cell: cid for cell, cid in cmap.assignment}
-    return grid_svg(nx, ny, grid, cmap.class_count,
+    nx, ny = cmap.x_cells, cmap.y_cells
+    return grid_svg(nx, ny, cmap.assignment, cmap.class_count,
                     title="square pattern classes (%s) %d x %d" % (cmap.mode, nx, ny))
 
 

@@ -41,15 +41,19 @@ def strip_svg(values, class_count, title="", cell_px=28, height_px=48):
     return "\n".join(parts) + "\n"
 
 
-def grid_svg(nx, ny, cell_to_class, class_count, title="", cell_px=22):
-    """Colored nx-by-ny grid; cell (0,0) bottom-left, math orientation."""
+def grid_svg(nx, ny, class_ids, class_count, title="", cell_px=22):
+    """Colored nx-by-ny grid; cell (0,0) bottom-left, math orientation.
+
+    ``class_ids`` lists the cells row-major: cell (i, j) at i * ny + j.
+    """
     width, height = nx * cell_px, ny * cell_px
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">' % (width, height + 18),
         '<title>%s</title>' % _esc(title),
         '<text x="2" y="12" font-size="11" fill="#000">%s</text>' % _esc(title),
     ]
-    for (i, j), cid in sorted(cell_to_class.items()):
+    for k, cid in enumerate(class_ids):
+        i, j = divmod(k, ny)
         x = i * cell_px
         y = 18 + (ny - 1 - j) * cell_px
         parts.append(

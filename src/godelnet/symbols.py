@@ -207,12 +207,7 @@ def godel_decode(x, m, length):
     x = Fraction(x)
     if not 0 <= x < 1:
         raise DomainError("decode needs 0 <= x < 1, got %s" % x)
-    k = (x * m**length).__floor__()
-    digits = []
-    for _ in range(length):
-        k, d = divmod(k, m)
-        digits.append(d)
-    return tuple(reversed(digits))
+    return index_to_digits((x * m**length).__floor__(), m, length)
 
 
 def digits_to_index(digits, m):

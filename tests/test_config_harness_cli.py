@@ -177,6 +177,24 @@ def test_cli_partition(tmp_path, capsys):
     assert csv_path.is_file() and svg_path.is_file()
 
 
+@pytest.mark.parametrize("argv, want", [
+    ("--m 3 --l 2", "interval partition: m=3 l=2, 9 cells, 2 classes\n"),
+    ("--m 3 --l 2 --pinned", "interval partition: m=3 l=2, 9 cells, 5 classes\n"),
+    ("--m 2 --l 0", "interval partition: m=2 l=0, 1 cells, 1 classes\n"),
+    ("--m 3 --l 1 --r 2 --mode product --m-right 5 --pinned",
+     "square partition (product): 3 x 25 cells, 10 classes\n"),
+    ("--m 3 --l 2 --r 0", "square partition (joint): 9 x 1 cells, 2 classes\n"),
+    ("--m 3 --l 2 --r 2 --mode joint --pinned", "square partition (joint): 9 x 9 cells, 41 classes\n"),
+])
+def test_cli_partition_stdout_keeps_its_bytes(argv, want, tmp_path, capsys):
+    assert cli.main(["partition"] + argv.split()) == cli.EXIT_OK
+    assert capsys.readouterr().out == want
+    csv_path, svg_path = tmp_path / "cells.csv", tmp_path / "cells.svg"
+    argv += " --csv %s --svg %s" % (csv_path, svg_path)
+    assert cli.main(["partition"] + argv.split()) == cli.EXIT_OK
+    assert capsys.readouterr().out == want + "written %s\nwritten %s\n" % (csv_path, svg_path)
+
+
 def test_cli_run(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code = cli.main(["run", str(CONFIG_DIR / "experiment.ini"), "--out", str(out_dir)])

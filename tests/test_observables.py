@@ -21,7 +21,7 @@ from godelnet import (
     synthesize,
 )
 from godelnet.errors import DomainError
-from godelnet.observables import DEFAULT_SNAP, digits_from_float
+from godelnet.observables import digits_from_float
 
 WINDOW = (2, 3)  # (stack, input) window lengths
 BASES = (3, 5)  # (input, stack) alphabet sizes
@@ -148,7 +148,3 @@ def test_alpha_pullback(obs, swap_pair):
     pulled = alpha_pi(lambda obj: step_observable(obs, obj), swap_pair, WINDOW, BASES)
     point = PhasePoint(Fraction(5, 9), Fraction(19, 25))
     assert pulled(point) == step_observable(obs, point)
-
-
-def test_snap_default_matches_module_constant(obs):
-    assert obs.snap == DEFAULT_SNAP
