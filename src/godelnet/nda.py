@@ -171,23 +171,15 @@ def _nonblank(alphabet):
     raise MachineBuildError("alphabet %r has no non-blank symbol" % (alphabet.symbols,))
 
 
-def _integer_power(value, base):
-    """Exponent k with value == base**k, or None."""
+def _is_power(value, base):
+    """Whether value == base**k for some integer k, negative k included."""
     value = Fraction(value)
-    if value <= 0:
-        return None
-    if value.numerator == 1 and value.denominator == 1:
-        return 0
-    if value.denominator == 1:
-        n, k = value.numerator, 0
-        while n % base == 0:
-            n //= base
-            k += 1
-        return k if n == 1 else None
-    if value.numerator == 1:
-        k = _integer_power(Fraction(value.denominator), base)
-        return -k if k is not None else None
-    return None
+    if value <= 0 or 1 not in (value.numerator, value.denominator):
+        return False
+    n = value.numerator * value.denominator
+    while n % base == 0:
+        n //= base
+    return n == 1
 
 
 def _solve_affine(psi_a, out_a, psi_b, out_b):
@@ -233,31 +225,32 @@ def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
                 cells[i * q + j] = NdaCell(i, j, Fraction(0), Fraction(0), Fraction(1), Fraction(1), HALT)
                 continue
 
-            pa, pb = encode_tape(tape_a, enc), encode_tape(tape_b, enc)
-            out_a = encode_tape(vs_step(machine, tape_a)[0], enc)
-            out_b = encode_tape(vs_step(machine, tape_b)[0], enc)
-            a1, lam1 = _solve_affine(pa.y1, out_a.y1, pb.y1, out_b.y1)
-            a2, lam2 = _solve_affine(pa.y2, out_a.y2, pb.y2, out_b.y2)
-            if _integer_power(lam1, enc.m_in) is None or _integer_power(lam2, enc.m_st) is None:
-                raise NonAffineRuleError(
-                    "rule %r on window (%r, %r): linear parts (%s, %s) are not integer powers "
-                    "of the alphabet sizes" % (rule_a.label, w_st, w_in, lam1, lam2)
-                )
-            for _ in range(verify_tapes):
-                tape = DottedSequence(
+            tapes = [tape_a, tape_b] + [
+                DottedSequence(
                     w_st + tuple(rng.choice(machine.stack_alphabet.symbols) for _ in range(rng.randrange(4))),
                     w_in + tuple(rng.choice(machine.input_alphabet.symbols) for _ in range(rng.randrange(4))),
                     machine.blank,
                 )
-                point = encode_tape(tape, enc)
-                expected = encode_tape(vs_step(machine, tape)[0], enc)
-                got = PhasePoint(a1 + lam1 * point.y1, a2 + lam2 * point.y2)
+                for _ in range(verify_tapes)
+            ]
+            pairs = [(encode_tape(t, enc), encode_tape(vs_step(machine, t)[0], enc)) for t in tapes]
+            (pa, out_a), (pb, out_b) = pairs[:2]
+            a1, lam1 = _solve_affine(pa.y1, out_a.y1, pb.y1, out_b.y1)
+            a2, lam2 = _solve_affine(pa.y2, out_a.y2, pb.y2, out_b.y2)
+            if not (_is_power(lam1, enc.m_in) and _is_power(lam2, enc.m_st)):
+                raise NonAffineRuleError(
+                    "rule %r on window (%r, %r): linear parts (%s, %s) are not integer powers "
+                    "of the alphabet sizes" % (rule_a.label, w_st, w_in, lam1, lam2)
+                )
+            cell = NdaCell(i, j, a1, a2, lam1, lam2, rule_a.label)
+            for tape, (point, expected) in zip(tapes[2:], pairs[2:]):
+                got = cell.apply(point)
                 if got != expected:
                     raise NonAffineRuleError(
                         "rule %r is not affine on window (%r, %r): tape %s maps to %r, affine "
                         "prediction %r" % (rule_a.label, w_st, w_in, tape, expected, got)
                     )
-            cells[i * q + j] = NdaCell(i, j, a1, a2, lam1, lam2, rule_a.label)
+            cells[i * q + j] = cell
 
     return Nda(enc, l, r, tuple(cells))
 

@@ -49,11 +49,6 @@ def _axis_index(y, m, window, snap=DEFAULT_SNAP):
     return min(max(k, 0), cells - 1)
 
 
-def digits_from_float(y, m, window, snap=DEFAULT_SNAP):
-    """First ``window`` base-m digits of a float in [0, 1), snap-corrected."""
-    return index_to_digits(_axis_index(float(y), m, window, snap), m, window)
-
-
 @dataclass(frozen=True)
 class StepObservableSpec:
     """Pattern-class map of the phase plane and one coefficient per class.

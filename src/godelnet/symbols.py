@@ -2,9 +2,11 @@
 
 A finite alphabet with an injective digit assignment ("ordering") maps
 one-sided symbol sequences into the unit interval: the word a_1 a_2 ... goes
-to sum_k gamma(a_k) * m**(-k), where m is the alphabet size.  All arithmetic
-here is exact (fractions.Fraction); floats only appear much later, inside the
-neural module.
+to sum_k gamma(a_k) * m**(-k), where m is the alphabet size.  A word of
+length n is computed as its grid index k (the digits read as one base-m
+integer) over m**n: the left corner of its cell on the m**n grid.  All
+arithmetic here is exact (integers and fractions.Fraction); floats only
+appear much later, inside the neural module.
 
 The module also provides the sequence ultrametric (m**-n for a shared prefix
 of length n), cylinder intervals, digit permutations acting on words
@@ -164,34 +166,20 @@ def godel_encode(seq, ordering):
     accepted when its digit is 0 (then the series terminates); anything else
     raises UnsupportedInputError rather than silently truncating.
     """
-    m = ordering.m
     if isinstance(seq, OneSidedSequence):
         if ordering.digit(seq.tail) != 0:
             raise UnsupportedInputError(
                 "tail symbol %r has digit %d != 0; only digit-0 tails encode to a finite sum"
                 % (seq.tail, ordering.digit(seq.tail))
             )
-        word = seq.prefix
-    else:
-        word = tuple(seq)
-    total = Fraction(0)
-    scale = Fraction(1)
-    for sym in word:
-        scale /= m
-        total += ordering.digit(sym) * scale
-    return total
+        seq = seq.prefix
+    return encode_digits(ordering.digits(seq), ordering.m)
 
 
 def encode_digits(digits, m):
-    """Godel encoding of a digit word under the identity ordering on 0..m-1."""
-    total = Fraction(0)
-    scale = Fraction(1)
-    for d in digits:
-        if not 0 <= d < m:
-            raise DomainError("digit %r outside 0..%d" % (d, m - 1))
-        scale /= m
-        total += d * scale
-    return total
+    """Godel encoding of a digit word: its grid index k over m**n, as k / m**n."""
+    digits = tuple(digits)
+    return Fraction(digits_to_index(digits, m), m ** len(digits))
 
 
 def godel_decode(x, m, length):
@@ -255,10 +243,12 @@ class Interval:
 def cylinder(word, ordering):
     """Interval of encodings of all sequences beginning with ``word``.
 
-    The empty word gives the whole of [0, 1).
+    For a word of length n with grid index k over m**n this is
+    [k/m**n, (k+1)/m**n); the empty word gives the whole of [0, 1).
     """
-    lo = godel_encode(tuple(word), ordering)
-    return Interval(lo, lo + Fraction(1, ordering.m ** len(tuple(word))))
+    digits = ordering.digits(word)
+    k, cells = digits_to_index(digits, ordering.m), ordering.m ** len(digits)
+    return Interval(Fraction(k, cells), Fraction(k + 1, cells))
 
 
 def ultrametric(p, q, m, tail=BLANK):

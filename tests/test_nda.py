@@ -28,7 +28,7 @@ from godelnet.errors import (
     NonAffineRuleError,
     ResourceLimitError,
 )
-from godelnet.nda import HALT, nda_csv
+from godelnet.nda import HALT, _is_power, nda_csv
 
 
 def test_encoding_pair_requires_pinned_blank(machine):
@@ -145,26 +145,53 @@ def test_cell_budget(machine, plain):
         from_versatile_shift(machine, plain, cell_budget=3)
 
 
+class _Wrapped:
+    """Looks like the demo machine; subclasses corrupt what ``apply`` returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.input_alphabet = inner.input_alphabet
+        self.stack_alphabet = inner.stack_alphabet
+        self.dod = inner.dod
+        self.blank = inner.blank
+
+    def find_rule(self, state):
+        return self.inner.find_rule(state)
+
+
 def test_tail_dependent_machine_is_rejected(machine, plain):
-    class Sneaky:
-        """Looks like the demo machine but acts on symbols it never read."""
-
-        def __init__(self, inner):
-            self.inner = inner
-            self.input_alphabet = inner.input_alphabet
-            self.stack_alphabet = inner.stack_alphabet
-            self.dod = inner.dod
-            self.blank = inner.blank
-
-        def find_rule(self, state):
-            return self.inner.find_rule(state)
+    class Sneaky(_Wrapped):
+        """Acts on symbols it never read: reverses the whole input side."""
 
         def apply(self, state, rule, binding):
             out = self.inner.apply(state, rule, binding)
             return DottedSequence(out.stack, tuple(reversed(out.input)), self.blank)
 
-    with pytest.raises(NonAffineRuleError):
+    with pytest.raises(NonAffineRuleError, match="is not affine on window"):
         from_versatile_shift(Sneaky(machine), plain)
+
+
+def test_machine_with_non_power_linear_part_is_rejected(machine, plain):
+    class Forgetful(_Wrapped):
+        """Erases the input side, so every tape of a cell has the same image:
+        the solved linear part is 0, which no power of m is."""
+
+        def apply(self, state, rule, binding):
+            out = self.inner.apply(state, rule, binding)
+            return DottedSequence(out.stack, (), self.blank)
+
+    with pytest.raises(NonAffineRuleError, match=r"'attach' .*: linear parts \(0, 5\) are not integer powers"):
+        from_versatile_shift(Forgetful(machine), plain)
+
+
+@pytest.mark.parametrize("value, base, power", [
+    (1, 3, True), (3**4, 3, True), (Fraction(1, 3**4), 3, True),
+    (0, 3, False), (-3, 3, False), (6, 3, False), (Fraction(2, 3), 3, False), (Fraction(1, 6), 3, False),
+    # 2 * 3 is the base, but 2/3 is no power of 6
+    (Fraction(1, 36), 6, True), (Fraction(2, 3), 6, False),
+])
+def test_power_check(value, base, power):
+    assert _is_power(value, base) is power
 
 
 def test_nda_csv(plain_nda):

@@ -21,7 +21,7 @@ from godelnet import (
     synthesize,
 )
 from godelnet.errors import DomainError
-from godelnet.observables import digits_from_float
+from godelnet.observables import _axis_index
 
 WINDOW = (2, 3)  # (stack, input) window lengths
 BASES = (3, 5)  # (input, stack) alphabet sizes
@@ -42,14 +42,15 @@ def _floats(y1, y2):
     return NeuralState(x=np.array([y1, y2], dtype=np.float64))
 
 
-def test_digits_from_float_snapping():
-    assert digits_from_float(5 / 9, 3, 2) == (1, 2)
-    assert digits_from_float(5 / 9 - 1e-9, 3, 2) == (1, 2)
-    assert digits_from_float(5 / 9 - 1e-3, 3, 2) == (1, 1)
-    assert digits_from_float(0.0, 3, 2) == (0, 0)
-    assert digits_from_float(1.0 - 1e-13, 3, 2) == (2, 2)
+def test_axis_index_snapping():
+    # cell (1, 2) of the 3**2 grid is index 5, cell (1, 1) index 4
+    assert _axis_index(5 / 9, 3, 2) == 5
+    assert _axis_index(5 / 9 - 1e-9, 3, 2) == 5
+    assert _axis_index(5 / 9 - 1e-3, 3, 2) == 4
+    assert _axis_index(0.0, 3, 2) == 0
+    assert _axis_index(1.0 - 1e-13, 3, 2) == 8
     with pytest.raises(DomainError):
-        digits_from_float(1.1, 3, 2)
+        _axis_index(1.1, 3, 2)
 
 
 def test_coefficients_are_distinct_and_seeded(obs):

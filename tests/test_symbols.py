@@ -1,5 +1,6 @@
 """Encodings, the sequence metric, recodings, dotted sequences."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -50,6 +51,24 @@ def test_nonzero_tail_is_rejected():
         godel_encode(OneSidedSequence((0, 1), tail=2), ordering)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 7])
+def test_encoders_match_term_by_term_sum(m):
+    # oracle: sum_k digit_k * m**-k, one Fraction term per position
+    rng = random.Random(m)
+    symbols = tuple("s%d" % d for d in range(m))
+    digit_of = dict(zip(symbols, rng.sample(range(m), m)))
+    ordering = Ordering(Alphabet(symbols), digit_of)
+    for n in range(61):  # the empty word, then lengths well past float precision
+        word = tuple(rng.choice(symbols) for _ in range(n))
+        digits = tuple(digit_of[s] for s in word)
+        want = sum((Fraction(d, m**k) for k, d in enumerate(digits, 1)), Fraction(0))
+        assert encode_digits(digits, m) == want
+        assert godel_encode(word, ordering) == want
+    for bad in (-1, m):
+        with pytest.raises(DomainError, match=r"^digit %d outside 0\.\.%d$" % (bad, m - 1)):
+            encode_digits((1, bad, 0), m)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_decode_inverts_encode(m):
     for length in range(4):
@@ -66,11 +85,13 @@ def test_decode_domain():
 
 def test_cylinder_contains_extensions():
     ordering = identity_ordering(3)
-    iv = cylinder((1, 2), ordering)
-    assert iv.lo == Fraction(5, 9) and iv.width == Fraction(1, 9)
-    for ext in product(range(3), repeat=2):
-        assert encode_digits((1, 2) + ext, 3) in iv
-    assert encode_digits((1, 1), 3) not in iv
+    # a word given as a one-shot iterator must give the same interval
+    for word in ((1, 2), [1, 2], iter((1, 2))):
+        iv = cylinder(word, ordering)
+        assert (iv.lo, iv.hi) == (Fraction(5, 9), Fraction(2, 3))
+        for ext in product(range(3), repeat=2):
+            assert encode_digits((1, 2) + ext, 3) in iv
+        assert encode_digits((1, 1), 3) not in iv
 
 
 def test_interval_is_half_open():
