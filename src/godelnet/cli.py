@@ -111,13 +111,12 @@ def cmd_partition(args):
     if args.r is None:
         cmap = interval_partition(args.m, args.l, blank_pinned=args.pinned)
         print("interval partition: m=%d l=%d, %d cells, %d classes"
-              % (args.m, args.l, args.m**args.l, cmap.class_count))
+              % (args.m, args.l, cmap.x_cells, cmap.class_count))
     else:
         cmap = square_partition(args.m, args.l, args.r, mode=args.mode,
                                 blank_pinned=args.pinned, m_right=args.m_right)
         print("square partition (%s): %d x %d cells, %d classes"
-              % (args.mode, args.m**args.l, (args.m_right or args.m)**args.r,
-                 cmap.class_count))
+              % (args.mode, cmap.x_cells, cmap.y_cells, cmap.class_count))
     write_class_map(cmap, csv_path=args.csv, svg_path=args.svg)
     for path in (args.csv, args.svg):
         if path:

@@ -37,6 +37,9 @@ from .symbols import DottedSequence, Ordering, digits_to_index, godel_encode, in
 
 HALT = "halt"
 
+#: Number and RNG seed of the random tapes that verify each cell's affine map.
+VERIFY_TAPES, VERIFY_SEED = 8, 7
+
 
 @dataclass(frozen=True)
 class EncodingPair:
@@ -187,13 +190,12 @@ def _solve_affine(psi_a, out_a, psi_b, out_b):
     return out_a - lam * psi_a, lam
 
 
-def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
-                         cell_budget=DEFAULT_CELL_BUDGET):
+def from_versatile_shift(machine, enc, cell_budget=DEFAULT_CELL_BUDGET):
     """Derive the complete affine cell table for a machine and encoding.
 
     Alphabets of the encoding must be the machine's.  Each cell's (a, lambda)
     pair is solved from two tapes of the cell differing in both tails and
-    verified on ``verify_tapes`` seeded-random tapes; any mismatch, or a
+    verified on ``VERIFY_TAPES`` seeded-random tapes; any mismatch, or a
     linear part that is not an integer power of the alphabet size, rejects
     the machine as non-affine on that cell.
     """
@@ -203,7 +205,7 @@ def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
     p, q = enc.m_in**r, enc.m_st**l
     if p * q > cell_budget:
         raise ResourceLimitError("cell table needs %d cells, budget is %d" % (p * q, cell_budget))
-    rng = random.Random(seed)
+    rng = random.Random(VERIFY_SEED)
     in_extra = _nonblank(machine.input_alphabet)
     st_extra = _nonblank(machine.stack_alphabet)
 
@@ -231,7 +233,7 @@ def from_versatile_shift(machine, enc, verify_tapes=8, seed=7,
                     w_in + tuple(rng.choice(machine.input_alphabet.symbols) for _ in range(rng.randrange(4))),
                     machine.blank,
                 )
-                for _ in range(verify_tapes)
+                for _ in range(VERIFY_TAPES)
             ]
             pairs = [(encode_tape(t, enc), encode_tape(vs_step(machine, t)[0], enc)) for t in tapes]
             (pa, out_a), (pb, out_b) = pairs[:2]

@@ -29,22 +29,22 @@ from .symbols import check_permutation, digits_to_index, index_to_digits, recode
 DEFAULT_SNAP = 1e-6
 
 
-def _axis_index(y, m, window, snap=DEFAULT_SNAP):
+def _axis_index(y, m, window):
     """Cell index of a coordinate on the m**window grid of [0, 1).
 
-    An exact (``Fraction``) coordinate is floored.  A float within ``snap``
-    (in units of the grid) of a corner is read as that corner, so encodings
-    perturbed by float error land in the cell they came from.
+    An exact (``Fraction``) coordinate is floored.  A float within
+    ``DEFAULT_SNAP`` grid units of a corner is read as that corner, so float
+    error cannot move an encoding out of the cell it came from.
     """
     cells = m**window
     if isinstance(y, Fraction):
         return (y * cells).__floor__()
-    if not -snap <= y < 1.0 + snap:
+    if not -DEFAULT_SNAP <= y < 1.0 + DEFAULT_SNAP:
         raise DomainError("float coordinate %r outside the unit interval" % (y,))
     z = y * cells
     k = math.floor(z)
     nearest = round(z)
-    if abs(z - nearest) <= snap:
+    if abs(z - nearest) <= DEFAULT_SNAP:
         k = nearest
     return min(max(k, 0), cells - 1)
 
@@ -127,15 +127,15 @@ class PermutationPair:
                 raise DomainError("%s permutation must fix the blank digit 0, got %r" % (name, perm))
 
 
-def _rigid_move(y, perm, m, window, snap):
-    k = _axis_index(y, m, window, snap)
+def _rigid_move(y, perm, m, window):
+    k = _axis_index(y, m, window)
     k_new = digits_to_index(recode(index_to_digits(k, m, window), perm), m)
     if isinstance(y, Fraction):
         return y + Fraction(k_new - k, m**window)
     return y + (k_new - k) / (m**window)
 
 
-def rho_pi(obj, pair, window, bases, snap=DEFAULT_SNAP):
+def rho_pi(obj, pair, window, bases):
     """Rigid square motion induced by a recoding pair.
 
     ``window`` is (l, r) = (stack, input) lengths; ``bases`` is
@@ -145,19 +145,19 @@ def rho_pi(obj, pair, window, bases, snap=DEFAULT_SNAP):
     l, r = window
     m_in, m_st = bases
     if isinstance(obj, PhasePoint):
-        y1 = _rigid_move(obj.y1, pair.input_perm, m_in, r, snap)
-        y2 = _rigid_move(obj.y2, pair.stack_perm, m_st, l, snap)
+        y1 = _rigid_move(obj.y1, pair.input_perm, m_in, r)
+        y2 = _rigid_move(obj.y2, pair.stack_perm, m_st, l)
         return PhasePoint(y1, y2)
     x = obj.x.copy()
-    x[0] = _rigid_move(float(x[0]), pair.input_perm, m_in, r, snap)
-    x[1] = _rigid_move(float(x[1]), pair.stack_perm, m_st, l, snap)
+    x[0] = _rigid_move(float(x[0]), pair.input_perm, m_in, r)
+    x[1] = _rigid_move(float(x[1]), pair.stack_perm, m_st, l)
     return replace(obj, x=x)
 
 
-def alpha_pi(observable, pair, window, bases, snap=DEFAULT_SNAP):
+def alpha_pi(observable, pair, window, bases):
     """Pullback of an observable along rho_pi."""
 
     def pulled(obj):
-        return observable(rho_pi(obj, pair, window, bases, snap))
+        return observable(rho_pi(obj, pair, window, bases))
 
     return pulled

@@ -206,12 +206,6 @@ class PatternClassMap:
         return [cell for cell, cid in zip(self.cells(), self.assignment) if cid == class_id]
 
 
-def _assign_classes(keys):
-    """Contiguous class ids of row-major cell keys, in order of first occurrence."""
-    key_to_id = {}
-    return tuple(key_to_id.setdefault(key, len(key_to_id)) for key in keys)
-
-
 def interval_partition(m, l, blank_pinned=False, cell_budget=DEFAULT_CELL_BUDGET):
     """Group the m**l corner words of length l by equality pattern."""
     if m < 2 or l < 0:
@@ -219,10 +213,12 @@ def interval_partition(m, l, blank_pinned=False, cell_budget=DEFAULT_CELL_BUDGET
     count = m**l
     if count > cell_budget:
         raise ResourceLimitError("interval partition needs %d cells, budget is %d" % (count, cell_budget))
-    ids = _assign_classes(pattern_of(index_to_digits(k, m, l), blank_pinned) for k in range(count))
+    keys = (pattern_of(index_to_digits(k, m, l), blank_pinned) for k in range(count))
+    key_to_id = {}
+    ids = tuple(key_to_id.setdefault(key, len(key_to_id)) for key in keys)
     return PatternClassMap(
         kind="interval", m=m, l=l, blank_pinned=blank_pinned,
-        assignment=ids, class_count=max(ids) + 1,
+        assignment=ids, class_count=len(key_to_id),
     )
 
 
@@ -232,10 +228,12 @@ def square_partition(m, l, r, mode="joint", blank_pinned=False, m_right=None,
 
     The x axis is split into m**l cells (corner words of length l), the
     y axis into m_right**r cells (length r, base ``m_right`` defaulting to
-    m).  In ``joint`` mode the two corner words concatenate to a single
-    length-(l+r) word whose pattern is the class key (one shared
-    permutation; requires a shared base).  In ``product`` mode each side is
-    patterned independently (independent permutations per side).
+    m).  Both modes are composed from interval maps.  In ``joint`` mode (one
+    shared permutation and base) cell (i, j) holds the word left + right of
+    grid index i * m**r + j, so the length-(l+r) interval map is the square
+    map.  In ``product`` mode (independent permutations per side) a class is
+    a pair (a, b) of side classes, and pairs first occur in row-major order,
+    so the pair's id is a * right.class_count + b.
     """
     if mode not in ("joint", "product"):
         raise DomainError("mode must be 'joint' or 'product', got %r" % (mode,))
@@ -248,19 +246,17 @@ def square_partition(m, l, r, mode="joint", blank_pinned=False, m_right=None,
     count = (m**l) * (m_right**r)
     if count > cell_budget:
         raise ResourceLimitError("square partition needs %d cells, budget is %d" % (count, cell_budget))
-    keys = []
-    for i in range(m**l):
-        left = index_to_digits(i, m, l)
-        for j in range(m_right**r):
-            right = index_to_digits(j, m_right, r)
-            if mode == "joint":
-                keys.append(pattern_of(left + right, blank_pinned))
-            else:
-                keys.append((pattern_of(left, blank_pinned), pattern_of(right, blank_pinned)))
-    ids = _assign_classes(keys)
+    if mode == "joint":
+        joint = interval_partition(m, l + r, blank_pinned, cell_budget)
+        ids, class_count = joint.assignment, joint.class_count
+    else:
+        left = interval_partition(m, l, blank_pinned, cell_budget)
+        right = interval_partition(m_right, r, blank_pinned, cell_budget)
+        ids = tuple(a * right.class_count + b for a in left.assignment for b in right.assignment)
+        class_count = left.class_count * right.class_count
     return PatternClassMap(
         kind="square", m=m, l=l, r=r, m_right=m_right, mode=mode,
-        blank_pinned=blank_pinned, assignment=ids, class_count=max(ids) + 1,
+        blank_pinned=blank_pinned, assignment=ids, class_count=class_count,
     )
 
 
@@ -288,10 +284,9 @@ def class_map_csv(cmap):
 def class_map_svg(cmap):
     """Deterministic SVG rendering: cells colored by class id."""
     if cmap.kind == "interval":
-        return strip_svg(cmap.assignment, cmap.class_count,
-                         title="interval pattern classes m=%d l=%d" % (cmap.m, cmap.l))
+        return strip_svg(cmap.assignment, title="interval pattern classes m=%d l=%d" % (cmap.m, cmap.l))
     nx, ny = cmap.x_cells, cmap.y_cells
-    return grid_svg(nx, ny, cmap.assignment, cmap.class_count,
+    return grid_svg(nx, ny, cmap.assignment,
                     title="square pattern classes (%s) %d x %d" % (cmap.mode, nx, ny))
 
 

@@ -9,7 +9,7 @@ needed.
 _GOLDEN_ANGLE = 137.508
 
 
-def class_color(class_id, class_count):
+def class_color(class_id):
     """Stable, well-separated fill color per class id (HSL hue rotation)."""
     hue = (class_id * _GOLDEN_ANGLE) % 360.0
     return "hsl(%.1f, 62%%, 62%%)" % hue
@@ -19,7 +19,7 @@ def _esc(text):
     return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def strip_svg(values, class_count, title="", cell_px=28, height_px=48):
+def strip_svg(values, title="", cell_px=28, height_px=48):
     """One row of colored cells (interval partitions)."""
     n = len(values)
     width = n * cell_px
@@ -30,7 +30,7 @@ def strip_svg(values, class_count, title="", cell_px=28, height_px=48):
     for k, cid in enumerate(values):
         parts.append(
             '<rect x="%d" y="18" width="%d" height="%d" fill="%s" stroke="#333" stroke-width="0.5"/>'
-            % (k * cell_px, cell_px, height_px, class_color(cid, class_count))
+            % (k * cell_px, cell_px, height_px, class_color(cid))
         )
         parts.append(
             '<text x="%.1f" y="%.1f" font-size="9" text-anchor="middle" fill="#000">%d</text>'
@@ -41,7 +41,7 @@ def strip_svg(values, class_count, title="", cell_px=28, height_px=48):
     return "\n".join(parts) + "\n"
 
 
-def grid_svg(nx, ny, class_ids, class_count, title="", cell_px=22):
+def grid_svg(nx, ny, class_ids, title="", cell_px=22):
     """Colored nx-by-ny grid; cell (0,0) bottom-left, math orientation.
 
     ``class_ids`` lists the cells row-major: cell (i, j) at i * ny + j.
@@ -58,7 +58,7 @@ def grid_svg(nx, ny, class_ids, class_count, title="", cell_px=22):
         y = 18 + (ny - 1 - j) * cell_px
         parts.append(
             '<rect x="%d" y="%d" width="%d" height="%d" fill="%s" stroke="#333" stroke-width="0.5"/>'
-            % (x, y, cell_px, cell_px, class_color(cid, class_count))
+            % (x, y, cell_px, cell_px, class_color(cid))
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,11 +1,26 @@
-"""Shared fixtures: the demo machine, its two encodings, frozen orbits."""
+"""Shared fixtures: the demo machine, its two encodings, frozen orbits,
+and one seed-0 run of every check suite."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from godelnet import encode_tape, from_versatile_shift, initial_state
-from godelnet.checks import DEMO_SENTENCE, demo_encodings, demo_machine
+from godelnet.checks import DEMO_SENTENCE, demo_encodings, demo_machine, run_checks, suite_names
+
+
+@pytest.fixture(scope="session")
+def suite_runs():
+    """Each check suite run once at seed 0 through ``run_checks``:
+    suite name -> (CheckResult, elapsed seconds), in registry order."""
+    runs = {}
+    for name in suite_names():
+        start = time.perf_counter()
+        (result,) = run_checks([name])
+        runs[name] = (result, time.perf_counter() - start)
+    return runs
+
 
 @pytest.fixture(scope="session")
 def plain_orbit():

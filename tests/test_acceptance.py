@@ -13,13 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from godelnet.checks import (
-    check_commutation,
-    check_cylinders,
-    check_invariance,
-    check_orbits,
-    run_checks,
-)
+from godelnet.checks import suite_names
 from godelnet.cli import main as cli_main
 from godelnet.config import load_config
 from godelnet.harness import run_experiment
@@ -68,10 +62,8 @@ def test_cli_parse_traces_the_three_word_sentence_exactly(capsys):
         assert elapsed < 1.0
 
 
-def test_pattern_criterion_agrees_with_permutation_search():
-    start = time.perf_counter()
-    result = check_orbits()
-    elapsed = time.perf_counter() - start
+def test_pattern_criterion_agrees_with_permutation_search(suite_runs):
+    result, elapsed = suite_runs["orbits"]
     with criterion("pattern criterion matches brute-force search on every pair "
                    "(m in {2, 3}, lengths <= 5) in under 60 s"):
         assert result.ok, (result.detail, result.counterexample)
@@ -102,15 +94,15 @@ def test_joint_square_partition_groups_the_six_known_rectangles():
         }
 
 
-def test_metric_balls_coincide_with_grid_cells():
-    result = check_cylinders()
+def test_metric_balls_coincide_with_grid_cells(suite_runs):
+    result, _ = suite_runs["cylinders"]
     with criterion("ultrametric balls coincide with base-3 grid cells "
                    "(exhaustive to depth 4 plus 10^4 random pairs)"):
         assert result.ok, (result.detail, result.counterexample)
 
 
-def test_encoding_commutes_with_machine_steps():
-    result = check_commutation(machines=10, tapes=100)
+def test_encoding_commutes_with_machine_steps(suite_runs):
+    result, _ = suite_runs["commutation"]  # 10 machines x 100 tapes by default
     with criterion("encoding then stepping equals stepping then encoding, "
                    "exactly, on the demo run and 10 random machines x 100 tapes"):
         assert result.ok, (result.detail, result.counterexample)
@@ -128,11 +120,11 @@ def test_network_tracks_the_exact_orbit_with_72_units(plain_nda, mixed_nda,
             assert run.max_divergence <= 1e-9
 
 
-def test_step_observable_is_encoding_invariant(report):
+def test_step_observable_is_encoding_invariant(report, suite_runs):
     runs = {run.name: run for run in report.runs}
     gamma = [value for _, value in runs["gamma"].series["step"]]
     delta = [value for _, value in runs["delta"].series["step"]]
-    suite = check_invariance()
+    suite, _ = suite_runs["invariance"]
     with criterion("step observable series agree exactly across encodings at "
                    "every macro step, and recoding moves never change it"):
         assert len(gamma) == len(delta) == 7
@@ -149,11 +141,10 @@ def test_mean_activity_separates_the_encodings(report):
         assert max(abs(a - b) for a, b in zip(gamma, delta)) > 1e-6
 
 
-def test_all_property_suites_pass_at_desk_scale():
-    start = time.perf_counter()
-    results = run_checks()
-    elapsed = time.perf_counter() - start
-    failed = [r.name for r in results if not r.ok]
+def test_all_property_suites_pass_at_desk_scale(suite_runs):
+    failed = [name for name, (result, _) in suite_runs.items() if not result.ok]
+    elapsed = sum(seconds for _, seconds in suite_runs.values())
     with criterion("all self-check suites pass in under five minutes"):
+        assert list(suite_runs) == suite_names()
         assert not failed, failed
         assert elapsed < 300.0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from godelnet import PhasePoint, nda_step, rho_pi, same_orbit, ultrametric
+from godelnet import PhasePoint, nda_step, rho_pi, ultrametric
 from godelnet.checks import (
     SUITES,
     check_commutation,
@@ -78,8 +78,8 @@ def test_orbit_suite_catches_length_only_criterion():
     assert result.counterexample is not None
 
 
-def test_orbit_suite_passes_on_real_criterion():
-    result = check_orbits(same_orbit_fn=same_orbit)
+def test_orbit_suite_passes_on_real_criterion(suite_runs):
+    result, _ = suite_runs["orbits"]  # check_orbits(same_orbit_fn=same_orbit) at seed 0
     assert result.ok
 
 
@@ -98,7 +98,7 @@ def test_commutation_suite_passes(seed=5):
 
 
 def test_invariance_suite_catches_non_rigid_motion():
-    def sheared(point, pair, window, bases, snap=0.0):
+    def sheared(point, pair, window, bases):
         moved = rho_pi(point, pair, window, bases)
         return PhasePoint((moved.y1 + Fraction(1, 2)) % 1, moved.y2)
 

@@ -167,6 +167,17 @@ def test_cell_budget_guard():
         square_partition(3, 3, 3, cell_budget=100)
 
 
+@pytest.mark.parametrize("mode, m_right, calls", [("joint", 3, 3**5), ("product", 5, 3**3 + 5**2)])
+def test_square_partition_patterns_each_word_once(monkeypatch, mode, m_right, calls):
+    import godelnet.patterns as patterns
+
+    words = []
+    real = patterns.pattern_of
+    monkeypatch.setattr(patterns, "pattern_of", lambda word, *args: words.append(word) or real(word, *args))
+    square_partition(3, 3, 2, mode=mode, blank_pinned=True, m_right=m_right)
+    assert len(words) == calls
+
+
 def test_class_map_exports():
     cmap = square_partition(3, 1, 2, mode="product")
     text = class_map_csv(cmap)
@@ -217,6 +228,12 @@ EXPORT_DIGESTS = (
     (("square", 3, 0, 2, 5, "product", True), "6faca9fb74b813143c631b9008e86a2170a5b0947c0dcad1a7998c1ee87fc7e5", "92174708004f6733b8073ecbc2c58a9fb71578a714ecdc84c953190ae4d921bc"),
     (("square", 3, 2, 0, 5, "product", False), "bf3736226d5577aa1dc25868d878f8d87b437ea7e5bc5f4db62a7f31618c0c64", "370e0348ab6da657a74d495d8c5ad0600bdaea8e9fc1584f10d3eba0ca61e76d"),
     (("square", 3, 2, 0, 5, "product", True), "1c50a2cff801e7a5cac9e8e587f8e337ca2309ec33ab1f64cb508ce06272b3e6", "c30cf5408d6c09b633e2a10e64320325c39f77f9f02ed45961757d9bfda0f8df"),
+    (("square", 3, 0, 2, 3, "joint", False), "57f04dfd03de7b6676d92a806db0d79ee5c1bc21862fae7ecb46f1803d552a7a", "b7824eee25d678a368cc40173dc8bec62f73aa939bd6f12bfb0d26eecb74dcf4"),
+    (("square", 3, 0, 2, 3, "joint", True), "46ddb14d0889565cd51c405eb76d45a66fc572ce7c1848e739aad1761fd50a3a", "71d9e8b096d083df2259c4b7e06552a10cc7940c896e235175a0aaf769fbc141"),
+    (("square", 3, 0, 0, 5, "product", False), "12ec7ff02091cedcc6dea56c90f7aecd23e3a3a259338b0c7b4093c7600654e7", "a2f8fe018f2f83b5c5b5cce4fb2195b4624ad7627ad52bc14f2d6ddb30a636ff"),
+    (("square", 3, 0, 0, 5, "product", True), "12ec7ff02091cedcc6dea56c90f7aecd23e3a3a259338b0c7b4093c7600654e7", "a2f8fe018f2f83b5c5b5cce4fb2195b4624ad7627ad52bc14f2d6ddb30a636ff"),
+    (("square", 5, 1, 2, 3, "product", False), "83d311b1bb580dd3dd97a4181e642751e817dc58d1688826cac8254ef60c782a", "0fd8004bec70b3c057f84d1dd683aefa09df82cc997af0d1bbf841738601f59e"),
+    (("square", 5, 1, 2, 3, "product", True), "ab1092dd756e565726d0d48ed36c8269c19cfcd9e6bf797a2a09af6b1a1f278d", "022e765fc3ef973a6892f5053ce5aa0ce875dfd6e2db21537a4ec06a99e47017"),
 )
 
 
