@@ -133,14 +133,16 @@ def check_cylinders(seed=0, samples=10000, metric=ultrametric):
     """Distance at most m**-n coincides with sharing the n-th grid cell."""
     m = 3
     words = _words(m, 4)
+    radii = [Fraction(1, m**n) for n in range(0, 7)]
+    # grid cell of each word at resolutions 0..4
+    cells = [[(encode_digits(w, m) * m**n).__floor__() for n in range(0, 5)] for w in words]
     checked = 0
-    for p in words:
-        psi_p = encode_digits(p, m)
-        for q in words:
-            psi_q = encode_digits(q, m)
+    for p, cells_p in zip(words, cells):
+        for q, cells_q in zip(words, cells):
+            d = metric(p, q, m, tail=0)
             for n in range(0, 5):
-                close = metric(p, q, m, tail=0) <= Fraction(1, m**n)
-                same_cell = (psi_p * m**n).__floor__() == (psi_q * m**n).__floor__()
+                close = d <= radii[n]
+                same_cell = cells_p[n] == cells_q[n]
                 checked += 1
                 if close != same_cell:
                     return CheckResult("cylinders", False,
@@ -151,8 +153,9 @@ def check_cylinders(seed=0, samples=10000, metric=ultrametric):
         p = tuple(rng.randrange(m) for _ in range(length))
         q = tuple(rng.randrange(m) for _ in range(rng.randrange(0, 9)))
         psi_p, psi_q = encode_digits(p, m), encode_digits(q, m)
+        d = metric(p, q, m, tail=0)
         for n in range(0, 7):
-            close = metric(p, q, m, tail=0) <= Fraction(1, m**n)
+            close = d <= radii[n]
             same_cell = (psi_p * m**n).__floor__() == (psi_q * m**n).__floor__()
             checked += 1
             if close != same_cell:
@@ -164,14 +167,6 @@ def check_cylinders(seed=0, samples=10000, metric=ultrametric):
 # ---------------------------------------------------------------------------
 # suite: orbits
 
-def _orbit_oracle(w, u, m, pinned):
-    """Brute force: search the permutation group directly."""
-    if len(w) != len(u):
-        return False
-    perms = zero_fixing_permutations(m) if pinned else all_permutations(m)
-    return any(recode(w, perm) == u for perm in perms)
-
-
 def check_orbits(seed=0, same_orbit_fn=same_orbit):
     """Pattern criterion against brute-force permutation search."""
     checked = 0
@@ -181,10 +176,12 @@ def check_orbits(seed=0, same_orbit_fn=same_orbit):
         for w in words:
             by_len.setdefault(len(w), []).append(w)
         for pinned in (False, True):
+            perms = zero_fixing_permutations(m) if pinned else all_permutations(m)
             for group in by_len.values():
                 for w in group:
+                    orbit = {recode(w, perm) for perm in perms}  # brute force over the group
                     for u in group:
-                        want = _orbit_oracle(w, u, m, pinned)
+                        want = u in orbit
                         got = same_orbit_fn(w, u, m, blank_pinned=pinned)
                         checked += 1
                         if want != got:
@@ -252,6 +249,11 @@ def _min_image(word, perms):
     return min(recode(word, p) for p in perms)
 
 
+def _numbered_in_order(cmap):
+    """Whether the class ids first occur in row-major order as 0, 1, 2, ..."""
+    return list(dict.fromkeys(cmap.assignment)) == list(range(cmap.class_count))
+
+
 def check_partitions(seed=0):
     """Partition builders against brute-force orbit grouping."""
     checked = 0
@@ -260,8 +262,9 @@ def check_partitions(seed=0):
             for pinned in (False, True):
                 cmap = interval_partition(m, l, blank_pinned=pinned)
                 cells = list(range(m**l))
-                if set(cmap.assignment) != set(range(cmap.class_count)):
-                    return CheckResult("partitions", False, "class ids not contiguous", (m, l, pinned))
+                if not _numbered_in_order(cmap):
+                    return CheckResult("partitions", False, "class ids not numbered in row-major order",
+                                       (m, l, pinned))
                 perms = zero_fixing_permutations(m) if pinned else all_permutations(m)
                 want = _brute_classes(cells, lambda k: _min_image(index_to_digits(k, m, l), perms))
                 got = {frozenset(cmap.members(cid)) for cid in range(cmap.class_count)}
@@ -280,6 +283,9 @@ def check_partitions(seed=0):
     ):
         for pinned in (False, True):
             cmap = square_partition(m, l, r, mode=mode, blank_pinned=pinned, m_right=m_right)
+            if not _numbered_in_order(cmap):
+                return CheckResult("partitions", False, "class ids not numbered in row-major order",
+                                   (m, m_right, l, r, mode, pinned))
             cells = [(i, j) for i in range(m**l) for j in range(m_right**r)]
             perms_x = zero_fixing_permutations(m) if pinned else all_permutations(m)
             perms_y = zero_fixing_permutations(m_right) if pinned else all_permutations(m_right)

@@ -15,11 +15,19 @@ The table is an index grid: cell (i, j) is the rectangle
 [i/p, (i+1)/p) x [j/q, (j+1)/q) with p = m_in**r and q = m_st**l, and it sits
 at position i*q + j of the row-major cell tuple.  A cell stores only its
 index and its affine action; its rectangle follows from (i, j) and (p, q).
+
+A table is built in two passes.  The machine pass finds each window's rule,
+draws its test tapes and steps them symbolically; none of that depends on
+the encoding, so it runs once per machine and is kept in a weak-keyed memo
+that drops it when the machine is garbage collected.  The encoding pass
+indexes the windows, encodes the tapes, and solves and verifies the cells;
+it runs for every table.
 """
 
 import csv
 import io
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -70,10 +78,12 @@ class PhasePoint:
     y2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "y1", Fraction(self.y1))
-        object.__setattr__(self, "y2", Fraction(self.y2))
+        if type(self.y1) is not Fraction:
+            object.__setattr__(self, "y1", Fraction(self.y1))
+        if type(self.y2) is not Fraction:
+            object.__setattr__(self, "y2", Fraction(self.y2))
         for y in (self.y1, self.y2):
-            if not 0 <= y < 1:
+            if not 0 <= y.numerator < y.denominator:
                 raise DomainError("phase coordinates must lie in [0, 1), got %s" % y)
 
     def as_floats(self):
@@ -190,6 +200,56 @@ def _solve_affine(psi_a, out_a, psi_b, out_b):
     return out_a - lam * psi_a, lam
 
 
+#: Machine pass of every machine a table was built for; an entry goes when its machine does.
+_MACHINE_PASSES = weakref.WeakKeyDictionary()
+
+
+def _machine_pass(machine):
+    """The encoding-free half of a table build: ``(windows, fault)``.
+
+    ``windows`` has one record ``(w_st, w_in, rule, tapes, successors)`` per
+    window in ``product`` order: the matched rule (None for a halt window,
+    which has no tapes), the two representative tapes and ``VERIFY_TAPES``
+    seeded tapes, and their ``vs_step`` successors.  An exception raised on
+    the way is returned as ``fault`` with the records made before it, the
+    last one possibly short of successors, so that the encoding pass can
+    raise it after every error a one-pass build would have raised first.
+    """
+    windows = []
+    try:
+        rng = random.Random(VERIFY_SEED)
+        in_extra = _nonblank(machine.input_alphabet)
+        st_extra = _nonblank(machine.stack_alphabet)
+        for w_in in product(machine.input_alphabet.symbols, repeat=machine.dod.r):
+            for w_st in product(machine.stack_alphabet.symbols, repeat=machine.dod.l):
+                tape_a = DottedSequence(w_st, w_in, machine.blank)
+                tape_b = DottedSequence(w_st + (st_extra,), w_in + (in_extra,), machine.blank)
+                rule_a, _ = machine.find_rule(tape_a)
+                rule_b, _ = machine.find_rule(tape_b)
+                if rule_a is not rule_b:
+                    raise InternalConsistencyError(
+                        "window (%r, %r): representatives matched different rules" % (w_st, w_in)
+                    )
+                if rule_a is None:
+                    windows.append((w_st, w_in, None, (), ()))
+                    continue
+                tapes = [tape_a, tape_b] + [
+                    DottedSequence(
+                        w_st + tuple(rng.choice(machine.stack_alphabet.symbols) for _ in range(rng.randrange(4))),
+                        w_in + tuple(rng.choice(machine.input_alphabet.symbols) for _ in range(rng.randrange(4))),
+                        machine.blank,
+                    )
+                    for _ in range(VERIFY_TAPES)
+                ]
+                successors = []
+                windows.append((w_st, w_in, rule_a, tapes, successors))
+                for tape in tapes:
+                    successors.append(vs_step(machine, tape)[0])
+    except Exception as fault:  # raised by from_versatile_shift in one-pass order
+        return windows, fault
+    return windows, None
+
+
 def from_versatile_shift(machine, enc, cell_budget=DEFAULT_CELL_BUDGET):
     """Derive the complete affine cell table for a machine and encoding.
 
@@ -198,6 +258,13 @@ def from_versatile_shift(machine, enc, cell_budget=DEFAULT_CELL_BUDGET):
     verified on ``VERIFY_TAPES`` seeded-random tapes; any mismatch, or a
     linear part that is not an integer power of the alphabet size, rejects
     the machine as non-affine on that cell.
+
+    The build has two passes.  The machine pass (``_machine_pass``: rules,
+    tapes and their symbolic successors) does not depend on the encoding;
+    it runs once per machine and is kept until the machine is garbage
+    collected, unless it raised.  The encoding pass runs on every call: it
+    indexes each window, encodes the tapes, solves and verifies the cells.
+    Errors are raised in the order a window-by-window build meets them.
     """
     if enc.input.alphabet != machine.input_alphabet or enc.stack.alphabet != machine.stack_alphabet:
         raise MachineBuildError("encoding alphabets must match the machine alphabets")
@@ -205,54 +272,42 @@ def from_versatile_shift(machine, enc, cell_budget=DEFAULT_CELL_BUDGET):
     p, q = enc.m_in**r, enc.m_st**l
     if p * q > cell_budget:
         raise ResourceLimitError("cell table needs %d cells, budget is %d" % (p * q, cell_budget))
-    rng = random.Random(VERIFY_SEED)
-    in_extra = _nonblank(machine.input_alphabet)
-    st_extra = _nonblank(machine.stack_alphabet)
+    windows, fault = _MACHINE_PASSES.get(machine), None
+    if windows is None:
+        windows, fault = _machine_pass(machine)
+        if fault is None:
+            _MACHINE_PASSES[machine] = windows
 
     cells = [None] * (p * q)
-    for w_in in product(machine.input_alphabet.symbols, repeat=r):
-        for w_st in product(machine.stack_alphabet.symbols, repeat=l):
-            tape_a = DottedSequence(w_st, w_in, machine.blank)
-            tape_b = DottedSequence(w_st + (st_extra,), w_in + (in_extra,), machine.blank)
-            rule_a, _ = machine.find_rule(tape_a)
-            rule_b, _ = machine.find_rule(tape_b)
-            if rule_a is not rule_b:
-                raise InternalConsistencyError(
-                    "window (%r, %r): representatives matched different rules" % (w_st, w_in)
-                )
-            i = digits_to_index(enc.input.digits(w_in), enc.m_in)
-            j = digits_to_index(enc.stack.digits(w_st), enc.m_st)
+    for w_st, w_in, rule, tapes, successors in windows:
+        i = digits_to_index(enc.input.digits(w_in), enc.m_in)
+        j = digits_to_index(enc.stack.digits(w_st), enc.m_st)
+        if rule is None:
+            cells[i * q + j] = NdaCell(i, j, Fraction(0), Fraction(0), Fraction(1), Fraction(1), HALT)
+            continue
 
-            if rule_a is None:
-                cells[i * q + j] = NdaCell(i, j, Fraction(0), Fraction(0), Fraction(1), Fraction(1), HALT)
-                continue
-
-            tapes = [tape_a, tape_b] + [
-                DottedSequence(
-                    w_st + tuple(rng.choice(machine.stack_alphabet.symbols) for _ in range(rng.randrange(4))),
-                    w_in + tuple(rng.choice(machine.input_alphabet.symbols) for _ in range(rng.randrange(4))),
-                    machine.blank,
-                )
-                for _ in range(VERIFY_TAPES)
-            ]
-            pairs = [(encode_tape(t, enc), encode_tape(vs_step(machine, t)[0], enc)) for t in tapes]
-            (pa, out_a), (pb, out_b) = pairs[:2]
-            a1, lam1 = _solve_affine(pa.y1, out_a.y1, pb.y1, out_b.y1)
-            a2, lam2 = _solve_affine(pa.y2, out_a.y2, pb.y2, out_b.y2)
-            if not (_is_power(lam1, enc.m_in) and _is_power(lam2, enc.m_st)):
+        pairs = [(encode_tape(t, enc), encode_tape(s, enc)) for t, s in zip(tapes, successors)]
+        if len(pairs) < len(tapes):
+            break  # the machine raised on this window's next tape
+        (pa, out_a), (pb, out_b) = pairs[:2]
+        a1, lam1 = _solve_affine(pa.y1, out_a.y1, pb.y1, out_b.y1)
+        a2, lam2 = _solve_affine(pa.y2, out_a.y2, pb.y2, out_b.y2)
+        if not (_is_power(lam1, enc.m_in) and _is_power(lam2, enc.m_st)):
+            raise NonAffineRuleError(
+                "rule %r on window (%r, %r): linear parts (%s, %s) are not integer powers "
+                "of the alphabet sizes" % (rule.label, w_st, w_in, lam1, lam2)
+            )
+        cell = NdaCell(i, j, a1, a2, lam1, lam2, rule.label)
+        for tape, (point, expected) in zip(tapes[2:], pairs[2:]):
+            got = cell.apply(point)
+            if got != expected:
                 raise NonAffineRuleError(
-                    "rule %r on window (%r, %r): linear parts (%s, %s) are not integer powers "
-                    "of the alphabet sizes" % (rule_a.label, w_st, w_in, lam1, lam2)
+                    "rule %r is not affine on window (%r, %r): tape %s maps to %r, affine "
+                    "prediction %r" % (rule.label, w_st, w_in, tape, expected, got)
                 )
-            cell = NdaCell(i, j, a1, a2, lam1, lam2, rule_a.label)
-            for tape, (point, expected) in zip(tapes[2:], pairs[2:]):
-                got = cell.apply(point)
-                if got != expected:
-                    raise NonAffineRuleError(
-                        "rule %r is not affine on window (%r, %r): tape %s maps to %r, affine "
-                        "prediction %r" % (rule_a.label, w_st, w_in, tape, expected, got)
-                    )
-            cells[i * q + j] = cell
+        cells[i * q + j] = cell
+    if fault is not None:
+        raise fault
 
     return Nda(enc, l, r, tuple(cells))
 

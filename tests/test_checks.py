@@ -1,10 +1,12 @@
 """The check suites must pass on the real code and catch planted faults."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from godelnet import PhasePoint, nda_step, rho_pi, ultrametric
+import godelnet.checks as checks
+from godelnet import PhasePoint, interval_partition, nda_step, rho_pi, same_orbit, square_partition, ultrametric
 from godelnet.checks import (
     SUITES,
     check_commutation,
@@ -40,8 +42,6 @@ def test_run_checks_selection_errors():
 
 
 def test_run_checks_turns_crashes_into_failures(monkeypatch):
-    import godelnet.checks as checks
-
     def explode(seed=0):
         raise RuntimeError("kaboom")
 
@@ -67,6 +67,7 @@ def test_cylinder_suite_catches_scaled_metric():
 
     result = check_cylinders(metric=shrunk, samples=100)
     assert not result.ok
+    assert result.counterexample == ((), (1,), 1)
 
 
 def test_orbit_suite_catches_length_only_criterion():
@@ -75,7 +76,68 @@ def test_orbit_suite_catches_length_only_criterion():
 
     result = check_orbits(same_orbit_fn=sloppy)
     assert not result.ok
-    assert result.counterexample is not None
+    assert result.counterexample == ((0, 0), (0, 1))
+
+
+def _late_shrunk(p, q, m, tail=0):
+    """Wrong only for 7-symbol words, which only the sampled pairs have."""
+    d = ultrametric(p, q, m, tail=tail)
+    return d / m if len(p) == 7 else d
+
+
+def _unpinned_criterion(w, u, m, blank_pinned=False):
+    return same_orbit(w, u, m, blank_pinned=False)
+
+
+@pytest.mark.parametrize("run, detail, counterexample", [
+    (lambda: check_orbits(same_orbit_fn=_unpinned_criterion),
+     "pattern criterion disagrees with permutation search (m=2 pinned=True)", ((0,), (1,))),
+    (lambda: check_cylinders(metric=_late_shrunk, samples=100),
+     "metric/cell disagreement at resolution 1", ((0, 2, 0, 2, 0, 2, 1), (1,), 1)),
+], ids=["orbits-unpinned", "cylinders-sampled"])
+def test_suites_report_the_first_counterexample_in_iteration_order(run, detail, counterexample):
+    result = run()
+    assert (result.ok, result.detail, result.counterexample) == (False, detail, counterexample)
+
+
+def test_partition_suite_catches_renumbered_product_classes(monkeypatch):
+    def renumbered(m, l, r, mode="joint", blank_pinned=False, m_right=None):
+        cmap = square_partition(m, l, r, mode=mode, blank_pinned=blank_pinned, m_right=m_right)
+        if mode != "product":
+            return cmap
+        left = interval_partition(m, l, blank_pinned=blank_pinned).class_count
+        right = interval_partition(m_right or m, r, blank_pinned=blank_pinned).class_count
+        # the pair (a, b) of side classes is a * right + b; number it a + b * left
+        return replace(cmap, assignment=tuple(c // right + c % right * left for c in cmap.assignment))
+
+    product_map = square_partition(3, 2, 2, mode="product")
+    moved = renumbered(3, 2, 2, mode="product")
+    assert moved.assignment != product_map.assignment
+    assert ({frozenset(moved.members(c)) for c in range(moved.class_count)}
+            == {frozenset(product_map.members(c)) for c in range(product_map.class_count)})
+    monkeypatch.setattr(checks, "square_partition", renumbered)
+    result = check_partitions()
+    assert not result.ok
+    assert result.detail == "class ids not numbered in row-major order"
+    assert result.counterexample == (3, 3, 2, 2, "product", False)
+
+
+#: ``godelnet check --seed 0`` details; their counts pin how much each suite
+#: checks, so a faster suite must still check as much.
+SEED0_DETAILS = {
+    "ultrametric": "1600 pairs (identity, symmetry, range) and 20000 sampled triples",
+    "cylinders": "143205 word pairs x resolutions",
+    "orbits": "136736 word pairs, m in {2, 3}, lengths <= 5, both modes",
+    "recoding": "1460 composition triples plus inverse/identity laws",
+    "partitions": "2122 cells across interval and square grids",
+    "commutation": "1216 tape steps across the demo machine and 10 random machines",
+    "invariance": "67044 moved points across two window geometries",
+    "network": "462 micro states checked for bounds, one-hot branching, determinism, soundness",
+}
+
+
+def test_seed0_suite_details_are_unchanged(suite_runs):
+    assert {name: result.detail for name, (result, _) in suite_runs.items()} == SEED0_DETAILS
 
 
 def test_orbit_suite_passes_on_real_criterion(suite_runs):

@@ -1,7 +1,11 @@
 """Affine cell tables derived from machines."""
 
+import gc
+import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,12 +16,14 @@ from godelnet import (
     EncodingPair,
     Ordering,
     PhasePoint,
+    compile_cfg_topdown,
     decode_point,
     encode_tape,
     from_versatile_shift,
     identity_ordering,
     nda_run,
     nda_step,
+    parse_grammar,
     vs_run,
     vs_step,
 )
@@ -29,6 +35,7 @@ from godelnet.errors import (
     ResourceLimitError,
 )
 from godelnet.nda import HALT, _is_power, nda_csv
+from godelnet.shift import VersatileShift
 
 
 def test_encoding_pair_requires_pinned_blank(machine):
@@ -50,6 +57,34 @@ def test_phase_point_domain():
         PhasePoint(Fraction(1), Fraction(0))
     with pytest.raises(DomainError):
         PhasePoint(Fraction(-1, 2), Fraction(0))
+
+
+class _Half(Fraction):
+    """A Fraction subclass; PhasePoint stores plain Fractions."""
+
+
+@pytest.mark.parametrize("value, want", [
+    (0, Fraction(0)),
+    (0.25, Fraction(1, 4)),
+    (1 - 2**-53, Fraction(2**53 - 1, 2**53)),  # the largest float below 1
+    (_Half(1, 2), Fraction(1, 2)),
+    (Fraction(2, 3), Fraction(2, 3)),
+])
+def test_phase_point_coerces_to_plain_fractions(value, want):
+    point = PhasePoint(value, value)
+    assert (point.y1, point.y2) == (want, want)
+    assert type(point.y1) is Fraction and type(point.y2) is Fraction
+
+
+@pytest.mark.parametrize("value, shown", [
+    (1, "1"), (1.0, "1"), (Fraction(-1, 3), "-1/3"), (-0.5, "-1/2"), (_Half(3, 2), "3/2"),
+])
+def test_phase_point_range(value, shown):
+    message = r"phase coordinates must lie in \[0, 1\), got %s$" % shown
+    with pytest.raises(DomainError, match=message):
+        PhasePoint(value, 0)
+    with pytest.raises(DomainError, match=message):
+        PhasePoint(0, value)
 
 
 def test_encode_tape_values(start_state, plain):
@@ -201,3 +236,116 @@ def test_nda_csv(plain_nda):
     # cell (1, 4) is the rectangle [1/3, 2/3) x [4/5, 1)
     assert lines[1 + 1 * 5 + 4].startswith("1,4,1/3,2/3,4/5,1,")
     assert any(",halt" in line for line in lines[1:])
+
+
+def _chain_machine(k):
+    """G_k: S -> t0 A1, A_i -> t_i A_{i+1}, ..., A_{k-1} -> t_{k-1} t_k."""
+    lines = ["S -> t0 A1"] + ["A%d -> t%d A%d" % (i, i, i + 1) for i in range(1, k - 1)]
+    lines.append("A%d -> t%d t%d" % (k - 1, k - 1, k))
+    return compile_cfg_topdown(parse_grammar("\n".join(lines)))
+
+
+def _random_pair(machine, rng):
+    def ordering(alphabet):
+        others = [s for s in alphabet.symbols if s != alphabet.blank]
+        digits = list(range(1, len(others) + 1))
+        rng.shuffle(digits)
+        return Ordering(alphabet, {alphabet.blank: 0, **dict(zip(others, digits))})
+
+    return EncodingPair(input=ordering(machine.input_alphabet), stack=ordering(machine.stack_alphabet))
+
+
+def _base_m(word, digits, m):
+    """sum_k digits[word_k] * m**-(k+1), term by term."""
+    return sum((Fraction(digits[sym], m ** (k + 1)) for k, sym in enumerate(word)), Fraction(0))
+
+
+def test_second_table_for_a_machine_reuses_its_machine_pass(monkeypatch):
+    import godelnet.nda as nda
+
+    calls = {"vs_step": 0, "find_rule": 0}
+    real_vs_step, real_find_rule = nda.vs_step, VersatileShift.find_rule
+
+    def counting_vs_step(machine, state):
+        calls["vs_step"] += 1
+        return real_vs_step(machine, state)
+
+    def counting_find_rule(self, state):
+        calls["find_rule"] += 1
+        return real_find_rule(self, state)
+
+    monkeypatch.setattr(nda, "vs_step", counting_vs_step)
+    monkeypatch.setattr(VersatileShift, "find_rule", counting_find_rule)
+    machine = _chain_machine(5)  # no other test builds G_5
+    rng = random.Random(8)
+    first = from_versatile_shift(machine, _random_pair(machine, rng))
+    assert calls["vs_step"] > 0 and calls["find_rule"] > 0
+    calls.update(vs_step=0, find_rule=0)
+    second = from_versatile_shift(machine, _random_pair(machine, rng))
+    assert calls == {"vs_step": 0, "find_rule": 0}
+    assert first.enc != second.enc and len(first.cells) == len(second.cells)
+
+
+def test_cells_map_representatives_to_base_m_successors():
+    machine = _chain_machine(4)
+    m_in, m_st = machine.input_alphabet.size, machine.stack_alphabet.size
+    rng = random.Random(21)
+    for _ in range(3):  # one machine, three encodings built in sequence
+        enc = _random_pair(machine, rng)
+        in_digits = {s: enc.input.digit(s) for s in machine.input_alphabet.symbols}
+        st_digits = {s: enc.stack.digit(s) for s in machine.stack_alphabet.symbols}
+        nda = from_versatile_shift(machine, enc)
+
+        def point(tape):
+            return PhasePoint(_base_m(tape.input, in_digits, m_in), _base_m(tape.stack, st_digits, m_st))
+
+        for w_in in product(machine.input_alphabet.symbols, repeat=machine.dod.r):
+            for w_st in product(machine.stack_alphabet.symbols, repeat=machine.dod.l):
+                for tail_in, tail_st in (((), ()), (("t0",), ("A1",)), (("t3", "t1"), ("S", "t4"))):
+                    tape = DottedSequence(w_st + tail_st, w_in + tail_in, machine.blank)
+                    successor, _ = vs_step(machine, tape)
+                    assert nda.locate(point(tape)).apply(point(tape)) == point(successor)
+
+
+def test_machine_pass_does_not_keep_the_machine_alive():
+    machine = _chain_machine(3)
+    from_versatile_shift(machine, _random_pair(machine, random.Random(0)))
+    ref = weakref.ref(machine)
+    del machine
+    gc.collect()
+    assert ref() is None
+
+
+class _Faulty(_Wrapped):
+    """Raises in ``apply`` on stack tops in ``fault_tops``, reverses the
+    input side after rules on stack tops in ``sneaky_tops``."""
+
+    def __init__(self, inner, fault_tops=(), sneaky_tops=()):
+        super().__init__(inner)
+        self.fault_tops, self.sneaky_tops = fault_tops, sneaky_tops
+
+    def apply(self, state, rule, binding):
+        if state.stack[:1] in self.fault_tops:
+            raise RuntimeError("apply failed on %s" % state)
+        out = self.inner.apply(state, rule, binding)
+        if state.stack[:1] in self.sneaky_tops:
+            out = DottedSequence(out.stack, tuple(reversed(out.input)), self.blank)
+        return out
+
+
+def test_first_window_fault_wins_whichever_pass_finds_it(machine, plain):
+    # windows run input-major: (NP, NP) attach, then (VP, NP) and (S, NP) predict
+    late_fault = _Faulty(machine, fault_tops=(("S",),), sneaky_tops=(("NP",),))
+    with pytest.raises(NonAffineRuleError, match=r"'attach' is not affine on window \(\('NP',\), \('NP',\)\)"):
+        from_versatile_shift(late_fault, plain)
+    early_fault = _Faulty(machine, fault_tops=(("NP",),), sneaky_tops=(("S",),))
+    with pytest.raises(RuntimeError, match=r"apply failed on NP \. NP$"):
+        from_versatile_shift(early_fault, plain)
+
+
+def test_failed_machine_pass_is_not_kept(machine, plain, plain_nda):
+    flaky = _Faulty(machine, fault_tops=(("VP",),))
+    with pytest.raises(RuntimeError, match="apply failed"):
+        from_versatile_shift(flaky, plain)
+    flaky.fault_tops = ()
+    assert nda_csv(from_versatile_shift(flaky, plain)) == nda_csv(plain_nda)
