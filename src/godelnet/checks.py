@@ -335,11 +335,10 @@ def random_machine(rng):
 
 def random_encoding(machine, rng):
     def table(alpha):
-        perm = rng.choice(zero_fixing_permutations(alpha.size))
+        digits = list(range(1, alpha.size))
+        rng.shuffle(digits)
         nonblank = [s for s in alpha.symbols if s != alpha.blank]
-        mapping = {alpha.blank: 0}
-        mapping.update({sym: perm[k + 1] for k, sym in enumerate(nonblank)})
-        return Ordering(alpha, mapping)
+        return Ordering(alpha, {alpha.blank: 0, **dict(zip(nonblank, digits))})
 
     return EncodingPair(input=table(machine.input_alphabet), stack=table(machine.stack_alphabet))
 

@@ -5,11 +5,16 @@ point (y1, y2) in [0,1)^2: y1 encodes the input (right) side, y2 the stack
 (left) side.  The DoD window determines a rectangular partition: m_in**r
 cells along y1, m_st**l along y2, each cell holding all tapes sharing one
 window.  On every cell the machine acts as an affine map with diagonal
-linear part, derived here numerically but exactly: encode two tapes of the
-cell differing in both tails, solve psi' = a + lambda * psi per coordinate,
-then verify the solution on random tapes of the same cell.  Windows matching
-no rule become identity (halt) cells, making accept and reject states fixed
-points; the accept point is the origin.
+linear part: the window's rule writes fixed words (r_st, r_in) in the
+window's place while both tape tails ride along, so the input side maps as
+enc(w_in + t) -> enc(r_in + t), which for a blank-pinned encoding is
+a1 + lambda1 * y1 with lambda1 = m_in**(r - |r_in|) and
+a1 = enc(r_in) - lambda1 * enc(w_in), and the stack side likewise.  This is
+the closed form of the NDA maps in Carmantini, beim Graben, Desroches &
+Rodrigues, "A modular architecture for transparent computation in recurrent
+neural networks" (2017).  Windows matching no rule become identity (halt)
+cells, making accept and reject states fixed points; the accept point is
+the origin.
 
 The table is an index grid: cell (i, j) is the rectangle
 [i/p, (i+1)/p) x [j/q, (j+1)/q) with p = m_in**r and q = m_st**l, and it sits
@@ -17,11 +22,15 @@ at position i*q + j of the row-major cell tuple.  A cell stores only its
 index and its affine action; its rectangle follows from (i, j) and (p, q).
 
 A table is built in two passes.  The machine pass finds each window's rule,
-draws its test tapes and steps them symbolically; none of that depends on
-the encoding, so it runs once per machine and is kept in a weak-keyed memo
-that drops it when the machine is garbage collected.  The encoding pass
-indexes the windows, encodes the tapes, and solves and verifies the cells;
-it runs for every table.
+steps seeded test tapes of the window symbolically and reads off the
+rewrite words, checking that every tape's tails ride along unchanged; none
+of that depends on the encoding, so it runs once per machine and is kept in
+a weak-keyed memo that drops it when the machine is garbage collected.  The
+encoding pass indexes the windows and writes each cell in closed form; it
+runs for every table and cannot fail.  Since enc(R + T) = enc(R) +
+m**-|R| enc(T) and enc is injective on words without trailing blanks, a
+tape steps to the affine image of its point under one blank-pinned encoding
+exactly when it does so symbolically, so the one check covers them all.
 """
 
 import csv
@@ -184,87 +193,90 @@ def _nonblank(alphabet):
     raise MachineBuildError("alphabet %r has no non-blank symbol" % (alphabet.symbols,))
 
 
-def _is_power(value, base):
-    """Whether value == base**k for some integer k, negative k included."""
-    value = Fraction(value)
-    if value <= 0 or 1 not in (value.numerator, value.denominator):
-        return False
-    n = value.numerator * value.denominator
-    while n % base == 0:
-        n //= base
-    return n == 1
-
-
-def _solve_affine(psi_a, out_a, psi_b, out_b):
-    lam = (out_b - out_a) / (psi_b - psi_a)
-    return out_a - lam * psi_a, lam
-
-
 #: Machine pass of every machine a table was built for; an entry goes when its machine does.
 _MACHINE_PASSES = weakref.WeakKeyDictionary()
 
 
-def _machine_pass(machine):
-    """The encoding-free half of a table build: ``(windows, fault)``.
+def _check_alphabet(word, alphabet):
+    symbols = frozenset(alphabet.symbols)
+    for sym in word:
+        if sym not in symbols:
+            raise DomainError("symbol %r not in alphabet %r" % (sym, alphabet.symbols))
 
-    ``windows`` has one record ``(w_st, w_in, rule, tapes, successors)`` per
-    window in ``product`` order: the matched rule (None for a halt window,
-    which has no tapes), the two representative tapes and ``VERIFY_TAPES``
-    seeded tapes, and their ``vs_step`` successors.  An exception raised on
-    the way is returned as ``fault`` with the records made before it, the
-    last one possibly short of successors, so that the encoding pass can
-    raise it after every error a one-pass build would have raised first.
+
+def _machine_pass(machine):
+    """The encoding-free half of a table build.
+
+    One record ``(w_st, w_in, label, r_st, r_in)`` per window in ``product``
+    order: the window, the label of its cell, and the words the machine
+    writes in its place while both tails ride along.  A halt window writes
+    itself.  The rewrite words are read off the tape whose tails are one
+    non-blank symbol each, then required of the other representative and
+    of ``VERIFY_TAPES`` seeded tapes: tape ``w_st+s . w_in+t`` must step to
+    ``r_st+s . r_in+t``.
     """
+    rng = random.Random(VERIFY_SEED)
+    stack_syms, input_syms = machine.stack_alphabet.symbols, machine.input_alphabet.symbols
+    in_extra = _nonblank(machine.input_alphabet)
+    st_extra = _nonblank(machine.stack_alphabet)
     windows = []
-    try:
-        rng = random.Random(VERIFY_SEED)
-        in_extra = _nonblank(machine.input_alphabet)
-        st_extra = _nonblank(machine.stack_alphabet)
-        for w_in in product(machine.input_alphabet.symbols, repeat=machine.dod.r):
-            for w_st in product(machine.stack_alphabet.symbols, repeat=machine.dod.l):
-                tape_a = DottedSequence(w_st, w_in, machine.blank)
-                tape_b = DottedSequence(w_st + (st_extra,), w_in + (in_extra,), machine.blank)
-                rule_a, _ = machine.find_rule(tape_a)
-                rule_b, _ = machine.find_rule(tape_b)
-                if rule_a is not rule_b:
-                    raise InternalConsistencyError(
-                        "window (%r, %r): representatives matched different rules" % (w_st, w_in)
+    for w_in in product(input_syms, repeat=machine.dod.r):
+        for w_st in product(stack_syms, repeat=machine.dod.l):
+            tails = [((), ()), ((st_extra,), (in_extra,))]
+            tape_a, tape_b = (DottedSequence(w_st + s, w_in + t, machine.blank) for s, t in tails)
+            rule, _ = machine.find_rule(tape_a)
+            if rule is not machine.find_rule(tape_b)[0]:
+                raise InternalConsistencyError(
+                    "window (%r, %r): representatives matched different rules" % (w_st, w_in)
+                )
+            if rule is None:
+                windows.append((w_st, w_in, HALT, w_st, w_in))
+                continue
+            tails += [
+                (tuple(rng.choice(stack_syms) for _ in range(rng.randrange(4))),
+                 tuple(rng.choice(input_syms) for _ in range(rng.randrange(4))))
+                for _ in range(VERIFY_TAPES)
+            ]
+            successors = []
+            for s, t in tails:
+                successor = vs_step(machine, DottedSequence(w_st + s, w_in + t, machine.blank))[0]
+                _check_alphabet(successor.input, machine.input_alphabet)
+                _check_alphabet(successor.stack, machine.stack_alphabet)
+                successors.append(successor)
+            # tape_b's tails are one non-blank symbol each, so no trailing
+            # blank of the rewrite words was trimmed off its successor
+            r_st, r_in = successors[1].stack[:-1], successors[1].input[:-1]
+            for (s, t), successor in zip(tails, successors):
+                expected = DottedSequence(r_st + s, r_in + t, machine.blank)
+                if successor != expected:
+                    raise NonAffineRuleError(
+                        "rule %r is not affine on window (%r, %r): tape %s maps to %s, not %s"
+                        % (rule.label, w_st, w_in, DottedSequence(w_st + s, w_in + t, machine.blank),
+                           successor, expected)
                     )
-                if rule_a is None:
-                    windows.append((w_st, w_in, None, (), ()))
-                    continue
-                tapes = [tape_a, tape_b] + [
-                    DottedSequence(
-                        w_st + tuple(rng.choice(machine.stack_alphabet.symbols) for _ in range(rng.randrange(4))),
-                        w_in + tuple(rng.choice(machine.input_alphabet.symbols) for _ in range(rng.randrange(4))),
-                        machine.blank,
-                    )
-                    for _ in range(VERIFY_TAPES)
-                ]
-                successors = []
-                windows.append((w_st, w_in, rule_a, tapes, successors))
-                for tape in tapes:
-                    successors.append(vs_step(machine, tape)[0])
-    except Exception as fault:  # raised by from_versatile_shift in one-pass order
-        return windows, fault
-    return windows, None
+            windows.append((w_st, w_in, rule.label, r_st, r_in))
+    return windows
 
 
 def from_versatile_shift(machine, enc, cell_budget=DEFAULT_CELL_BUDGET):
     """Derive the complete affine cell table for a machine and encoding.
 
-    Alphabets of the encoding must be the machine's.  Each cell's (a, lambda)
-    pair is solved from two tapes of the cell differing in both tails and
-    verified on ``VERIFY_TAPES`` seeded-random tapes; any mismatch, or a
-    linear part that is not an integer power of the alphabet size, rejects
-    the machine as non-affine on that cell.
+    Alphabets of the encoding must be the machine's.  The machine pass
+    (``_machine_pass``) finds, for each window (w_st, w_in), the words
+    (r_st, r_in) its rule writes in the window's place; a halt window writes
+    itself.  It does not depend on the encoding, so it runs once per machine
+    and is kept until the machine is garbage collected, unless it raised.
 
-    The build has two passes.  The machine pass (``_machine_pass``: rules,
-    tapes and their symbolic successors) does not depend on the encoding;
-    it runs once per machine and is kept until the machine is garbage
-    collected, unless it raised.  The encoding pass runs on every call: it
-    indexes each window, encodes the tapes, solves and verifies the cells.
-    Errors are raised in the order a window-by-window build meets them.
+    The encoding pass is closed form.  With p = m_in**r, the window w_in is
+    cell i = p * enc(w_in) and an input tail t sits at m_in**-r, so the input
+    side maps as y1 = i/p + m_in**-r enc(t)  ->  enc(r_in) + m_in**-|r_in| enc(t),
+    which is lambda1 = m_in**(r - |r_in|) and a1 = enc(r_in) - lambda1 * i/p;
+    the stack side likewise with q = m_st**l and j.
+
+    One symbolic check covers every encoding: for a blank-pinned encoding
+    enc(R+T) = enc(R) + m**-|R| enc(T), and enc is injective on words
+    without trailing blanks, so a tape lands on the affine image of its
+    point exactly when it steps to r_st+s . r_in+t.
     """
     if enc.input.alphabet != machine.input_alphabet or enc.stack.alphabet != machine.stack_alphabet:
         raise MachineBuildError("encoding alphabets must match the machine alphabets")
@@ -272,43 +284,19 @@ def from_versatile_shift(machine, enc, cell_budget=DEFAULT_CELL_BUDGET):
     p, q = enc.m_in**r, enc.m_st**l
     if p * q > cell_budget:
         raise ResourceLimitError("cell table needs %d cells, budget is %d" % (p * q, cell_budget))
-    windows, fault = _MACHINE_PASSES.get(machine), None
+    windows = _MACHINE_PASSES.get(machine)
     if windows is None:
-        windows, fault = _machine_pass(machine)
-        if fault is None:
-            _MACHINE_PASSES[machine] = windows
+        windows = _MACHINE_PASSES[machine] = _machine_pass(machine)
 
     cells = [None] * (p * q)
-    for w_st, w_in, rule, tapes, successors in windows:
+    for w_st, w_in, label, r_st, r_in in windows:
         i = digits_to_index(enc.input.digits(w_in), enc.m_in)
         j = digits_to_index(enc.stack.digits(w_st), enc.m_st)
-        if rule is None:
-            cells[i * q + j] = NdaCell(i, j, Fraction(0), Fraction(0), Fraction(1), Fraction(1), HALT)
-            continue
-
-        pairs = [(encode_tape(t, enc), encode_tape(s, enc)) for t, s in zip(tapes, successors)]
-        if len(pairs) < len(tapes):
-            break  # the machine raised on this window's next tape
-        (pa, out_a), (pb, out_b) = pairs[:2]
-        a1, lam1 = _solve_affine(pa.y1, out_a.y1, pb.y1, out_b.y1)
-        a2, lam2 = _solve_affine(pa.y2, out_a.y2, pb.y2, out_b.y2)
-        if not (_is_power(lam1, enc.m_in) and _is_power(lam2, enc.m_st)):
-            raise NonAffineRuleError(
-                "rule %r on window (%r, %r): linear parts (%s, %s) are not integer powers "
-                "of the alphabet sizes" % (rule.label, w_st, w_in, lam1, lam2)
-            )
-        cell = NdaCell(i, j, a1, a2, lam1, lam2, rule.label)
-        for tape, (point, expected) in zip(tapes[2:], pairs[2:]):
-            got = cell.apply(point)
-            if got != expected:
-                raise NonAffineRuleError(
-                    "rule %r is not affine on window (%r, %r): tape %s maps to %r, affine "
-                    "prediction %r" % (rule.label, w_st, w_in, tape, expected, got)
-                )
-        cells[i * q + j] = cell
-    if fault is not None:
-        raise fault
-
+        lam1 = Fraction(enc.m_in) ** (r - len(r_in))
+        lam2 = Fraction(enc.m_st) ** (l - len(r_st))
+        a1 = godel_encode(r_in, enc.input) - lam1 * Fraction(i, p)
+        a2 = godel_encode(r_st, enc.stack) - lam2 * Fraction(j, q)
+        cells[i * q + j] = NdaCell(i, j, a1, a2, lam1, lam2, label)
     return Nda(enc, l, r, tuple(cells))
 
 

@@ -62,21 +62,14 @@ def pattern_of(word, blank_pinned=False, blank=None):
     default 0 for digit words and the blank glyph for symbol words.
     """
     word = tuple(word)
-    first_pos = {}
-    groups = {}
+    groups = {}  # token -> its positions, in order of first occurrence
     for pos, tok in enumerate(word, start=1):
-        if tok not in first_pos:
-            first_pos[tok] = pos
-            groups[tok] = []
-        groups[tok].append(pos)
-    blocks = tuple(tuple(groups[tok]) for tok in sorted(groups, key=first_pos.get))
+        groups.setdefault(tok, []).append(pos)
+    blocks = tuple(map(tuple, groups.values()))
     zero_block = None
     if blank_pinned:
         zero = _zero_token_for(word, blank)
-        for i, tok in enumerate(sorted(groups, key=first_pos.get)):
-            if tok == zero:
-                zero_block = i
-                break
+        zero_block = next((i for i, tok in enumerate(groups) if tok == zero), None)
     return EqualityPattern(len(word), blocks, blank_pinned, zero_block)
 
 
@@ -132,19 +125,16 @@ def orbit(word, m, blank_pinned=False, universe=None, blank=None):
     if missing:
         raise DomainError("word symbols %r missing from universe %r" % (sorted(map(str, missing)), universe))
 
+    fixed, targets = {}, universe
     if blank_pinned:
         zero = _zero_token_for(word, blank)
         if zero not in universe:
             raise DomainError("pinned orbit needs the blank %r in the universe %r" % (zero, universe))
-        rest = [s for s in universe if s != zero]
-        tables = []
-        for image in permutations(rest):
-            table = dict(zip(rest, image))
-            table[zero] = zero
-            tables.append(table)
-    else:
-        tables = [dict(zip(universe, image)) for image in permutations(universe)]
-
+        fixed, targets = {zero: zero}, [s for s in universe if s != zero]
+    # an image depends only on where the word's own symbols go: enumerate
+    # those injections, not the permutations of the whole universe
+    movable = [s for s in dict.fromkeys(word) if s not in fixed]
+    tables = ({**fixed, **dict(zip(movable, image))} for image in permutations(targets, len(movable)))
     return frozenset(tuple(table[t] for t in word) for table in tables)
 
 

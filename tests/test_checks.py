@@ -1,12 +1,14 @@
 """The check suites must pass on the real code and catch planted faults."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import godelnet.checks as checks
-from godelnet import PhasePoint, interval_partition, nda_step, rho_pi, same_orbit, square_partition, ultrametric
+from godelnet import Alphabet, PhasePoint, interval_partition, nda_step, rho_pi, same_orbit, square_partition, ultrametric
 from godelnet.checks import (
     SUITES,
     check_commutation,
@@ -157,6 +159,18 @@ def test_commutation_suite_catches_perturbed_step():
 def test_commutation_suite_passes(seed=5):
     result = check_commutation(seed=seed, machines=3, tapes=30)
     assert result.ok, result.detail
+
+
+def test_random_encoding_pins_the_blank_of_a_twelve_symbol_alphabet():
+    # (12 - 1)! = 39,916,800 blank-pinned orderings; one draw must not list them
+    alphabet = Alphabet(("_",) + tuple("abcdefghijk"), blank="_")
+    machine = SimpleNamespace(input_alphabet=alphabet, stack_alphabet=alphabet)
+    pairs = [checks.random_encoding(machine, random.Random(seed)) for seed in range(5)]
+    for pair in pairs:
+        for ordering in (pair.input, pair.stack):
+            assert ordering.blank_pinned
+            assert sorted(ordering.digits(alphabet.symbols)) == list(range(12))
+    assert len({pair.input for pair in pairs}) > 1
 
 
 def test_invariance_suite_catches_non_rigid_motion():

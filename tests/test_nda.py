@@ -1,11 +1,12 @@
 """Affine cell tables derived from machines."""
 
 import gc
+import hashlib
 import random
 import weakref
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -34,7 +35,7 @@ from godelnet.errors import (
     NonAffineRuleError,
     ResourceLimitError,
 )
-from godelnet.nda import HALT, _is_power, nda_csv
+from godelnet.nda import HALT, nda_csv
 from godelnet.shift import VersatileShift
 
 
@@ -209,24 +210,31 @@ def test_tail_dependent_machine_is_rejected(machine, plain):
 def test_machine_with_non_power_linear_part_is_rejected(machine, plain):
     class Forgetful(_Wrapped):
         """Erases the input side, so every tape of a cell has the same image:
-        the solved linear part is 0, which no power of m is."""
+        its linear part would be 0, which no power of m is, and symbolically
+        the input tail does not ride along."""
 
         def apply(self, state, rule, binding):
             out = self.inner.apply(state, rule, binding)
             return DottedSequence(out.stack, (), self.blank)
 
-    with pytest.raises(NonAffineRuleError, match=r"'attach' .*: linear parts \(0, 5\) are not integer powers"):
+    message = r"'attach' is not affine on window \(\('NP',\), \('NP',\)\): tape NP NP \. NP NP maps to NP \. ε, not NP \. NP$"
+    with pytest.raises(NonAffineRuleError, match=message):
         from_versatile_shift(Forgetful(machine), plain)
 
 
-@pytest.mark.parametrize("value, base, power", [
-    (1, 3, True), (3**4, 3, True), (Fraction(1, 3**4), 3, True),
-    (0, 3, False), (-3, 3, False), (6, 3, False), (Fraction(2, 3), 3, False), (Fraction(1, 6), 3, False),
-    # 2 * 3 is the base, but 2/3 is no power of 6
-    (Fraction(1, 36), 6, True), (Fraction(2, 3), 6, False),
-])
-def test_power_check(value, base, power):
-    assert _is_power(value, base) is power
+def test_foreign_symbol_is_the_encodings_domain_error(machine, plain):
+    class Foreign(_Wrapped):
+        """Writes a symbol outside the input alphabet after every rule."""
+
+        def apply(self, state, rule, binding):
+            out = self.inner.apply(state, rule, binding)
+            return DottedSequence(out.stack, out.input + ("zz",), self.blank)
+
+    with pytest.raises(DomainError) as digit_error:
+        plain.input.digit("zz")
+    with pytest.raises(DomainError) as build_error:
+        from_versatile_shift(Foreign(machine), plain)
+    assert str(build_error.value) == str(digit_error.value)
 
 
 def test_nda_csv(plain_nda):
@@ -286,25 +294,69 @@ def test_second_table_for_a_machine_reuses_its_machine_pass(monkeypatch):
     assert first.enc != second.enc and len(first.cells) == len(second.cells)
 
 
-def test_cells_map_representatives_to_base_m_successors():
-    machine = _chain_machine(4)
-    m_in, m_st = machine.input_alphabet.size, machine.stack_alphabet.size
+def _pinned_pairs(machine):
+    """Every blank-pinned encoding pair of a machine."""
+
+    def orderings(alphabet):
+        others = [s for s in alphabet.symbols if s != alphabet.blank]
+        return [Ordering(alphabet, {alphabet.blank: 0, **dict(zip(others, digits))})
+                for digits in permutations(range(1, len(others) + 1))]
+
+    return [EncodingPair(input=i, stack=s)
+            for i in orderings(machine.input_alphabet) for s in orderings(machine.stack_alphabet)]
+
+
+def test_cells_map_representatives_to_base_m_successors(machine):
+    g4 = _chain_machine(4)
     rng = random.Random(21)
-    for _ in range(3):  # one machine, three encodings built in sequence
-        enc = _random_pair(machine, rng)
-        in_digits = {s: enc.input.digit(s) for s in machine.input_alphabet.symbols}
-        st_digits = {s: enc.stack.digit(s) for s in machine.stack_alphabet.symbols}
-        nda = from_versatile_shift(machine, enc)
+    cases = [
+        # one machine, three encodings built in sequence
+        (g4, [_random_pair(g4, rng) for _ in range(3)],
+         (((), ()), (("t0",), ("A1",)), (("t3", "t1"), ("S", "t4")))),
+        # the demo machine under all 2! * 4! of its blank-pinned recodings
+        (machine, _pinned_pairs(machine),
+         (((), ()), (("V",), ("S",)), (("NP", BLANK, "V"), ("VP", BLANK, "NP")))),
+    ]
+    assert len(cases[1][1]) == 48
+    for mach, pairs, tails in cases:
+        m_in, m_st = mach.input_alphabet.size, mach.stack_alphabet.size
+        for enc in pairs:
+            in_digits = {s: enc.input.digit(s) for s in mach.input_alphabet.symbols}
+            st_digits = {s: enc.stack.digit(s) for s in mach.stack_alphabet.symbols}
+            nda = from_versatile_shift(mach, enc)
 
-        def point(tape):
-            return PhasePoint(_base_m(tape.input, in_digits, m_in), _base_m(tape.stack, st_digits, m_st))
+            def point(tape):
+                return PhasePoint(_base_m(tape.input, in_digits, m_in), _base_m(tape.stack, st_digits, m_st))
 
-        for w_in in product(machine.input_alphabet.symbols, repeat=machine.dod.r):
-            for w_st in product(machine.stack_alphabet.symbols, repeat=machine.dod.l):
-                for tail_in, tail_st in (((), ()), (("t0",), ("A1",)), (("t3", "t1"), ("S", "t4"))):
-                    tape = DottedSequence(w_st + tail_st, w_in + tail_in, machine.blank)
-                    successor, _ = vs_step(machine, tape)
-                    assert nda.locate(point(tape)).apply(point(tape)) == point(successor)
+            for w_in in product(mach.input_alphabet.symbols, repeat=mach.dod.r):
+                for w_st in product(mach.stack_alphabet.symbols, repeat=mach.dod.l):
+                    for tail_in, tail_st in tails:
+                        tape = DottedSequence(w_st + tail_st, w_in + tail_in, mach.blank)
+                        successor, _ = vs_step(mach, tape)
+                        assert nda.locate(point(tape)).apply(point(tape)) == point(successor)
+
+
+#: sha256 of ``nda_csv`` for G_k under ``_random_pair(G_k, random.Random(seed))``,
+#: recorded from the build that solved each cell from two encoded tapes.
+CHAIN_TABLE_DIGESTS = [
+    (3, 0, "1dc48d1d02a1ed7672196b60a0f3deeece96c23a98f80b0f6bfc244a10bf6066"),
+    (3, 1, "409c0c9a6e07060c6caabeeaf1c74d2650d0f1fee0181743b8323246efc97b79"),
+    (3, 2, "0ab938a164cb9377db752fa503476a5b7a50e6504d0b13b5eeb25422eabc8f80"),
+    (4, 0, "f7f3d373fad860359a837ad67b07571e6cf73432e8aaa3c08459de01fd6b3956"),
+    (4, 1, "3340f258cd640c69b0cdcfd2cc8810f5ab9ff803ad5270a3da66eba190c00e5d"),
+    (4, 2, "eb394be794a4a305ba464fffcefbe8700e0594cb5a587530240e08f80dc286da"),
+    (7, 0, "4ea216e631fd416a0b1a64d309a82ebd8d70d2392d7650ee70023a76e50961de"),
+    (7, 1, "ba830b40d1439878470ee9a93d8017b1c04d1f6ba6f3a0f01aa7ef50db000a89"),
+    (7, 2, "50ae5281da5fc2e434969f617d08955c1d05194e4291566ebe5dfe7b69d552f7"),
+]
+
+
+@pytest.mark.parametrize("k, seed, digest", CHAIN_TABLE_DIGESTS,
+                         ids=["G%d-seed%d" % (k, seed) for k, seed, _ in CHAIN_TABLE_DIGESTS])
+def test_chain_tables_keep_their_bytes(k, seed, digest):
+    machine = _chain_machine(k)
+    table = from_versatile_shift(machine, _random_pair(machine, random.Random(seed)))
+    assert hashlib.sha256(nda_csv(table).encode()).hexdigest() == digest
 
 
 def test_machine_pass_does_not_keep_the_machine_alive():

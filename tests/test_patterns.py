@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,7 @@ from godelnet import (
 )
 from godelnet.errors import DomainError, InternalConsistencyError, ResourceLimitError
 from godelnet.patterns import class_map_csv, class_map_svg
-from godelnet.symbols import all_permutations, index_to_digits, recode
+from godelnet.symbols import all_permutations, index_to_digits, recode, zero_fixing_permutations
 
 
 def test_pattern_blocks():
@@ -59,6 +60,24 @@ def test_orbit_sizes():
     assert len(orbit((0, 1), 3)) == 6
     assert len(orbit((0, 1, 2), 3)) == 6
     assert len(orbit((0, 0, 1), 3, blank_pinned=True)) == 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_orbit_is_the_brute_force_recoding_closure(m, pinned):
+    perms = zero_fixing_permutations(m) if pinned else all_permutations(m)
+    for length in range(1, 5):
+        for word in product(range(m), repeat=length):
+            assert orbit(word, m, blank_pinned=pinned) == {recode(word, perm) for perm in perms}
+
+
+def test_orbit_among_twelve_symbols_lists_only_the_images():
+    # 12! = 479,001,600 permutations act, but a word with k distinct
+    # symbols has only 12! / (12-k)! images (11! / (11-k)! when pinned)
+    assert len(orbit((0, 1), 12)) == 12 * 11
+    assert len(orbit((0, 1, 0), 12, blank_pinned=True)) == 11
+    assert len(orbit((3, 1, 4, 1), 12, blank_pinned=True)) == 11 * 10 * 9
+    assert len(orbit("0a", 12, universe="0abcdefghijk", blank_pinned=True, blank="0")) == 11
 
 
 def test_orbit_of_symbol_word_needs_universe_when_smaller():
