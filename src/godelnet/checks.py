@@ -6,10 +6,6 @@ direct interval membership for the metric/cylinder correspondence, symbolic
 machine steps for the affine cell maps, and the exact cell table for the
 network.  Suites return a CheckResult with a counterexample on failure
 instead of raising, so a run reports every broken law at once.
-
-The injectable keyword arguments (``metric``, ``same_orbit_fn``,
-``step_fn``, ``move_fn``) exist so the test suite can feed deliberately
-broken implementations and confirm the suites catch them.
 """
 
 import random
@@ -19,7 +15,7 @@ from itertools import product
 
 from .errors import ConfigError
 from .nda import EncodingPair, PhasePoint, encode_tape, from_versatile_shift, nda_step
-from .network import embed, na_run, synthesize
+from .network import SOUNDNESS, embed, na_run, synthesize
 from .observables import PermutationPair, build_step_observable, rho_pi, step_observable
 from .patterns import interval_partition, same_orbit, square_partition
 from .shift import DoD, VersatileShift, VsRule, compile_cfg_topdown, initial_state, parse_grammar, vs_step
@@ -89,7 +85,7 @@ def _words(m, max_len, min_len=0):
 # ---------------------------------------------------------------------------
 # suite: ultrametric
 
-def check_ultrametric(seed=0, metric=ultrametric):
+def check_ultrametric(seed=0):
     """Identity, symmetry, strong triangle inequality, value range."""
     m = 3
     words = _words(m, 3)
@@ -97,9 +93,9 @@ def check_ultrametric(seed=0, metric=ultrametric):
     checked = 0
     for p in words:
         for q in words:
-            d = metric(p, q, m, tail=0)
+            d = ultrametric(p, q, m, tail=0)
             checked += 1
-            if d != metric(q, p, m, tail=0):
+            if d != ultrametric(q, p, m, tail=0):
                 return CheckResult("ultrametric", False, "asymmetric distance", (p, q))
             trimmed_eq = _trim0(p) == _trim0(q)
             if (d == 0) != trimmed_eq:
@@ -110,9 +106,9 @@ def check_ultrametric(seed=0, metric=ultrametric):
     triples = 20000
     for _ in range(triples):
         p, q, s = (rng.choice(words) for _ in range(3))
-        dpq = metric(p, q, m, tail=0)
-        dqs = metric(q, s, m, tail=0)
-        dps = metric(p, s, m, tail=0)
+        dpq = ultrametric(p, q, m, tail=0)
+        dqs = ultrametric(q, s, m, tail=0)
+        dps = ultrametric(p, s, m, tail=0)
         if dps > max(dpq, dqs):
             return CheckResult("ultrametric", False, "strong triangle inequality fails", (p, q, s))
     return CheckResult("ultrametric", True,
@@ -129,7 +125,7 @@ def _trim0(word):
 # ---------------------------------------------------------------------------
 # suite: cylinders
 
-def check_cylinders(seed=0, samples=10000, metric=ultrametric):
+def check_cylinders(seed=0):
     """Distance at most m**-n coincides with sharing the n-th grid cell."""
     m = 3
     words = _words(m, 4)
@@ -139,7 +135,7 @@ def check_cylinders(seed=0, samples=10000, metric=ultrametric):
     checked = 0
     for p, cells_p in zip(words, cells):
         for q, cells_q in zip(words, cells):
-            d = metric(p, q, m, tail=0)
+            d = ultrametric(p, q, m, tail=0)
             for n in range(0, 5):
                 close = d <= radii[n]
                 same_cell = cells_p[n] == cells_q[n]
@@ -148,12 +144,12 @@ def check_cylinders(seed=0, samples=10000, metric=ultrametric):
                     return CheckResult("cylinders", False,
                                        "metric/cell disagreement at resolution %d" % n, (p, q, n))
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(10000):
         length = rng.randrange(0, 9)
         p = tuple(rng.randrange(m) for _ in range(length))
         q = tuple(rng.randrange(m) for _ in range(rng.randrange(0, 9)))
         psi_p, psi_q = encode_digits(p, m), encode_digits(q, m)
-        d = metric(p, q, m, tail=0)
+        d = ultrametric(p, q, m, tail=0)
         for n in range(0, 7):
             close = d <= radii[n]
             same_cell = (psi_p * m**n).__floor__() == (psi_q * m**n).__floor__()
@@ -167,7 +163,7 @@ def check_cylinders(seed=0, samples=10000, metric=ultrametric):
 # ---------------------------------------------------------------------------
 # suite: orbits
 
-def check_orbits(seed=0, same_orbit_fn=same_orbit):
+def check_orbits(seed=0):
     """Pattern criterion against brute-force permutation search."""
     checked = 0
     for m, max_len in ((2, 5), (3, 5)):
@@ -182,7 +178,7 @@ def check_orbits(seed=0, same_orbit_fn=same_orbit):
                     orbit = {recode(w, perm) for perm in perms}  # brute force over the group
                     for u in group:
                         want = u in orbit
-                        got = same_orbit_fn(w, u, m, blank_pinned=pinned)
+                        got = same_orbit(w, u, m, blank_pinned=pinned)
                         checked += 1
                         if want != got:
                             return CheckResult(
@@ -197,7 +193,7 @@ def check_orbits(seed=0, same_orbit_fn=same_orbit):
                 if len(w) == len(u):
                     continue
                 checked += 1
-                if same_orbit_fn(w, u, m, blank_pinned=pinned):
+                if same_orbit(w, u, m, blank_pinned=pinned):
                     return CheckResult("orbits", False,
                                        "words of different length reported equivalent", (w, u))
     return CheckResult("orbits", True, "%d word pairs, m in {2, 3}, lengths <= 5, both modes" % checked)
@@ -343,36 +339,38 @@ def random_encoding(machine, rng):
     return EncodingPair(input=table(machine.input_alphabet), stack=table(machine.stack_alphabet))
 
 
-def random_tape(machine, rng, max_len=5):
-    stack = tuple(rng.choice(machine.stack_alphabet.symbols) for _ in range(rng.randrange(max_len + 1)))
-    inp = tuple(rng.choice(machine.input_alphabet.symbols) for _ in range(rng.randrange(max_len + 1)))
+def random_tape(machine, rng):
+    """Random tape with at most five symbols on each side."""
+    stack = tuple(rng.choice(machine.stack_alphabet.symbols) for _ in range(rng.randrange(6)))
+    inp = tuple(rng.choice(machine.input_alphabet.symbols) for _ in range(rng.randrange(6)))
     return DottedSequence(stack, inp, machine.blank)
 
 
-def _commutes_on(machine, nda, pair, state, step_fn):
+def _commutes_on(machine, nda, pair, state):
     symbolic, _ = vs_step(machine, state)
     want = encode_tape(symbolic, pair)
-    got = step_fn(nda, encode_tape(state, pair))
+    got = nda_step(nda, encode_tape(state, pair))
     return want == got
 
 
-def check_commutation(seed=0, machines=10, tapes=100, step_fn=nda_step):
+def check_commutation(seed=0):
     """Encoding a machine step equals stepping the encoded point."""
     rng = random.Random(seed)
+    machines, tapes = 10, 100
     machine = demo_machine()
     checked = 0
     for name, pair in demo_encodings(machine).items():
         nda = from_versatile_shift(machine, pair)
         state = initial_state(machine, DEMO_SENTENCE, "S")
         for _ in range(8):
-            if not _commutes_on(machine, nda, pair, state, step_fn):
+            if not _commutes_on(machine, nda, pair, state):
                 return CheckResult("commutation", False,
                                    "demo machine diverges under encoding %s" % name, state)
             checked += 1
             state, _ = vs_step(machine, state)
         for _ in range(tapes):
             tape = random_tape(machine, rng)
-            if not _commutes_on(machine, nda, pair, tape, step_fn):
+            if not _commutes_on(machine, nda, pair, tape):
                 return CheckResult("commutation", False,
                                    "demo machine diverges under encoding %s" % name, tape)
             checked += 1
@@ -388,7 +386,7 @@ def check_commutation(seed=0, machines=10, tapes=100, step_fn=nda_step):
                                machine)
         for _ in range(tapes):
             tape = random_tape(machine, rng)
-            if not _commutes_on(machine, nda, pair, tape, step_fn):
+            if not _commutes_on(machine, nda, pair, tape):
                 return CheckResult("commutation", False,
                                    "random machine %d diverges" % k, (machine, tape))
             checked += 1
@@ -399,7 +397,7 @@ def check_commutation(seed=0, machines=10, tapes=100, step_fn=nda_step):
 # ---------------------------------------------------------------------------
 # suite: invariance
 
-def check_invariance(seed=0, move_fn=rho_pi):
+def check_invariance(seed=0):
     """Class observables are constant on recoding orbits; aggregates need not be."""
     checked = 0
     for m_in, m_st, l, r in ((3, 3, 2, 3), (3, 5, 2, 3)):
@@ -423,7 +421,7 @@ def check_invariance(seed=0, move_fn=rho_pi):
                                        "observable not constant on a rectangle", (i, j))
                 for pair in pairs:
                     for point in (corner, interior):
-                        moved = move_fn(point, pair, window, bases)
+                        moved = rho_pi(point, pair, window, bases)
                         checked += 1
                         if step_observable(spec, moved) != base_val:
                             return CheckResult(
@@ -440,14 +438,14 @@ def check_invariance(seed=0, move_fn=rho_pi):
     for _ in range(300):
         point = PhasePoint(Fraction(rng.randrange(m_in**r * 8), m_in**r * 8),
                            Fraction(rng.randrange(m_st**l * 8), m_st**l * 8))
-        if move_fn(point, ident, window, bases) != point:
+        if rho_pi(point, ident, window, bases) != point:
             return CheckResult("invariance", False, "identity recoding moved a point", point)
         pa = PermutationPair(rng.choice(perms_in), rng.choice(perms_st))
         pb = PermutationPair(rng.choice(perms_in), rng.choice(perms_st))
         composed = PermutationPair(compose_perms(pa.input_perm, pb.input_perm),
                                    compose_perms(pa.stack_perm, pb.stack_perm))
-        one = move_fn(point, composed, window, bases)
-        two = move_fn(move_fn(point, pb, window, bases), pa, window, bases)
+        one = rho_pi(point, composed, window, bases)
+        two = rho_pi(rho_pi(point, pb, window, bases), pa, window, bases)
         checked += 1
         if one != two:
             return CheckResult("invariance", False, "square motions do not compose", (pa, pb, point))
@@ -458,7 +456,7 @@ def check_invariance(seed=0, move_fn=rho_pi):
 # ---------------------------------------------------------------------------
 # suite: network
 
-def check_network(seed=0, tol=1e-9):
+def check_network(seed=0):
     """Synthesized networks stay on the exact orbit with a one-hot branch bank."""
     rng = random.Random(seed)
     machine = demo_machine()
@@ -472,7 +470,7 @@ def check_network(seed=0, tol=1e-9):
                                "unit count %d, expected %d" % (spec.n, want_units), name)
         state0 = initial_state(machine, DEMO_SENTENCE, "S")
         point0 = encode_tape(state0, pair)
-        run_a = na_run(spec, embed(spec, point0), 6, reference=nda, tol=tol, point=point0)
+        run_a = na_run(spec, embed(spec, point0), 6, reference=nda, tol=SOUNDNESS, point=point0)
         run_b = na_run(spec, embed(spec, point0), 6)
         if run_a.diverged:
             return CheckResult("network", False,
@@ -487,7 +485,7 @@ def check_network(seed=0, tol=1e-9):
             for _ in range(10)
         ]
         for start in starts:
-            run = na_run(spec, embed(spec, start), 4, reference=nda, tol=tol, point=start)
+            run = na_run(spec, embed(spec, start), 4, reference=nda, tol=SOUNDNESS, point=start)
             if run.diverged:
                 return CheckResult("network", False,
                                    "divergence from start %r under encoding %s" % (start, name),

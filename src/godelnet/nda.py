@@ -258,7 +258,7 @@ def _machine_pass(machine):
     return windows
 
 
-def from_versatile_shift(machine, enc, cell_budget=DEFAULT_CELL_BUDGET):
+def from_versatile_shift(machine, enc):
     """Derive the complete affine cell table for a machine and encoding.
 
     Alphabets of the encoding must be the machine's.  The machine pass
@@ -282,8 +282,8 @@ def from_versatile_shift(machine, enc, cell_budget=DEFAULT_CELL_BUDGET):
         raise MachineBuildError("encoding alphabets must match the machine alphabets")
     l, r = machine.dod.l, machine.dod.r
     p, q = enc.m_in**r, enc.m_st**l
-    if p * q > cell_budget:
-        raise ResourceLimitError("cell table needs %d cells, budget is %d" % (p * q, cell_budget))
+    if p * q > DEFAULT_CELL_BUDGET:
+        raise ResourceLimitError("cell table needs %d cells, budget is %d" % (p * q, DEFAULT_CELL_BUDGET))
     windows = _MACHINE_PASSES.get(machine)
     if windows is None:
         windows = _MACHINE_PASSES[machine] = _machine_pass(machine)

@@ -14,8 +14,8 @@ fixed 5-phase schedule per macro step:
   5. write-back: the machine configuration layer (MCL) sums the LTL bank.
 
 All thresholds ride on a single always-on unit, so the network needs no
-bias vector.  Both endpoint tests carry a small margin eps_b; this shifts
-every detection cell to [lo - eps_b, hi - eps_b), which keeps the branch
+bias vector.  Both endpoint tests carry a small margin EPS_B; this shifts
+every detection cell to [lo - EPS_B, hi - EPS_B), which keeps the branch
 bank exactly one-hot even when a float state sits one ulp below a cell
 corner.
 
@@ -61,6 +61,13 @@ STEP = "step"
 MICRO_STEPS_PER_MACRO = 5
 MCL = (0, 1)
 ALWAYS_ON = 2
+
+#: Margin of the endpoint comparators (see the module docstring).
+EPS_B = 1e-12
+#: Largest network a synthesis may build, in units.
+UNIT_BUDGET = 4096
+#: Largest MCL deviation from the exact image allowed at a macro boundary.
+SOUNDNESS = 1e-9
 
 
 def _layout(p, q):
@@ -124,29 +131,29 @@ class NeuralState:
         return self.micro == 0
 
 
-def synthesize(nda, eps_b=1e-12, unit_budget=4096):
+def synthesize(nda):
     """Build the network for an affine cell table.
 
-    Raises ResourceLimitError when the unit count would exceed the budget.
+    Raises ResourceLimitError when the unit count would exceed UNIT_BUDGET.
     The construction is validated before returning: from every cell corner,
-    one macro step must reproduce the exact affine image to within 1e-9 and
+    one macro step must reproduce the exact affine image to within SOUNDNESS and
     the branch bank must be one-hot on the correct cell.
     """
     p, q = nda.x_cells, nda.y_cells
     cmp, ax, bsl, ltl, n = _layout(p, q)
-    if n > unit_budget:
-        raise ResourceLimitError("network needs %d units, budget is %d" % (n, unit_budget))
+    if n > UNIT_BUDGET:
+        raise ResourceLimitError("network needs %d units, budget is %d" % (n, UNIT_BUDGET))
     weights = np.zeros((n, n), dtype=np.float64)
     y1, y2 = MCL
 
-    # comparators: lo fires iff y >= lo - eps_b, hi iff y <= hi - eps_b
+    # comparators: lo fires iff y >= lo - EPS_B, hi iff y <= hi - EPS_B
     for coord, first, count in ((y1, 0, p), (y2, p, q)):
         k = np.arange(count)
         lo_u = cmp + 2 * (first + k)
         weights[lo_u, coord] = 1.0
-        weights[lo_u, ALWAYS_ON] = -(k / count) + eps_b
+        weights[lo_u, ALWAYS_ON] = -(k / count) + EPS_B
         weights[lo_u + 1, coord] = -1.0
-        weights[lo_u + 1, ALWAYS_ON] = (k + 1) / count - eps_b
+        weights[lo_u + 1, ALWAYS_ON] = (k + 1) / count - EPS_B
 
     # axis unit a: AND of its two comparators
     a = np.arange(p + q)
@@ -182,7 +189,7 @@ def synthesize(nda, eps_b=1e-12, unit_budget=4096):
     return spec
 
 
-def _validate_synthesis(spec, nda, tol=1e-9):
+def _validate_synthesis(spec, nda):
     """Drive one macro step from every cell corner and compare to the table."""
     bsl_lo, bsl_hi, _ = spec.phase_ranges[2]  # branch unit of (i, j) is bsl_lo + i*q + j
     for cell in nda.cells:
@@ -200,7 +207,7 @@ def _validate_synthesis(spec, nda, tol=1e-9):
             state = na_micro_step(spec, state)
         exact = cell.apply(corner)
         err = max(abs(state.x[0] - float(exact.y1)), abs(state.x[1] - float(exact.y2)))
-        if err > tol:
+        if err > SOUNDNESS:
             raise InternalConsistencyError(
                 "macro step from corner of cell (%d, %d) off by %g" % (cell.i, cell.j, err)
             )
@@ -246,13 +253,19 @@ class NaRun:
     """All micro states of a run plus divergence bookkeeping."""
 
     states: tuple  # every micro state, starting with the embedding
-    macro_states: tuple  # the subsequence at macro boundaries
     max_divergence: float = 0.0
-    diverged: bool = False
-    divergence_step: int = -1
+    divergence_step: int = -1  # first macro step off the exact orbit, or -1
+
+    @property
+    def macro_states(self):  # the subsequence at macro boundaries
+        return self.states[::MICRO_STEPS_PER_MACRO]
+
+    @property
+    def diverged(self):
+        return self.divergence_step >= 0
 
 
-def na_run(spec, state, macro_steps, reference=None, tol=1e-9, point=None):
+def na_run(spec, state, macro_steps, reference=None, tol=SOUNDNESS, point=None):
     """Run ``macro_steps`` macro steps from ``state``.
 
     With ``reference`` (an affine cell table) and ``point`` (the exact phase
@@ -260,22 +273,20 @@ def na_run(spec, state, macro_steps, reference=None, tol=1e-9, point=None):
     boundary; exceeding ``tol`` flags the run as diverged.
     """
     states = [state]
-    boundaries = [state]
-    max_div, diverged, div_step = 0.0, False, -1
+    max_div, div_step = 0.0, -1
     exact = point
     for k in range(macro_steps):
         for _ in range(spec.micro_steps_per_macro):
             state = na_micro_step(spec, state)
             states.append(state)
-        boundaries.append(state)
         if reference is not None and exact is not None:
             exact = nda_step(reference, exact)
             e1, e2 = float(exact.y1), float(exact.y2)
             err = max(abs(state.x[0] - e1), abs(state.x[1] - e2))
             max_div = max(max_div, err)
-            if err > tol and not diverged:
-                diverged, div_step = True, k + 1
-    return NaRun(tuple(states), tuple(boundaries), max_div, diverged, div_step)
+            if err > tol and div_step < 0:
+                div_step = k + 1
+    return NaRun(tuple(states), max_div, div_step)
 
 
 def require_sound(run):

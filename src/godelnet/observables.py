@@ -61,7 +61,6 @@ class StepObservableSpec:
 
     class_map: object
     coefficients: tuple
-    seed: int
 
     def cell_of(self, obj):
         y1, y2 = (obj.y1, obj.y2) if isinstance(obj, PhasePoint) else mcl_projection(obj)
@@ -83,7 +82,7 @@ def build_step_observable(l, r, m_in, m_st, seed):
     rng = random.Random(seed)
     grid = rng.sample(range(1, count + 1), count)
     coefficients = tuple(v / count for v in grid)
-    return StepObservableSpec(class_map=class_map, coefficients=coefficients, seed=seed)
+    return StepObservableSpec(class_map=class_map, coefficients=coefficients)
 
 
 def step_observable(spec, obj):

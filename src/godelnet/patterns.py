@@ -14,6 +14,7 @@ the macroscopic observables.
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from operator import index
 
@@ -47,19 +48,16 @@ class EqualityPattern:
         raise DomainError("position %r outside 1..%d" % (position, self.length))
 
 
-def _zero_token_for(word, blank):
-    if blank is not None:
-        return blank
-    if word and all(isinstance(t, int) for t in word):
-        return 0
-    return BLANK
+def _zero_token_for(word):
+    """The token playing the zero role: 0 in digit words, else the blank glyph."""
+    return 0 if all(isinstance(t, int) for t in word) else BLANK
 
 
-def pattern_of(word, blank_pinned=False, blank=None):
+def pattern_of(word, blank_pinned=False):
     """Equality pattern of a word of hashable tokens.
 
-    ``blank`` names the token playing the zero role in pinned mode; by
-    default 0 for digit words and the blank glyph for symbol words.
+    In pinned mode the zero role is played by 0 in digit words and by the
+    blank glyph in symbol words.
     """
     word = tuple(word)
     groups = {}  # token -> its positions, in order of first occurrence
@@ -68,7 +66,7 @@ def pattern_of(word, blank_pinned=False, blank=None):
     blocks = tuple(map(tuple, groups.values()))
     zero_block = None
     if blank_pinned:
-        zero = _zero_token_for(word, blank)
+        zero = _zero_token_for(word)
         zero_block = next((i for i, tok in enumerate(groups) if tok == zero), None)
     return EqualityPattern(len(word), blocks, blank_pinned, zero_block)
 
@@ -77,7 +75,7 @@ def _distinct_count(word):
     return len(set(word))
 
 
-def same_orbit(w, u, m, blank_pinned=False, blank=None):
+def same_orbit(w, u, m, blank_pinned=False):
     """True when some digit permutation (fixing 0 if pinned) sends w to u.
 
     Realizes the pattern criterion: equal lengths and equal patterns.  Works
@@ -96,16 +94,16 @@ def same_orbit(w, u, m, blank_pinned=False, blank=None):
             )
     if len(w) != len(u):
         return False
-    return pattern_of(w, blank_pinned, blank) == pattern_of(u, blank_pinned, blank)
+    return pattern_of(w, blank_pinned) == pattern_of(u, blank_pinned)
 
 
-def orbit(word, m, blank_pinned=False, universe=None, blank=None):
+def orbit(word, m, blank_pinned=False, universe=None):
     """All images of ``word`` under digit permutations of an m-symbol universe.
 
     Digit words use the universe 0..m-1.  Symbol words need ``universe``
     (an ordered m-tuple) unless they already use exactly m distinct symbols,
     in which case the sorted symbol set serves.  Pinned mode permutes only
-    the non-blank symbols.
+    the non-blank symbols; the empty word takes its kind from the universe.
     """
     word = tuple(word)
     if universe is None:
@@ -127,7 +125,7 @@ def orbit(word, m, blank_pinned=False, universe=None, blank=None):
 
     fixed, targets = {}, universe
     if blank_pinned:
-        zero = _zero_token_for(word, blank)
+        zero = _zero_token_for(word or universe)
         if zero not in universe:
             raise DomainError("pinned orbit needs the blank %r in the universe %r" % (zero, universe))
         fixed, targets = {zero: zero}, [s for s in universe if s != zero]
@@ -150,7 +148,7 @@ class PatternClassMap:
     grid.  ``assignment[k]`` is the class id of cell k = i * y_cells + j,
     where a square cell is named (i, j) and an interval cell by its int i.
     Class ids are contiguous, assigned in order of each class's minimal cell
-    index; ``class_count`` is their number.
+    index.
     """
 
     kind: str
@@ -161,7 +159,6 @@ class PatternClassMap:
     mode: str = ""
     blank_pinned: bool = False
     assignment: tuple = ()
-    class_count: int = 0
 
     def __post_init__(self):
         if len(self.assignment) != self.x_cells * self.y_cells:
@@ -169,6 +166,10 @@ class PatternClassMap:
                 "class map holds %d ids for a %d x %d grid"
                 % (len(self.assignment), self.x_cells, self.y_cells)
             )
+
+    @cached_property
+    def class_count(self):
+        return len(set(self.assignment))
 
     @property
     def x_cells(self):
@@ -196,24 +197,20 @@ class PatternClassMap:
         return [cell for cell, cid in zip(self.cells(), self.assignment) if cid == class_id]
 
 
-def interval_partition(m, l, blank_pinned=False, cell_budget=DEFAULT_CELL_BUDGET):
+def interval_partition(m, l, blank_pinned=False):
     """Group the m**l corner words of length l by equality pattern."""
     if m < 2 or l < 0:
         raise DomainError("need m >= 2 and l >= 0, got m=%r l=%r" % (m, l))
     count = m**l
-    if count > cell_budget:
-        raise ResourceLimitError("interval partition needs %d cells, budget is %d" % (count, cell_budget))
+    if count > DEFAULT_CELL_BUDGET:
+        raise ResourceLimitError("interval partition needs %d cells, budget is %d" % (count, DEFAULT_CELL_BUDGET))
     keys = (pattern_of(index_to_digits(k, m, l), blank_pinned) for k in range(count))
     key_to_id = {}
     ids = tuple(key_to_id.setdefault(key, len(key_to_id)) for key in keys)
-    return PatternClassMap(
-        kind="interval", m=m, l=l, blank_pinned=blank_pinned,
-        assignment=ids, class_count=len(key_to_id),
-    )
+    return PatternClassMap(kind="interval", m=m, l=l, blank_pinned=blank_pinned, assignment=ids)
 
 
-def square_partition(m, l, r, mode="joint", blank_pinned=False, m_right=None,
-                     cell_budget=DEFAULT_CELL_BUDGET):
+def square_partition(m, l, r, mode="joint", blank_pinned=False, m_right=None):
     """Group the rectangles of the product grid by corner-word pattern.
 
     The x axis is split into m**l cells (corner words of length l), the
@@ -234,19 +231,17 @@ def square_partition(m, l, r, mode="joint", blank_pinned=False, m_right=None,
     if m < 2 or m_right < 2 or l < 0 or r < 0:
         raise DomainError("need bases >= 2 and lengths >= 0")
     count = (m**l) * (m_right**r)
-    if count > cell_budget:
-        raise ResourceLimitError("square partition needs %d cells, budget is %d" % (count, cell_budget))
+    if count > DEFAULT_CELL_BUDGET:
+        raise ResourceLimitError("square partition needs %d cells, budget is %d" % (count, DEFAULT_CELL_BUDGET))
     if mode == "joint":
-        joint = interval_partition(m, l + r, blank_pinned, cell_budget)
-        ids, class_count = joint.assignment, joint.class_count
+        ids = interval_partition(m, l + r, blank_pinned).assignment
     else:
-        left = interval_partition(m, l, blank_pinned, cell_budget)
-        right = interval_partition(m_right, r, blank_pinned, cell_budget)
+        left = interval_partition(m, l, blank_pinned)
+        right = interval_partition(m_right, r, blank_pinned)
         ids = tuple(a * right.class_count + b for a in left.assignment for b in right.assignment)
-        class_count = left.class_count * right.class_count
     return PatternClassMap(
         kind="square", m=m, l=l, r=r, m_right=m_right, mode=mode,
-        blank_pinned=blank_pinned, assignment=ids, class_count=class_count,
+        blank_pinned=blank_pinned, assignment=ids,
     )
 
 

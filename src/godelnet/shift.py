@@ -223,10 +223,6 @@ class RunTrace:
     steps: tuple
     verdict: str  # accept / halt-reject / step-limit
 
-    @property
-    def final_state(self):
-        return self.steps[-1].state
-
 
 def vs_run(machine, state, max_steps=100):
     """Run to accept/reject or the step budget.

@@ -19,8 +19,9 @@ def _esc(text):
     return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def strip_svg(values, title="", cell_px=28, height_px=48):
+def strip_svg(values, title=""):
     """One row of colored cells (interval partitions)."""
+    cell_px, height_px = 28, 48
     n = len(values)
     width = n * cell_px
     parts = [
@@ -41,11 +42,12 @@ def strip_svg(values, title="", cell_px=28, height_px=48):
     return "\n".join(parts) + "\n"
 
 
-def grid_svg(nx, ny, class_ids, title="", cell_px=22):
+def grid_svg(nx, ny, class_ids, title=""):
     """Colored nx-by-ny grid; cell (0,0) bottom-left, math orientation.
 
     ``class_ids`` lists the cells row-major: cell (i, j) at i * ny + j.
     """
+    cell_px = 22
     width, height = nx * cell_px, ny * cell_px
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">' % (width, height + 18),
@@ -64,12 +66,13 @@ def grid_svg(nx, ny, class_ids, title="", cell_px=22):
     return "\n".join(parts) + "\n"
 
 
-def line_chart(series, title="", xlabel="step", width=640, height=360):
-    """Line/step chart; ``series`` is a list of (name, [(x, y), ...]) pairs.
+def line_chart(series, title=""):
+    """Line/step chart; ``series`` is a list of (name, [(macro step, y), ...]) pairs.
 
     Values are plotted exactly as given (floats); axis ticks at data x
     positions and at a handful of y positions.
     """
+    width, height = 640, 360
     pad_l, pad_r, pad_t, pad_b = 56, 16, 28, 36
     plot_w, plot_h = width - pad_l - pad_r, height - pad_t - pad_b
     xs = [x for _, pts in series for x, _ in pts]
@@ -104,7 +107,7 @@ def line_chart(series, title="", xlabel="step", width=640, height=360):
         parts.append('<text x="%d" y="%.2f" font-size="10" text-anchor="end" fill="#000">%.4g</text>' % (pad_l - 4, py(yv) + 3, yv))
     for xv in sorted(set(xs)):
         parts.append('<text x="%.2f" y="%d" font-size="10" text-anchor="middle" fill="#000">%s</text>' % (px(xv), height - pad_b + 14, xv))
-    parts.append('<text x="%d" y="%d" font-size="11" text-anchor="middle" fill="#000">%s</text>' % (pad_l + plot_w // 2, height - 6, _esc(xlabel)))
+    parts.append('<text x="%d" y="%d" font-size="11" text-anchor="middle" fill="#000">macro step</text>' % (pad_l + plot_w // 2, height - 6))
 
     palette = ["#1f6fb2", "#c23b22", "#2e8b57", "#8a2be2", "#b8860b", "#444444"]
     for idx, (name, pts) in enumerate(series):

@@ -118,13 +118,13 @@ class Ordering:
         return tuple(self.symbol(d) for d in digits)
 
 
-def identity_ordering(m, pinned_blank=True):
+def identity_ordering(m):
     """Ordering on the digit alphabet {0..m-1} mapping each digit to itself.
 
-    With ``pinned_blank`` the digit 0 doubles as the declared blank, which is
-    the convention digit words use throughout.
+    The digit 0 doubles as the declared blank, which is the convention digit
+    words use throughout.
     """
-    alpha = Alphabet(tuple(range(m)), blank=0 if pinned_blank else None)
+    alpha = Alphabet(tuple(range(m)), blank=0)
     return Ordering(alpha, tuple((d, d) for d in range(m)))
 
 

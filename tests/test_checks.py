@@ -8,7 +8,19 @@ from types import SimpleNamespace
 import pytest
 
 import godelnet.checks as checks
-from godelnet import Alphabet, PhasePoint, interval_partition, nda_step, rho_pi, same_orbit, square_partition, ultrametric
+from godelnet import (
+    BLANK,
+    Alphabet,
+    DottedSequence,
+    PermutationPair,
+    PhasePoint,
+    interval_partition,
+    nda_step,
+    rho_pi,
+    same_orbit,
+    square_partition,
+    ultrametric,
+)
 from godelnet.checks import (
     SUITES,
     check_commutation,
@@ -23,6 +35,7 @@ from godelnet.checks import (
     suite_names,
 )
 from godelnet.errors import ConfigError
+from godelnet.symbols import encode_digits
 
 
 def test_every_suite_has_a_callable():
@@ -52,31 +65,33 @@ def test_run_checks_turns_crashes_into_failures(monkeypatch):
     assert not result.ok and "kaboom" in result.detail
 
 
-def test_ultrametric_suite_catches_non_ultrametric_metric():
+def test_ultrametric_suite_catches_non_ultrametric_metric(monkeypatch):
     def euclidean(p, q, m, tail=0):
-        from godelnet.symbols import encode_digits
         return abs(encode_digits(p, m) - encode_digits(q, m))
 
-    result = check_ultrametric(metric=euclidean)
-    assert not result.ok
-    assert result.counterexample is not None
+    monkeypatch.setattr(checks, "ultrametric", euclidean)
+    result = check_ultrametric()
+    assert (result.ok, result.detail, result.counterexample) == (
+        False, "distance 2/3 is not a power of 1/m", ((), (2,)))
 
 
-def test_cylinder_suite_catches_scaled_metric():
+def test_cylinder_suite_catches_scaled_metric(monkeypatch):
     # dividing by m claims one extra resolution level of closeness
     def shrunk(p, q, m, tail=0):
         return ultrametric(p, q, m, tail=tail) / m
 
-    result = check_cylinders(metric=shrunk, samples=100)
+    monkeypatch.setattr(checks, "ultrametric", shrunk)
+    result = check_cylinders()
     assert not result.ok
     assert result.counterexample == ((), (1,), 1)
 
 
-def test_orbit_suite_catches_length_only_criterion():
+def test_orbit_suite_catches_length_only_criterion(monkeypatch):
     def sloppy(w, u, m, blank_pinned=False):
         return len(w) == len(u)
 
-    result = check_orbits(same_orbit_fn=sloppy)
+    monkeypatch.setattr(checks, "same_orbit", sloppy)
+    result = check_orbits()
     assert not result.ok
     assert result.counterexample == ((0, 0), (0, 1))
 
@@ -91,14 +106,16 @@ def _unpinned_criterion(w, u, m, blank_pinned=False):
     return same_orbit(w, u, m, blank_pinned=False)
 
 
-@pytest.mark.parametrize("run, detail, counterexample", [
-    (lambda: check_orbits(same_orbit_fn=_unpinned_criterion),
+@pytest.mark.parametrize("suite, name, fake, detail, counterexample", [
+    (check_orbits, "same_orbit", _unpinned_criterion,
      "pattern criterion disagrees with permutation search (m=2 pinned=True)", ((0,), (1,))),
-    (lambda: check_cylinders(metric=_late_shrunk, samples=100),
+    (check_cylinders, "ultrametric", _late_shrunk,
      "metric/cell disagreement at resolution 1", ((0, 2, 0, 2, 0, 2, 1), (1,), 1)),
 ], ids=["orbits-unpinned", "cylinders-sampled"])
-def test_suites_report_the_first_counterexample_in_iteration_order(run, detail, counterexample):
-    result = run()
+def test_suites_report_the_first_counterexample_in_iteration_order(monkeypatch, suite, name, fake, detail,
+                                                                   counterexample):
+    monkeypatch.setattr(checks, name, fake)
+    result = suite()
     assert (result.ok, result.detail, result.counterexample) == (False, detail, counterexample)
 
 
@@ -143,21 +160,23 @@ def test_seed0_suite_details_are_unchanged(suite_runs):
 
 
 def test_orbit_suite_passes_on_real_criterion(suite_runs):
-    result, _ = suite_runs["orbits"]  # check_orbits(same_orbit_fn=same_orbit) at seed 0
+    result, _ = suite_runs["orbits"]  # check_orbits at seed 0
     assert result.ok
 
 
-def test_commutation_suite_catches_perturbed_step():
+def test_commutation_suite_catches_perturbed_step(monkeypatch):
     def drifting(nda, point):
         moved = nda_step(nda, point)
         return PhasePoint(moved.y1, (moved.y2 + Fraction(1, 1000)) % 1)
 
-    result = check_commutation(machines=2, tapes=20, step_fn=drifting)
-    assert not result.ok
+    monkeypatch.setattr(checks, "nda_step", drifting)
+    result = check_commutation()
+    assert (result.ok, result.detail) == (False, "demo machine diverges under encoding plain")
+    assert result.counterexample == DottedSequence(("S",), ("NP", "V", "NP"), BLANK)
 
 
 def test_commutation_suite_passes(seed=5):
-    result = check_commutation(seed=seed, machines=3, tapes=30)
+    result = check_commutation(seed=seed)
     assert result.ok, result.detail
 
 
@@ -173,13 +192,15 @@ def test_random_encoding_pins_the_blank_of_a_twelve_symbol_alphabet():
     assert len({pair.input for pair in pairs}) > 1
 
 
-def test_invariance_suite_catches_non_rigid_motion():
+def test_invariance_suite_catches_non_rigid_motion(monkeypatch):
     def sheared(point, pair, window, bases):
         moved = rho_pi(point, pair, window, bases)
         return PhasePoint((moved.y1 + Fraction(1, 2)) % 1, moved.y2)
 
-    result = check_invariance(move_fn=sheared)
-    assert not result.ok
+    monkeypatch.setattr(checks, "rho_pi", sheared)
+    result = check_invariance()
+    assert (result.ok, result.detail) == (False, "recoding changed the observable on cell (0, 0)")
+    assert result.counterexample == (PermutationPair((0, 1, 2), (0, 1, 2)), PhasePoint(0, 0))
 
 
 def test_network_suite_passes():

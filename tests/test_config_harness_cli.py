@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import shutil
 import sys
 from pathlib import Path
 
@@ -74,6 +75,16 @@ def test_config_validation(tmp_path):
         encoding="utf-8")
     with pytest.raises(ConfigError, match="both"):
         load_config(bad)
+
+
+def test_readme_config_block_loads(tmp_path, config):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration format", 1)[1]
+    (tmp_path / "experiment.ini").write_text(section.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    shutil.copy(CONFIG_DIR / "parser.grammar", tmp_path)
+    # the README shows the shipped config with its gamma encoding only
+    want = dataclasses.replace(config, grammar_path=tmp_path / "parser.grammar", encodings=config.encodings[1:])
+    assert load_config(tmp_path / "experiment.ini") == want
 
 
 def test_config_rejects_unknown_symbols(tmp_path, config):
@@ -160,10 +171,11 @@ def test_cli_orbit(capsys):
 
 
 def test_cli_orbit_digits(capsys):
-    code = cli.main(["orbit", "010", "--m", "3", "--pinned"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "orbit size: 2" in out
+    for word in ("010", "001"):
+        code = cli.main(["orbit", word, "--m", "3", "--pinned"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "orbit size: 2" in out
 
 
 def test_cli_partition(tmp_path, capsys):
@@ -212,7 +224,7 @@ def test_cli_run_bad_config(tmp_path, capsys):
 
 def test_cli_run_reports_invariance_failure(tmp_path, monkeypatch, report, capsys):
     failing = Verdict(observable="step", enc_a="delta", enc_b="gamma",
-                      max_abs_delta=0.25, invariant=False, expected_invariant=True)
+                      max_abs_delta=0.25, invariant=False)
     broken = dataclasses.replace(report, verdicts=(failing,))
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: broken)
     code = cli.main(["run", str(CONFIG_DIR / "experiment.ini"),

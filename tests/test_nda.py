@@ -176,9 +176,10 @@ def test_encoding_must_match_machine(machine):
         from_versatile_shift(machine, EncodingPair(input=other, stack=other))
 
 
-def test_cell_budget(machine, plain):
-    with pytest.raises(ResourceLimitError):
-        from_versatile_shift(machine, plain, cell_budget=3)
+def test_cell_budget(machine, plain, monkeypatch):
+    monkeypatch.setattr("godelnet.nda.DEFAULT_CELL_BUDGET", 3)
+    with pytest.raises(ResourceLimitError, match="cell table needs 15 cells, budget is 3"):
+        from_versatile_shift(machine, plain)
 
 
 class _Wrapped:

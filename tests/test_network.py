@@ -126,9 +126,10 @@ def test_unit_count_formula(plain_nda, plain_net):
     assert plain_net.micro_steps_per_macro == 5
 
 
-def test_unit_budget(plain_nda):
-    with pytest.raises(ResourceLimitError):
-        synthesize(plain_nda, unit_budget=10)
+def test_unit_budget(plain_nda, monkeypatch):
+    monkeypatch.setattr("godelnet.network.UNIT_BUDGET", 10)
+    with pytest.raises(ResourceLimitError, match="network needs 72 units, budget is 10"):
+        synthesize(plain_nda)
 
 
 def test_bias_free_construction(plain_net):
@@ -211,8 +212,7 @@ def test_states_stay_in_unit_box(plain_net, plain_nda, plain_start):
 
 
 def test_require_sound_raises():
-    broken = NaRun(states=(), macro_states=(), max_divergence=0.5,
-                   diverged=True, divergence_step=2)
+    broken = NaRun(states=(), max_divergence=0.5, divergence_step=2)
     with pytest.raises(DivergenceError):
         require_sound(broken)
 

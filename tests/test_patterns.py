@@ -15,7 +15,7 @@ from godelnet import (
 )
 from godelnet.errors import DomainError, InternalConsistencyError, ResourceLimitError
 from godelnet.patterns import class_map_csv, class_map_svg
-from godelnet.symbols import all_permutations, index_to_digits, recode, zero_fixing_permutations
+from godelnet.symbols import BLANK, all_permutations, index_to_digits, recode, zero_fixing_permutations
 
 
 def test_pattern_blocks():
@@ -66,7 +66,7 @@ def test_orbit_sizes():
 @pytest.mark.parametrize("pinned", [False, True])
 def test_orbit_is_the_brute_force_recoding_closure(m, pinned):
     perms = zero_fixing_permutations(m) if pinned else all_permutations(m)
-    for length in range(1, 5):
+    for length in range(0, 5):
         for word in product(range(m), repeat=length):
             assert orbit(word, m, blank_pinned=pinned) == {recode(word, perm) for perm in perms}
 
@@ -77,7 +77,7 @@ def test_orbit_among_twelve_symbols_lists_only_the_images():
     assert len(orbit((0, 1), 12)) == 12 * 11
     assert len(orbit((0, 1, 0), 12, blank_pinned=True)) == 11
     assert len(orbit((3, 1, 4, 1), 12, blank_pinned=True)) == 11 * 10 * 9
-    assert len(orbit("0a", 12, universe="0abcdefghijk", blank_pinned=True, blank="0")) == 11
+    assert len(orbit((BLANK, "a"), 12, universe=(BLANK,) + tuple("abcdefghijk"), blank_pinned=True)) == 11
 
 
 def test_orbit_of_symbol_word_needs_universe_when_smaller():
@@ -179,11 +179,12 @@ def test_class_map_lookup_errors():
         cmap.class_of(7)
 
 
-def test_cell_budget_guard():
-    with pytest.raises(ResourceLimitError):
-        interval_partition(3, 5, cell_budget=100)
-    with pytest.raises(ResourceLimitError):
-        square_partition(3, 3, 3, cell_budget=100)
+def test_cell_budget_guard(monkeypatch):
+    monkeypatch.setattr("godelnet.patterns.DEFAULT_CELL_BUDGET", 100)
+    with pytest.raises(ResourceLimitError, match="interval partition needs 243 cells, budget is 100"):
+        interval_partition(3, 5)
+    with pytest.raises(ResourceLimitError, match="square partition needs 729 cells, budget is 100"):
+        square_partition(3, 3, 3)
 
 
 @pytest.mark.parametrize("mode, m_right, calls", [("joint", 3, 3**5), ("product", 5, 3**3 + 5**2)])
