@@ -26,6 +26,7 @@ from .symbols import (
     Ordering,
     all_permutations,
     compose_perms,
+    digits_to_index,
     encode_digits,
     godel_encode,
     identity_ordering,
@@ -125,13 +126,19 @@ def _trim0(word):
 # ---------------------------------------------------------------------------
 # suite: cylinders
 
+def _grid_cells(word, m, resolutions):
+    """Cell of the word's encoding k / m**len on the m**n grid, for n < resolutions."""
+    k = digits_to_index(word, m)
+    return [k * m**n // m ** len(word) for n in range(resolutions)]
+
+
 def check_cylinders(seed=0):
     """Distance at most m**-n coincides with sharing the n-th grid cell."""
     m = 3
     words = _words(m, 4)
     radii = [Fraction(1, m**n) for n in range(0, 7)]
     # grid cell of each word at resolutions 0..4
-    cells = [[(encode_digits(w, m) * m**n).__floor__() for n in range(0, 5)] for w in words]
+    cells = [_grid_cells(w, m, 5) for w in words]
     checked = 0
     for p, cells_p in zip(words, cells):
         for q, cells_q in zip(words, cells):
@@ -148,11 +155,11 @@ def check_cylinders(seed=0):
         length = rng.randrange(0, 9)
         p = tuple(rng.randrange(m) for _ in range(length))
         q = tuple(rng.randrange(m) for _ in range(rng.randrange(0, 9)))
-        psi_p, psi_q = encode_digits(p, m), encode_digits(q, m)
+        cells_p, cells_q = _grid_cells(p, m, 7), _grid_cells(q, m, 7)
         d = ultrametric(p, q, m, tail=0)
         for n in range(0, 7):
             close = d <= radii[n]
-            same_cell = (psi_p * m**n).__floor__() == (psi_q * m**n).__floor__()
+            same_cell = cells_p[n] == cells_q[n]
             checked += 1
             if close != same_cell:
                 return CheckResult("cylinders", False,

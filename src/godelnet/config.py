@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .network import SOUNDNESS
 from .symbols import BLANK
 
 OBSERVABLE_NAMES = ("step", "amari", "harmony", "dissimilarity")
@@ -64,7 +65,7 @@ class ExperimentConfig:
     sentence: tuple
     run_id: str = "run"
     macro_steps: int = 6
-    soundness: float = 1e-9
+    soundness: float = SOUNDNESS
     step_invariance: float = 0.0
     window: tuple = (2, 3)
     seed: int = 11
@@ -135,7 +136,7 @@ def load_config(path):
         run_id = parser["run"].get("id", run_id).strip()
         macro_steps = _int(parser["run"], "macro_steps", macro_steps)
 
-    soundness, step_inv = 1e-9, 0.0
+    soundness, step_inv = SOUNDNESS, 0.0
     if "tolerances" in parser:
         sec = parser["tolerances"]
         soundness = _float(sec, "soundness", soundness)

@@ -7,9 +7,9 @@ same value on a run and on its recoded twin; the classical aggregates
 (mean activation, harmony, dissimilarity) do not, which is the contrast the
 experiment harness reports.
 
-rho_pi realizes a recoding pair as a rigid motion of the unit square: decode
-the window corner, permute the digits per side, translate the point by the
-corner displacement.  alpha_pi pulls an observable back along rho_pi.
+rho_pi realizes a recoding pair as a rigid motion of the unit square: per side
+it permutes the base-m digits of the point's cell index k on the window grid
+and translates by (sigma(k) - k) / m**w.  alpha_pi pulls observables back.
 """
 
 import math
@@ -38,7 +38,7 @@ def _axis_index(y, m, window):
     """
     cells = m**window
     if isinstance(y, Fraction):
-        return (y * cells).__floor__()
+        return y.numerator * cells // y.denominator
     if not -DEFAULT_SNAP <= y < 1.0 + DEFAULT_SNAP:
         raise DomainError("float coordinate %r outside the unit interval" % (y,))
     z = y * cells
@@ -127,11 +127,19 @@ class PermutationPair:
 
 
 def _rigid_move(y, perm, m, window):
-    k = _axis_index(y, m, window)
-    k_new = digits_to_index(recode(index_to_digits(k, m, window), perm), m)
-    if isinstance(y, Fraction):
-        return y + Fraction(k_new - k, m**window)
-    return y + (k_new - k) / (m**window)
+    """Translate y by (sigma(k) - k) / m**window, sigma permuting the digits of its cell index k."""
+    k, cells = _axis_index(y, m, window), m**window
+    if len(perm) == m:  # a PermutationPair perm of the base: permute the digits of k arithmetically
+        k_new, rest, place = 0, k, 1
+        for _ in range(window):
+            rest, d = divmod(rest, m)
+            k_new, place = k_new + perm[d] * place, place * m
+    else:  # the digit route, which rejects digits the perm does not fit
+        k_new = digits_to_index(recode(index_to_digits(k, m, window), perm), m)
+    if not isinstance(y, Fraction):
+        return y + (k_new - k) / cells
+    # y + (k_new - k) / cells, normalised once
+    return y if k_new == k else Fraction(y.numerator * cells + (k_new - k) * y.denominator, y.denominator * cells)
 
 
 def rho_pi(obj, pair, window, bases):

@@ -71,8 +71,19 @@ def pattern_of(word, blank_pinned=False):
     return EqualityPattern(len(word), blocks, blank_pinned, zero_block)
 
 
-def _distinct_count(word):
-    return len(set(word))
+def _pattern_key(word, m, blank_pinned):
+    """Equality pattern as a flat key: each position's block number, plus the zero block if pinned."""
+    blocks = {}  # token -> block number; each token is validated once, at its first occurrence
+    for tok in word:
+        if tok not in blocks:
+            if isinstance(tok, int) and not 0 <= tok < m:
+                raise DomainError("digit %r outside 0..%d" % (tok, m - 1))
+            blocks[tok] = len(blocks)
+    if len(blocks) > m:
+        raise DomainError("word %r uses %d distinct symbols, more than m=%d" % (word, len(blocks), m))
+    key = tuple(map(blocks.__getitem__, word))
+    # the distinct tokens are all ints exactly when the word's are
+    return (key, blocks.get(_zero_token_for(blocks))) if blank_pinned else key
 
 
 def same_orbit(w, u, m, blank_pinned=False):
@@ -84,17 +95,7 @@ def same_orbit(w, u, m, blank_pinned=False):
     symbols is validated against m.
     """
     w, u = tuple(w), tuple(u)
-    for word in (w, u):
-        for tok in word:
-            if isinstance(tok, int) and not 0 <= tok < m:
-                raise DomainError("digit %r outside 0..%d" % (tok, m - 1))
-        if _distinct_count(word) > m:
-            raise DomainError(
-                "word %r uses %d distinct symbols, more than m=%d" % (word, _distinct_count(word), m)
-            )
-    if len(w) != len(u):
-        return False
-    return pattern_of(w, blank_pinned) == pattern_of(u, blank_pinned)
+    return _pattern_key(w, m, blank_pinned) == _pattern_key(u, m, blank_pinned)
 
 
 def orbit(word, m, blank_pinned=False, universe=None):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from godelnet import cli, load_config
+from godelnet import ExperimentConfig, cli, load_config
 from godelnet.errors import ConfigError
 from godelnet.harness import (
     Verdict,
@@ -18,6 +18,7 @@ from godelnet.harness import (
     verdicts_csv,
     write_report,
 )
+from godelnet.network import SOUNDNESS
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -75,6 +76,16 @@ def test_config_validation(tmp_path):
         encoding="utf-8")
     with pytest.raises(ConfigError, match="both"):
         load_config(bad)
+
+
+def test_config_without_tolerances_uses_the_network_soundness(tmp_path):
+    ini = tmp_path / "bare.ini"
+    ini.write_text("[grammar]\npath = g\nsentence = a\n[encoding:e:input]\na = 1\n[encoding:e:stack]\na = 1\n",
+                   encoding="utf-8")
+    cfg = load_config(ini)
+    assert (cfg.soundness, cfg.step_invariance) == (SOUNDNESS, 0.0)
+    # the dataclass defaults are the loader's fallbacks
+    assert ExperimentConfig(cfg.grammar_path, cfg.sentence, encodings=cfg.encodings) == cfg
 
 
 def test_readme_config_block_loads(tmp_path, config):

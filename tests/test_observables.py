@@ -22,6 +22,7 @@ from godelnet import (
 )
 from godelnet.errors import DomainError
 from godelnet.observables import _axis_index
+from godelnet.symbols import encode_digits, godel_decode, recode, zero_fixing_permutations
 
 WINDOW = (2, 3)  # (stack, input) window lengths
 BASES = (3, 5)  # (input, stack) alphabet sizes
@@ -127,6 +128,65 @@ def test_rho_exact_and_float_agree(swap_pair):
     fy1, fy2 = rho_pi(_floats(*point.as_floats()), swap_pair, WINDOW, BASES).x
     assert fy1 == pytest.approx(float(exact.y1), abs=1e-12)
     assert fy2 == pytest.approx(float(exact.y2), abs=1e-12)
+
+
+def _recoded(y, perm, m, window):
+    """Oracle for one axis of rho_pi: swap the window's digits for their recoded ones."""
+    digits = godel_decode(y, m, window)
+    return y - encode_digits(digits, m) + encode_digits(recode(digits, perm), m)
+
+
+#: The two window geometries of ``check_invariance``: (m_in, m_st), (l, r).
+INVARIANCE_GEOMETRIES = [((3, 3), (2, 3)), ((3, 5), (2, 3))]
+
+
+@pytest.mark.parametrize("bases, window", INVARIANCE_GEOMETRIES)
+def test_rho_matches_the_digit_recoding_oracle(bases, window):
+    (m_in, m_st), (l, r) = bases, window
+    # each cell's corner and interior point, as check_invariance moves them
+    xs = [Fraction(2 * i + half, 2 * m_in**r) for i in range(m_in**r) for half in (0, 1)]
+    ys = [Fraction(2 * j + half, 2 * m_st**l) for j in range(m_st**l) for half in (0, 1)]
+    points = [(a, b, PhasePoint(xs[a], ys[b]), _floats(float(xs[a]), float(ys[b])))
+              for a in range(len(xs)) for b in range(len(ys)) if a % 2 == b % 2]
+    for pi in zero_fixing_permutations(m_in):
+        x_images = [_recoded(x, pi, m_in, r) for x in xs]
+        fx_images = list(map(float, x_images))
+        for ps in zero_fixing_permutations(m_st):
+            y_images = [_recoded(y, ps, m_st, l) for y in ys]
+            fy_images = list(map(float, y_images))
+            pair = PermutationPair(pi, ps)
+            for a, b, point, state in points:
+                moved = rho_pi(point, pair, window, bases)
+                assert (moved.y1, moved.y2) == (x_images[a], y_images[b])
+                # the point, the step, the sum and float(image) each round by at most 2**-54
+                fx, fy = rho_pi(state, pair, window, bases).x
+                assert abs(fx - fx_images[a]) <= 2**-52 and abs(fy - fy_images[b]) <= 2**-52
+
+
+@pytest.mark.parametrize("bases, window", INVARIANCE_GEOMETRIES)
+def test_cell_of_reads_both_ends_of_every_cell(bases, window):
+    (m_in, m_st), (l, r) = bases, window
+    spec = build_step_observable(l, r, m_in, m_st, seed=17)
+
+    def ends(k, m, w):  # the left end of cell k and a point m**-5 cell widths below its right end
+        return Fraction(k, m**w), Fraction(k + 1, m**w) - Fraction(1, m ** (w + 5))
+
+    for i in range(m_in**r):
+        for j in range(m_st**l):
+            for x, y in zip(ends(i, m_in, r), ends(j, m_st, l)):
+                assert spec.cell_of(PhasePoint(x, y)) == (i, j)
+                assert spec.cell_of(_floats(float(x), float(y))) == (i, j)
+
+
+def test_rho_with_a_permutation_of_another_size_takes_the_digit_route(swap_pair):
+    point = PhasePoint(Fraction(16, 27), Fraction(4, 5))
+    want = rho_pi(point, swap_pair, WINDOW, BASES)
+    # a longer permutation that keeps the base's digits moves the point as its restriction does
+    assert rho_pi(point, PermutationPair((0, 2, 1, 3), swap_pair.stack_perm), WINDOW, BASES) == want
+    for perm, message in (((0, 1), "digit 2 outside 0..1"), ((0, 3, 1, 2), "digit 3 outside 0..2")):
+        with pytest.raises(DomainError) as err:
+            rho_pi(point, PermutationPair(perm, swap_pair.stack_perm), WINDOW, BASES)
+        assert str(err.value) == message
 
 
 def test_rho_on_neural_state_touches_only_the_mcl(plain_nda, plain_start, swap_pair):

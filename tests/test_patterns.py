@@ -54,6 +54,42 @@ def test_same_orbit_validates_digits():
         same_orbit("abcd", "abcd", 3)
 
 
+@pytest.mark.parametrize("w, u, m, pinned, message", [
+    ((0, 3), (0, 1), 3, False, "digit 3 outside 0..2"),
+    ((0, 1, 0), (2, 0, 4), 3, False, "digit 4 outside 0..2"),
+    ((0, 4, 1, 3), (0, 1, 2, 9), 3, True, "digit 4 outside 0..2"),
+    ((0, 1, 2), (0, 1, 2, -1), 4, True, "digit -1 outside 0..3"),
+    ("abcd", "abcd", 3, False, "word ('a', 'b', 'c', 'd') uses 4 distinct symbols, more than m=3"),
+    (("a", "b", "c", "d"), (0, 7), 3, False, "word ('a', 'b', 'c', 'd') uses 4 distinct symbols, more than m=3"),
+    ((0, 1), (BLANK, "x", "y", "z"), 3, True, "word ('⊔', 'x', 'y', 'z') uses 4 distinct symbols, more than m=3"),
+    ((0, 1, "x", BLANK), (0,), 3, True, "word (0, 1, 'x', '⊔') uses 4 distinct symbols, more than m=3"),
+], ids=["digit-in-w", "digit-in-u", "first-digit-of-w", "negative-digit-in-u", "symbols-in-w",
+        "w-before-u", "symbols-in-u", "mixed-word"])
+def test_same_orbit_error_messages(w, u, m, pinned, message):
+    # w is validated before u, and a word's digits before its distinct count
+    with pytest.raises(DomainError) as err:
+        same_orbit(w, u, m, blank_pinned=pinned)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_same_orbit_is_orbit_membership_on_digit_words(m):
+    words = [w for length in range(5) for w in product(range(m), repeat=length)]
+    for pinned in (False, True):
+        for w in words:
+            images = orbit(w, m, blank_pinned=pinned)
+            assert [same_orbit(w, u, m, blank_pinned=pinned) for u in words] == [u in images for u in words]
+
+
+def test_same_orbit_is_orbit_membership_on_blank_words():
+    universe = (BLANK, "a", "b")
+    words = [w for length in range(5) for w in product(universe, repeat=length)]
+    for pinned in (False, True):
+        for w in (w for w in words if BLANK in w):
+            images = orbit(w, 3, blank_pinned=pinned, universe=universe)
+            assert [same_orbit(w, u, 3, blank_pinned=pinned) for u in words] == [u in images for u in words]
+
+
 def test_orbit_sizes():
     # k distinct symbols among m give m! / (m-k)! images
     assert len(orbit((0,), 3)) == 3
