@@ -40,15 +40,12 @@ from .network import (
     NetworkSpec,
     NeuralState,
     embed,
-    mcl_projection,
     na_micro_step,
     na_run,
-    require_sound,
     synthesize,
 )
 from .observables import (
     PermutationPair,
-    alpha_pi,
     amari,
     build_step_observable,
     dissimilarity,
@@ -130,7 +127,6 @@ __all__ = [
     "VersatileShift",
     "VsRule",
     "WILDCARD",
-    "alpha_pi",
     "amari",
     "build_step_observable",
     "compile_cfg_topdown",
@@ -150,7 +146,6 @@ __all__ = [
     "interval_partition",
     "load_config",
     "load_grammar",
-    "mcl_projection",
     "na_micro_step",
     "na_run",
     "nda_run",
@@ -160,7 +155,6 @@ __all__ = [
     "pattern_of",
     "recode",
     "recode_ordering",
-    "require_sound",
     "rho_pi",
     "run_checks",
     "run_experiment",

@@ -37,6 +37,7 @@ is pinned to digit 0 automatically, a present one must carry digit 0.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +76,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.macro_steps < 1:
             raise ConfigError("macro_steps must be >= 1, got %d" % self.macro_steps)
+        for key in ("soundness", "step_invariance"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError("%s must be a finite number >= 0, got %r" % (key, value))
         if not self.encodings:
             raise ConfigError("at least one [encoding:NAME:input/stack] pair is required")
         if not self.observables:

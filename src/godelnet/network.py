@@ -52,7 +52,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DivergenceError, InternalConsistencyError, ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .nda import PhasePoint, nda_step
 
 RAMP = "ramp"
@@ -126,9 +126,6 @@ class NeuralState:
     x: np.ndarray
     macro: int = 0
     micro: int = 0
-
-    def at_boundary(self):
-        return self.micro == 0
 
 
 def synthesize(nda):
@@ -243,11 +240,6 @@ def na_micro_step(spec, state):
     return NeuralState(x=x, macro=macro, micro=micro)
 
 
-def mcl_projection(state):
-    """The two machine-configuration components as floats."""
-    return float(state.x[MCL[0]]), float(state.x[MCL[1]])
-
-
 @dataclass(frozen=True)
 class NaRun:
     """All micro states of a run plus divergence bookkeeping."""
@@ -287,16 +279,6 @@ def na_run(spec, state, macro_steps, reference=None, tol=SOUNDNESS, point=None):
             if err > tol and div_step < 0:
                 div_step = k + 1
     return NaRun(tuple(states), max_div, div_step)
-
-
-def require_sound(run):
-    if run.diverged:
-        raise DivergenceError(
-            "network diverged from the affine table at macro step %d (max %g)"
-            % (run.divergence_step, run.max_divergence),
-            counterexample=run.divergence_step,
-        )
-    return run
 
 
 def _roles(p, q):

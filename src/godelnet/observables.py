@@ -1,52 +1,31 @@
 """Macroscopic observables over phase points and network states.
 
 The step observable assigns one coefficient per equality-pattern class of
-the window rectangle a state's machine configuration lies in.  Because the
-classes are unions of digit-permutation orbits, the observable takes the
-same value on a run and on its recoded twin; the classical aggregates
-(mean activation, harmony, dissimilarity) do not, which is the contrast the
-experiment harness reports.
+the window rectangle a phase point lies in.  Because the classes are unions
+of digit-permutation orbits, the observable takes the same value on a run
+and on its recoded twin; the classical aggregates (mean activation,
+harmony, dissimilarity) of network states do not, which is the contrast
+the experiment harness reports.
 
 rho_pi realizes a recoding pair as a rigid motion of the unit square: per side
 it permutes the base-m digits of the point's cell index k on the window grid
-and translates by (sigma(k) - k) / m**w.  alpha_pi pulls observables back.
+and translates by (sigma(k) - k) / m**w.
 """
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .nda import PhasePoint
-from .network import mcl_projection
 from .patterns import square_partition
 from .symbols import check_permutation, digits_to_index, index_to_digits, recode
 
-#: Tolerance (on the scaled digit grid) for snapping float coordinates to
-#: cell corners; generous against the 1e-9 macro soundness bound, tight
-#: against the >= 1/m cell width.
-DEFAULT_SNAP = 1e-6
-
 
 def _axis_index(y, m, window):
-    """Cell index of a coordinate on the m**window grid of [0, 1).
-
-    An exact (``Fraction``) coordinate is floored.  A float within
-    ``DEFAULT_SNAP`` grid units of a corner is read as that corner, so float
-    error cannot move an encoding out of the cell it came from.
-    """
-    cells = m**window
-    if isinstance(y, Fraction):
-        return y.numerator * cells // y.denominator
-    if not -DEFAULT_SNAP <= y < 1.0 + DEFAULT_SNAP:
-        raise DomainError("float coordinate %r outside the unit interval" % (y,))
-    z = y * cells
-    k = math.floor(z)
-    nearest = round(z)
-    if abs(z - nearest) <= DEFAULT_SNAP:
-        k = nearest
-    return min(max(k, 0), cells - 1)
+    """Cell index of an exact coordinate on the m**window grid of [0, 1)."""
+    return y.numerator * m**window // y.denominator
 
 
 @dataclass(frozen=True)
@@ -62,13 +41,12 @@ class StepObservableSpec:
     class_map: object
     coefficients: tuple
 
-    def cell_of(self, obj):
-        y1, y2 = (obj.y1, obj.y2) if isinstance(obj, PhasePoint) else mcl_projection(obj)
+    def cell_of(self, point):
         cmap = self.class_map
-        return _axis_index(y1, cmap.m, cmap.l), _axis_index(y2, cmap.m_right, cmap.r)
+        return _axis_index(point.y1, cmap.m, cmap.l), _axis_index(point.y2, cmap.m_right, cmap.r)
 
-    def class_of(self, obj):
-        return self.class_map.class_of(self.cell_of(obj))
+    def class_of(self, point):
+        return self.class_map.class_of(self.cell_of(point))
 
 
 def build_step_observable(l, r, m_in, m_st, seed):
@@ -85,9 +63,9 @@ def build_step_observable(l, r, m_in, m_st, seed):
     return StepObservableSpec(class_map=class_map, coefficients=coefficients)
 
 
-def step_observable(spec, obj):
-    """Coefficient of the pattern class of the state's window rectangle."""
-    return spec.coefficients[spec.class_of(obj)]
+def step_observable(spec, point):
+    """Coefficient of the pattern class of the point's window rectangle."""
+    return spec.coefficients[spec.class_of(point)]
 
 
 def amari(state):
@@ -136,35 +114,17 @@ def _rigid_move(y, perm, m, window):
             k_new, place = k_new + perm[d] * place, place * m
     else:  # the digit route, which rejects digits the perm does not fit
         k_new = digits_to_index(recode(index_to_digits(k, m, window), perm), m)
-    if not isinstance(y, Fraction):
-        return y + (k_new - k) / cells
     # y + (k_new - k) / cells, normalised once
     return y if k_new == k else Fraction(y.numerator * cells + (k_new - k) * y.denominator, y.denominator * cells)
 
 
-def rho_pi(obj, pair, window, bases):
-    """Rigid square motion induced by a recoding pair.
+def rho_pi(point, pair, window, bases):
+    """Rigid square motion induced by a recoding pair, exact on phase points.
 
     ``window`` is (l, r) = (stack, input) lengths; ``bases`` is
-    (m_in, m_st).  Phase points transform exactly; neural states transform
-    in their MCL components only (identity elsewhere), with corner snapping.
+    (m_in, m_st).
     """
     l, r = window
     m_in, m_st = bases
-    if isinstance(obj, PhasePoint):
-        y1 = _rigid_move(obj.y1, pair.input_perm, m_in, r)
-        y2 = _rigid_move(obj.y2, pair.stack_perm, m_st, l)
-        return PhasePoint(y1, y2)
-    x = obj.x.copy()
-    x[0] = _rigid_move(float(x[0]), pair.input_perm, m_in, r)
-    x[1] = _rigid_move(float(x[1]), pair.stack_perm, m_st, l)
-    return replace(obj, x=x)
-
-
-def alpha_pi(observable, pair, window, bases):
-    """Pullback of an observable along rho_pi."""
-
-    def pulled(obj):
-        return observable(rho_pi(obj, pair, window, bases))
-
-    return pulled
+    return PhasePoint(_rigid_move(point.y1, pair.input_perm, m_in, r),
+                      _rigid_move(point.y2, pair.stack_perm, m_st, l))

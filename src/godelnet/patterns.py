@@ -41,12 +41,6 @@ class EqualityPattern:
     pinned: bool = False
     zero_block: object = None
 
-    def block_of(self, position):
-        for i, b in enumerate(self.blocks):
-            if position in b:
-                return i
-        raise DomainError("position %r outside 1..%d" % (position, self.length))
-
 
 def _zero_token_for(word):
     """The token playing the zero role: 0 in digit words, else the blank glyph."""

@@ -20,7 +20,7 @@ import io
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import GrammarError, MachineBuildError
+from .errors import DomainError, GrammarError, MachineBuildError
 from .symbols import BLANK, Alphabet, DottedSequence
 
 
@@ -229,7 +229,10 @@ def vs_run(machine, state, max_steps=100):
 
     Each trace row carries the operation applied at that time; the final row
     carries the terminal verdict (accept, halt-reject, or step-limit).
+    A negative budget raises DomainError.
     """
+    if max_steps < 0:
+        raise DomainError("max_steps must be >= 0, got %d" % max_steps)
     steps = []
     for t in range(max_steps + 1):
         nxt, label = vs_step(machine, state)

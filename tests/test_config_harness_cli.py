@@ -88,6 +88,25 @@ def test_config_without_tolerances_uses_the_network_soundness(tmp_path):
     assert ExperimentConfig(cfg.grammar_path, cfg.sentence, encodings=cfg.encodings) == cfg
 
 
+def _shipped_config_with(tmp_path, old, new):
+    """The shipped config, next to its grammar, with one line replaced."""
+    text = (CONFIG_DIR / "experiment.ini").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "experiment.ini"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    shutil.copy(CONFIG_DIR / "parser.grammar", tmp_path)
+    return path
+
+
+@pytest.mark.parametrize("key, default", [("soundness", "1e-9"), ("step_invariance", "0")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+def test_config_rejects_tolerances_that_are_not_finite_and_nonnegative(tmp_path, key, default, value):
+    path = _shipped_config_with(tmp_path, "%s = %s\n" % (key, default), "%s = %s\n" % (key, value))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == "%s must be a finite number >= 0, got %r" % (key, float(value))
+
+
 def test_readme_config_block_loads(tmp_path, config):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration format", 1)[1]
@@ -173,6 +192,15 @@ def test_cli_parse_missing_grammar(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_parse_refuses_a_negative_step_budget(capsys):
+    grammar = str(CONFIG_DIR / "parser.grammar")
+    assert cli.main(["parse", grammar, "NP", "V", "NP", "--max-steps", "-1"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: max_steps must be >= 0, got -1\n"
+    # a zero budget prints the start row with the step-limit verdict
+    assert cli.main(["parse", grammar, "NP", "V", "NP", "--max-steps", "0"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "t=0   S . NP V NP   [step-limit]\nverdict: step-limit\n"
+
+
 def test_cli_orbit(capsys):
     code = cli.main(["orbit", "aaabcabc"])
     out = capsys.readouterr().out
@@ -231,6 +259,21 @@ def test_cli_run_bad_config(tmp_path, capsys):
     path = tmp_path / "broken.ini"
     path.write_text("[grammar]\n", encoding="utf-8")
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+
+
+def test_cli_run_refuses_a_nan_soundness(tmp_path, capsys):
+    path = _shipped_config_with(tmp_path, "soundness = 1e-9\n", "soundness = nan\n")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: soundness must be a finite number >= 0, got nan\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_exits_3_when_a_network_leaves_the_exact_orbit(tmp_path, capsys):
+    # a zero tolerance is valid, and the demo networks deviate by about 1e-14
+    path = _shipped_config_with(tmp_path, "soundness = 1e-9\n", "soundness = 0\n")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_DIVERGENCE
+    assert "left the exact orbit at macro step" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_reports_invariance_failure(tmp_path, monkeypatch, report, capsys):

@@ -15,19 +15,15 @@ from godelnet import (
     encode_tape,
     from_versatile_shift,
     initial_state,
-    mcl_projection,
     na_micro_step,
     na_run,
-    nda_run,
     parse_grammar,
-    require_sound,
     synthesize,
 )
-from godelnet.errors import DivergenceError, InternalConsistencyError, ResourceLimitError
+from godelnet.errors import InternalConsistencyError, ResourceLimitError
 from godelnet.network import (
     RAMP,
     STEP,
-    NaRun,
     _validate_synthesis,
     activate,
     network_csv,
@@ -142,10 +138,9 @@ def test_bias_free_construction(plain_net):
 
 def test_embed_and_project(plain_net, plain_start):
     state = embed(plain_net, plain_start)
-    y1, y2 = mcl_projection(state)
-    assert (y1, y2) == plain_start.as_floats()
+    assert (state.x[0], state.x[1]) == plain_start.as_floats()
     assert state.x[plain_net.always_on] == 1.0
-    assert state.at_boundary()
+    assert (state.macro, state.micro) == (0, 0)
 
 
 def test_phase_schedule_updates_one_bank_per_micro(plain_net, plain_start):
@@ -192,10 +187,8 @@ def test_macro_run_follows_exact_orbit(plain_nda, plain_net, plain_start, plain_
     assert run.max_divergence <= 1e-9
     assert len(run.macro_states) == 7
     for state, expected in zip(run.macro_states, plain_orbit):
-        y1, y2 = mcl_projection(state)
-        assert abs(y1 - float(expected[0])) <= 1e-9
-        assert abs(y2 - float(expected[1])) <= 1e-9
-    require_sound(run)
+        assert abs(state.x[0] - float(expected[0])) <= 1e-9
+        assert abs(state.x[1] - float(expected[1])) <= 1e-9
 
 
 def test_runs_are_deterministic(plain_net, plain_start):
@@ -209,12 +202,6 @@ def test_states_stay_in_unit_box(plain_net, plain_nda, plain_start):
     run = na_run(plain_net, embed(plain_net, plain_start), 6)
     for state in run.states:
         assert state.x.min() >= 0.0 and state.x.max() <= 1.0
-
-
-def test_require_sound_raises():
-    broken = NaRun(states=(), max_divergence=0.5, divergence_step=2)
-    with pytest.raises(DivergenceError):
-        require_sound(broken)
 
 
 def test_divergence_detection_against_wrong_reference(plain_nda, mixed_nda, plain_net, plain_start):

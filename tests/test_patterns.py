@@ -22,9 +22,6 @@ def test_pattern_blocks():
     pat = pattern_of("aaabcabc")
     assert pat.length == 8
     assert pat.blocks == ((1, 2, 3, 6), (4, 7), (5, 8))
-    assert pat.block_of(7) == 1
-    with pytest.raises(DomainError):
-        pat.block_of(9)
 
 
 def test_pattern_zero_marking():

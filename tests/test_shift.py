@@ -18,7 +18,7 @@ from godelnet import (
     vs_run,
     vs_step,
 )
-from godelnet.errors import GrammarError, MachineBuildError
+from godelnet.errors import DomainError, GrammarError, MachineBuildError
 from godelnet.shift import STEP_LIMIT, NonDeterminedShiftError, trace_csv
 
 EXPECTED_TRACE = (
@@ -121,6 +121,11 @@ def test_step_limit_verdict():
     trace = vs_run(machine, DottedSequence(("x",), ()), max_steps=5)
     assert trace.verdict == STEP_LIMIT
     assert trace.steps[-1].time == 5
+    # a zero budget still traces the start state; a negative one is refused
+    trace = vs_run(machine, DottedSequence(("x",), ()), max_steps=0)
+    assert [(st.time, st.operation) for st in trace.steps] == [(0, STEP_LIMIT)]
+    with pytest.raises(DomainError, match=r"^max_steps must be >= 0, got -1$"):
+        vs_run(machine, DottedSequence(("x",), ()), max_steps=-1)
 
 
 def test_wildcard_forces_equality():
