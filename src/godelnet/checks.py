@@ -132,6 +132,14 @@ def _grid_cells(word, m, resolutions):
     return [k * m**n // m ** len(word) for n in range(resolutions)]
 
 
+def _radii_within(d, radii, count):
+    """How many of the first ``count`` radii (decreasing) the distance d is within: d <= radii[n] iff n < it."""
+    within = 0
+    while within < count and d <= radii[within]:
+        within += 1
+    return within
+
+
 def check_cylinders(seed=0):
     """Distance at most m**-n coincides with sharing the n-th grid cell."""
     m = 3
@@ -142,9 +150,9 @@ def check_cylinders(seed=0):
     checked = 0
     for p, cells_p in zip(words, cells):
         for q, cells_q in zip(words, cells):
-            d = ultrametric(p, q, m, tail=0)
+            within = _radii_within(ultrametric(p, q, m, tail=0), radii, 5)
             for n in range(0, 5):
-                close = d <= radii[n]
+                close = n < within
                 same_cell = cells_p[n] == cells_q[n]
                 checked += 1
                 if close != same_cell:
@@ -156,9 +164,9 @@ def check_cylinders(seed=0):
         p = tuple(rng.randrange(m) for _ in range(length))
         q = tuple(rng.randrange(m) for _ in range(rng.randrange(0, 9)))
         cells_p, cells_q = _grid_cells(p, m, 7), _grid_cells(q, m, 7)
-        d = ultrametric(p, q, m, tail=0)
+        within = _radii_within(ultrametric(p, q, m, tail=0), radii, 7)
         for n in range(0, 7):
-            close = d <= radii[n]
+            close = n < within
             same_cell = cells_p[n] == cells_q[n]
             checked += 1
             if close != same_cell:

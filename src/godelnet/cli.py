@@ -61,11 +61,13 @@ def _build_parser():
     p.add_argument("--m", type=int, required=True, help="base of the (x) axis")
     p.add_argument("--l", type=int, required=True, help="window length on the (x) axis")
     p.add_argument("--r", type=int, default=None, help="y-axis window length (select the square)")
-    p.add_argument("--m-right", type=int, default=None, help="y-axis base (default: --m)")
-    p.add_argument("--mode", choices=("joint", "product"), default="joint")
+    p.add_argument("--m-right", type=int, default=None, help="y-axis base (square only; default: --m)")
+    p.add_argument("--mode", choices=("joint", "product"), default=None,
+                   help="how the two sides are permuted (square only; default: joint)")
     p.add_argument("--pinned", action="store_true")
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("run", help="run a configured experiment")
     p.add_argument("config", help="experiment configuration file")
@@ -109,14 +111,17 @@ def cmd_orbit(args):
 
 def cmd_partition(args):
     if args.r is None:
+        for flag, value in (("--m-right", args.m_right), ("--mode", args.mode)):
+            if value is not None:  # the interval partition has no y axis to apply it to
+                args.usage_error("%s applies to the square partition only; give --r too" % flag)
         cmap = interval_partition(args.m, args.l, blank_pinned=args.pinned)
         print("interval partition: m=%d l=%d, %d cells, %d classes"
               % (args.m, args.l, cmap.x_cells, cmap.class_count))
     else:
-        cmap = square_partition(args.m, args.l, args.r, mode=args.mode,
+        cmap = square_partition(args.m, args.l, args.r, mode=args.mode or "joint",
                                 blank_pinned=args.pinned, m_right=args.m_right)
         print("square partition (%s): %d x %d cells, %d classes"
-              % (args.mode, cmap.x_cells, cmap.y_cells, cmap.class_count))
+              % (cmap.mode, cmap.x_cells, cmap.y_cells, cmap.class_count))
     write_class_map(cmap, csv_path=args.csv, svg_path=args.svg)
     for path in (args.csv, args.svg):
         if path:

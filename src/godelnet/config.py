@@ -33,7 +33,8 @@ and one section pair per named encoding mapping symbols to digits:
     ...
 
 Symbol keys are case-sensitive.  The blank row is optional; a missing blank
-is pinned to digit 0 automatically, a present one must carry digit 0.
+is pinned to digit 0 automatically, a present one must carry digit 0.  Any
+other section, and any key a fixed section does not read, is a ConfigError.
 """
 
 import configparser
@@ -46,6 +47,14 @@ from .network import SOUNDNESS
 from .symbols import BLANK
 
 OBSERVABLE_NAMES = ("step", "amari", "harmony", "dissimilarity")
+
+#: The keys each fixed section reads; an encoding section's keys are its symbols.
+_SECTION_KEYS = {
+    "grammar": ("path", "sentence"),
+    "run": ("id", "macro_steps"),
+    "tolerances": ("soundness", "step_invariance"),
+    "observables": ("window", "seed") + OBSERVABLE_NAMES,
+}
 
 _TRUE = {"1", "on", "true", "yes"}
 _FALSE = {"0", "off", "false", "no"}
@@ -126,6 +135,7 @@ def load_config(path):
     except configparser.Error as err:
         raise ConfigError("malformed config %s: %s" % (path, err)) from None
 
+    _check_names(parser)
     if "grammar" not in parser:
         raise ConfigError("missing [grammar] section")
     grammar_sec = parser["grammar"]
@@ -188,6 +198,22 @@ def load_config(path):
         observables=tuple(enabled),
         encodings=tuple(pairs),
     )
+
+
+def _check_names(parser):
+    """Reject the sections and keys the loader would otherwise ignore (typos)."""
+    if parser.defaults():  # configparser copies [DEFAULT] keys into every section
+        raise ConfigError("unknown section [DEFAULT]")
+    for section in parser.sections():
+        if section.startswith("encoding:"):
+            continue
+        if section not in _SECTION_KEYS:
+            raise ConfigError("unknown section [%s]; expected %s or [encoding:NAME:input|stack]"
+                              % (section, ", ".join("[%s]" % name for name in _SECTION_KEYS)))
+        for key in parser.options(section):
+            if key not in _SECTION_KEYS[section]:
+                raise ConfigError("[%s] unknown key %r; expected one of %s"
+                                  % (section, key, ", ".join(_SECTION_KEYS[section])))
 
 
 def _as_int(key, raw):

@@ -106,7 +106,8 @@ class PermutationPair:
 
 def _rigid_move(y, perm, m, window):
     """Translate y by (sigma(k) - k) / m**window, sigma permuting the digits of its cell index k."""
-    k, cells = _axis_index(y, m, window), m**window
+    num, den, cells = y.numerator, y.denominator, m**window
+    k = num * cells // den  # _axis_index(y, m, window), without a second m**window
     if len(perm) == m:  # a PermutationPair perm of the base: permute the digits of k arithmetically
         k_new, rest, place = 0, k, 1
         for _ in range(window):
@@ -115,7 +116,7 @@ def _rigid_move(y, perm, m, window):
     else:  # the digit route, which rejects digits the perm does not fit
         k_new = digits_to_index(recode(index_to_digits(k, m, window), perm), m)
     # y + (k_new - k) / cells, normalised once
-    return y if k_new == k else Fraction(y.numerator * cells + (k_new - k) * y.denominator, y.denominator * cells)
+    return y if k_new == k else Fraction(num * cells + (k_new - k) * den, den * cells)
 
 
 def rho_pi(point, pair, window, bases):

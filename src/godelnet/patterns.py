@@ -68,16 +68,20 @@ def pattern_of(word, blank_pinned=False):
 def _pattern_key(word, m, blank_pinned):
     """Equality pattern as a flat key: each position's block number, plus the zero block if pinned."""
     blocks = {}  # token -> block number; each token is validated once, at its first occurrence
+    key = []
+    ints = True  # whether the distinct tokens are all ints, as _zero_token_for asks of the word
     for tok in word:
-        if tok not in blocks:
-            if isinstance(tok, int) and not 0 <= tok < m:
+        block = blocks.get(tok)
+        if block is None:
+            if not isinstance(tok, int):
+                ints = False
+            elif not 0 <= tok < m:
                 raise DomainError("digit %r outside 0..%d" % (tok, m - 1))
-            blocks[tok] = len(blocks)
+            block = blocks[tok] = len(blocks)
+        key.append(block)
     if len(blocks) > m:
         raise DomainError("word %r uses %d distinct symbols, more than m=%d" % (word, len(blocks), m))
-    key = tuple(map(blocks.__getitem__, word))
-    # the distinct tokens are all ints exactly when the word's are
-    return (key, blocks.get(_zero_token_for(blocks))) if blank_pinned else key
+    return (key, blocks.get(0 if ints else BLANK)) if blank_pinned else key
 
 
 def same_orbit(w, u, m, blank_pinned=False):
@@ -166,11 +170,11 @@ class PatternClassMap:
     def class_count(self):
         return len(set(self.assignment))
 
-    @property
+    @cached_property
     def x_cells(self):
         return self.m**self.l
 
-    @property
+    @cached_property
     def y_cells(self):
         return self.m_right**self.r if self.kind == "square" else 1
 

@@ -153,12 +153,6 @@ class OneSidedSequence:
         return self.prefix[k - 1] if k <= len(self.prefix) else self.tail
 
 
-def as_sequence(seq, tail=BLANK):
-    if isinstance(seq, OneSidedSequence):
-        return seq
-    return OneSidedSequence(tuple(seq), tail)
-
-
 def godel_encode(seq, ordering):
     """Exact Godel encoding of a word or one-sided sequence.
 
@@ -260,13 +254,17 @@ def ultrametric(p, q, m, tail=BLANK):
     """
     if m < 2:
         raise DomainError("base m must be >= 2, got %r" % (m,))
-    p = as_sequence(p, tail)
-    q = as_sequence(q, tail)
-    horizon = max(len(p.prefix), len(q.prefix))
-    for k in range(1, horizon + 1):
-        if p.at(k) != q.at(k):
-            return Fraction(1, m ** (k - 1))
-    if p.tail != q.tail:
+    # a word's trailing tail symbols need no trimming: they equal the tail that follows them
+    p, p_tail = (p.prefix, p.tail) if isinstance(p, OneSidedSequence) else (tuple(p), tail)
+    q, q_tail = (q.prefix, q.tail) if isinstance(q, OneSidedSequence) else (tuple(q), tail)
+    p_len, q_len = len(p), len(q)
+    horizon = max(p_len, q_len)
+    for k in range(horizon):
+        a = p[k] if k < p_len else p_tail
+        b = q[k] if k < q_len else q_tail
+        if a != b:
+            return Fraction(1, m**k)
+    if p_tail != q_tail:
         return Fraction(1, m**horizon)
     return Fraction(0)
 

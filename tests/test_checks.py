@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import godelnet.checks as checks
+import godelnet.cli as cli
 from godelnet import (
     BLANK,
     Alphabet,
@@ -157,6 +158,26 @@ SEED0_DETAILS = {
 
 def test_seed0_suite_details_are_unchanged(suite_runs):
     assert {name: result.detail for name, (result, _) in suite_runs.items()} == SEED0_DETAILS
+
+
+#: ``godelnet check --seed 3`` stdout; seed 3 draws other cross-length
+#: orbit pairs than seed 0, so the orbits count differs.
+SEED3_STDOUT = """\
+ok   ultrametric  1600 pairs (identity, symmetry, range) and 20000 sampled triples
+ok   cylinders    143205 word pairs x resolutions
+ok   orbits       136774 word pairs, m in {2, 3}, lengths <= 5, both modes
+ok   recoding     1460 composition triples plus inverse/identity laws
+ok   partitions   2122 cells across interval and square grids
+ok   commutation  1216 tape steps across the demo machine and 10 random machines
+ok   invariance   67044 moved points across two window geometries
+ok   network      462 micro states checked for bounds, one-hot branching, determinism, soundness
+8/8 suites passed
+"""
+
+
+def test_seed3_check_stdout_is_unchanged(capsys):
+    assert cli.main(["check", "--seed", "3"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == SEED3_STDOUT
 
 
 def test_orbit_suite_passes_on_real_criterion(suite_runs):

@@ -107,6 +107,37 @@ def test_config_rejects_tolerances_that_are_not_finite_and_nonnegative(tmp_path,
     assert str(err.value) == "%s must be a finite number >= 0, got %r" % (key, float(value))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("sentence = NP V NP\n", "sentence = NP V NP\nstart = S\n",
+     "[grammar] unknown key 'start'; expected one of path, sentence"),
+    ("macro_steps = 6\n", "macro_step = 2\n",
+     "[run] unknown key 'macro_step'; expected one of id, macro_steps"),
+    ("soundness = 1e-9\n", "soundnes = 1e-9\n",
+     "[tolerances] unknown key 'soundnes'; expected one of soundness, step_invariance"),
+    ("amari = on\n", "amary = off\n",
+     "[observables] unknown key 'amary'; expected one of window, seed, step, amari, harmony, dissimilarity"),
+    ("[observables]\n", "[observable]\n",
+     "unknown section [observable]; expected [grammar], [run], [tolerances], [observables]"
+     " or [encoding:NAME:input|stack]"),
+    ("[grammar]\n", "[DEFAULT]\nseed = 3\n\n[grammar]\n", "unknown section [DEFAULT]"),
+], ids=["grammar", "run", "tolerances", "observables", "section", "default"])
+def test_config_rejects_keys_and_sections_it_would_ignore(tmp_path, capsys, old, new, message):
+    path = _shipped_config_with(tmp_path, old, new)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == message
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_encoding_sections_take_any_symbol_key(tmp_path):
+    # an encoding section's keys are symbols, even ones named like a fixed section's keys
+    path = _shipped_config_with(tmp_path, "[encoding:delta:input]\n", "[encoding:delta:input]\nseed = 3\n")
+    delta = load_config(path).encodings[0]
+    assert delta.name == "delta" and ("seed", 3) in delta.input_table
+
+
 def test_readme_config_block_loads(tmp_path, config):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration format", 1)[1]
@@ -244,6 +275,22 @@ def test_cli_partition_stdout_keeps_its_bytes(argv, want, tmp_path, capsys):
     argv += " --csv %s --svg %s" % (csv_path, svg_path)
     assert cli.main(["partition"] + argv.split()) == cli.EXIT_OK
     assert capsys.readouterr().out == want + "written %s\nwritten %s\n" % (csv_path, svg_path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("--m 3 --l 2 --m-right 4", "--m-right"),
+    ("--m 3 --l 2 --mode product", "--mode"),
+    ("--m 3 --l 2 --mode joint --pinned", "--mode"),
+])
+def test_cli_partition_refuses_square_flags_without_r(argv, flag, tmp_path, capsys):
+    csv_path = tmp_path / "cells.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["partition"] + argv.split() + ["--csv", str(csv_path)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and not csv_path.exists()
+    assert err.startswith("usage: godelnet partition")
+    assert err.endswith("godelnet partition: error: %s applies to the square partition only; give --r too\n" % flag)
 
 
 def test_cli_run(tmp_path, capsys):

@@ -38,6 +38,19 @@ def test_same_orbit_basics():
     assert same_orbit((), (), 3)
 
 
+@pytest.mark.parametrize("word, other, want", [
+    ((1, 0), (1.0, 0.0), [True, False]),  # floats are symbol tokens: the pinned zero is the blank glyph
+    ((1, 0), (True, False), [True, True]),  # bools are ints: False plays the zero digit
+    ((0, 0), (0, 0.0), [True, True]),  # 0.0 is the token 0 already seen, so the word's tokens are ints
+], ids=["floats", "bools", "repeat"])
+def test_same_orbit_tells_tokens_apart_that_compare_equal(word, other, want):
+    # the words of each case compare equal and differ only in token types: a memo keyed by the word
+    # would answer the floats case with the bools case's result
+    assert word == other
+    assert [same_orbit(word, other, 3, blank_pinned=pinned) for pinned in (False, True)] == want
+    assert [same_orbit(other, word, 3, blank_pinned=pinned) for pinned in (False, True)] == want
+
+
 def test_same_orbit_pinned_distinguishes_zero_position():
     assert same_orbit((0, 1), (1, 0), 2)
     assert not same_orbit((0, 1), (1, 0), 2, blank_pinned=True)

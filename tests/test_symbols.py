@@ -113,6 +113,41 @@ def test_ultrametric_distinguishes_tails():
     assert ultrametric(p, q, 3) == Fraction(1, 3)
 
 
+def _padded_distance(p, p_tail, q, q_tail, m):
+    """m**-n for the first position n (0-based) where the padded sequences differ, else 0."""
+    horizon = max(len(p), len(q)) + 1  # past both prefixes each side is its constant tail
+    p = tuple(p) + (p_tail,) * (horizon - len(p))
+    q = tuple(q) + (q_tail,) * (horizon - len(q))
+    for n, (a, b) in enumerate(zip(p, q)):
+        if a != b:
+            return Fraction(1, m**n)
+    return Fraction(0)
+
+
+@pytest.mark.parametrize("tail", [0, BLANK], ids=["tail0", "blank"])
+def test_ultrametric_matches_padded_oracle_on_short_words(tail):
+    words = [w for n in range(4) for w in product(range(3), repeat=n)]
+    for p in words:
+        for q in words:
+            assert ultrametric(p, q, 3, tail=tail) == _padded_distance(p, tail, q, tail, 3), (p, q)
+
+
+def test_ultrametric_matches_padded_oracle_on_sequences_with_other_tails():
+    tails = (0, 1, BLANK)
+    words = [w for n in range(3) for w in product(range(3), repeat=n)]
+    for p, p_tail, q, q_tail in product(words, tails, words, tails):
+        want = _padded_distance(p, p_tail, q, q_tail, 3)
+        got = ultrametric(OneSidedSequence(p, tail=p_tail), OneSidedSequence(q, tail=q_tail), 3)
+        assert got == want, (p, p_tail, q, q_tail)
+        # a bare word takes the ``tail`` argument, a sequence keeps its own
+        assert ultrametric(p, OneSidedSequence(q, tail=q_tail), 3, tail=p_tail) == want, (p, p_tail, q, q_tail)
+
+
+def test_ultrametric_rejects_a_base_below_two():
+    with pytest.raises(DomainError, match="base m must be >= 2, got 1"):
+        ultrametric((0,), (1,), 1)
+
+
 def test_ordering_requires_exact_digit_cover():
     alpha = Alphabet(("a", "b", "c"))
     with pytest.raises(DomainError):
