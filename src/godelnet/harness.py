@@ -8,6 +8,7 @@ artifacts are plain CSV/SVG/text files with fully deterministic bytes.
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,9 +179,12 @@ def run_experiment(config):
                 if len(sa) != len(sb):
                     raise InternalConsistencyError(
                         "series length mismatch for %s" % obs)
-                delta = max((abs(float(va) - float(vb))
-                             for (_, va), (_, vb) in zip(sa, sb)),
-                            default=0.0)
+                deltas = [abs(float(va) - float(vb))
+                          for (_, va), (_, vb) in zip(sa, sb)]
+                # max() passes over a NaN that follows a number; a NaN
+                # anywhere leaves the comparison undecided, so not invariant
+                delta = (math.nan if any(map(math.isnan, deltas))
+                         else max(deltas, default=0.0))
                 verdicts.append(Verdict(
                     observable=obs, enc_a=a.name, enc_b=b.name,
                     max_abs_delta=delta,

@@ -197,10 +197,10 @@ def _nonblank(alphabet):
 _MACHINE_PASSES = weakref.WeakKeyDictionary()
 
 
-def _check_alphabet(word, alphabet):
-    symbols = frozenset(alphabet.symbols)
+def _check_alphabet(word, members, alphabet):
+    """Reject the first symbol of ``word`` not in ``members``, the set of ``alphabet``'s symbols."""
     for sym in word:
-        if sym not in symbols:
+        if sym not in members:
             raise DomainError("symbol %r not in alphabet %r" % (sym, alphabet.symbols))
 
 
@@ -217,6 +217,7 @@ def _machine_pass(machine):
     """
     rng = random.Random(VERIFY_SEED)
     stack_syms, input_syms = machine.stack_alphabet.symbols, machine.input_alphabet.symbols
+    stack_members, input_members = frozenset(stack_syms), frozenset(input_syms)
     in_extra = _nonblank(machine.input_alphabet)
     st_extra = _nonblank(machine.stack_alphabet)
     windows = []
@@ -240,8 +241,8 @@ def _machine_pass(machine):
             successors = []
             for s, t in tails:
                 successor = vs_step(machine, DottedSequence(w_st + s, w_in + t, machine.blank))[0]
-                _check_alphabet(successor.input, machine.input_alphabet)
-                _check_alphabet(successor.stack, machine.stack_alphabet)
+                _check_alphabet(successor.input, input_members, machine.input_alphabet)
+                _check_alphabet(successor.stack, stack_members, machine.stack_alphabet)
                 successors.append(successor)
             # tape_b's tails are one non-blank symbol each, so no trailing
             # blank of the rewrite words was trimmed off its successor

@@ -44,8 +44,6 @@ full W x followed by a per-unit update of the phase; tests/test_network.py
 holds it to that.
 """
 
-import csv
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -299,27 +297,33 @@ def _roles(p, q):
 
 
 def network_csv(spec):
-    """CSV blocks: unit roles, then nonzero weights."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["record", "a", "b", "c", "d"])
+    """CSV blocks: unit roles, then nonzero weights.
+
+    No field needs CSV quoting (roles are colon-separated tokens, weights
+    float reprs), so each line is formatted directly.
+    """
+    lines = ["record,a,b,c,d"]
     roles = _roles(spec.x_cells, spec.y_cells)
     for lo, hi, kind, phase in sorted((lo, hi, kind, phase) for phase, (lo, hi, kind)
                                       in enumerate(spec.phase_ranges, 1)):
-        for unit in range(lo, hi):
-            w.writerow(["unit", unit, next(roles), kind, phase])
+        lines += ["unit,%d,%s,%s,%d" % (unit, next(roles), kind, phase) for unit in range(lo, hi)]
     rows, cols = np.nonzero(spec.weights)
-    for t, s in zip(rows.tolist(), cols.tolist()):
-        w.writerow(["weight", t, s, repr(float(spec.weights[t, s])), ""])
-    return out.getvalue()
+    values = spec.weights[rows, cols].tolist()
+    lines += ["weight,%d,%d,%r," % entry for entry in zip(rows.tolist(), cols.tolist(), values)]
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_csv(run):
-    """CSV of every micro state: t, micro, x1..xn."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    n = len(run.states[0].x)
-    w.writerow(["t", "micro"] + ["x%d" % (k + 1) for k in range(n)])
-    for st in run.states:
-        w.writerow([st.macro, st.micro] + [repr(float(v)) for v in st.x])
-    return out.getvalue()
+    """CSV of every micro state: t, micro, x1..xn.
+
+    Each distinct float64 (told apart by its bits, so -0.0 and 0.0 stay
+    apart) is formatted once with repr.  No field needs CSV quoting, so
+    each line is joined directly.
+    """
+    xs = np.array([st.x for st in run.states], dtype=np.float64)
+    bits, inverse = np.unique(xs.view(np.uint64).ravel(), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    lines = [",".join(["t", "micro"] + ["x%d" % (k + 1) for k in range(xs.shape[1])])]
+    for st, row in zip(run.states, texts[inverse.reshape(xs.shape)].tolist()):
+        lines.append(",".join([str(st.macro), str(st.micro)] + row))
+    return "\n".join(lines) + "\n"

@@ -68,9 +68,14 @@ def step_observable(spec, point):
     return spec.coefficients[spec.class_of(point)]
 
 
+# amari and dissimilarity sum plainly, left to right, in explicit loops:
+# from Python 3.12 on, builtin sum() of floats compensates its rounding.
 def amari(state):
     """Mean activation of the full state vector (not recoding-invariant)."""
-    return float(sum(state.x) / len(state.x))
+    total = 0.0
+    for v in state.x.tolist():
+        total += v
+    return total / len(state.x)
 
 
 def harmony(weights, state):
@@ -79,14 +84,16 @@ def harmony(weights, state):
 
 
 def dissimilarity(previous, current):
-    """1 - cosine similarity of consecutive states; 0 when either is null."""
-    xp, xc = previous.x, current.x
-    np_ = math.sqrt(float(sum(v * v for v in xp)))
-    nc = math.sqrt(float(sum(v * v for v in xc)))
-    if np_ == 0.0 or nc == 0.0:
+    """1 - cosine similarity of two states of one network; 0 when either is null."""
+    pp = cc = pc = 0.0
+    for a, b in zip(previous.x.tolist(), current.x.tolist()):
+        pp += a * a
+        cc += b * b
+        pc += a * b
+    norm_p, norm_c = math.sqrt(pp), math.sqrt(cc)
+    if norm_p == 0.0 or norm_c == 0.0:
         return 0.0
-    dot = float(sum(a * b for a, b in zip(xp, xc)))
-    return 1.0 - dot / (np_ * nc)
+    return 1.0 - pc / (norm_p * norm_c)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 
 import dataclasses
 import hashlib
+import math
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from godelnet import ExperimentConfig, cli, load_config
+from godelnet import ExperimentConfig, cli, harness, load_config
 from godelnet.errors import ConfigError
 from godelnet.harness import (
     Verdict,
@@ -207,6 +208,28 @@ def test_shipped_experiment_artifacts_keep_their_bytes(report, tmp_path):
                for p in write_report(report, tmp_path)}
     # only the digested names are compared, so a new artifact file does not fail this
     assert {name: written.get(name) for name in DEMO_DIGESTS} == DEMO_DIGESTS
+
+
+@pytest.mark.parametrize("step", [0, 3])
+def test_a_nan_observable_is_never_invariant(config, report, monkeypatch, step):
+    real_amari = harness.amari
+    poisoned = []
+
+    def amari_with_a_nan(state):  # NaN at ``step`` of the first encoding only
+        if state.macro == step and not poisoned:
+            poisoned.append(state)
+            return math.nan
+        return real_amari(state)
+
+    monkeypatch.setattr(harness, "amari", amari_with_a_nan)
+    nan_report = run_experiment(config)
+    assert [run.name for run in nan_report.runs] == ["delta", "gamma"]
+    assert math.isnan(nan_report.runs[0].series["amari"][step][1])
+    by_obs = {v.observable: v for v in nan_report.verdicts}
+    assert math.isnan(by_obs["amari"].max_abs_delta) and not by_obs["amari"].invariant
+    assert [v for v in nan_report.verdicts if v.observable != "amari"] == [
+        v for v in report.verdicts if v.observable != "amari"]
+    assert "amari (delta vs gamma): NOT invariant, max |delta| = nan" in report_text(nan_report)
 
 
 def test_cli_parse(capsys):

@@ -1,5 +1,7 @@
 """Network synthesis and micro-step simulation."""
 
+import csv
+import io
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,6 +26,9 @@ from godelnet.errors import InternalConsistencyError, ResourceLimitError
 from godelnet.network import (
     RAMP,
     STEP,
+    NaRun,
+    NetworkSpec,
+    NeuralState,
     _validate_synthesis,
     activate,
     network_csv,
@@ -220,6 +225,49 @@ def test_csv_exports(plain_net, plain_start):
     traj_lines = trajectory_csv(run).strip().splitlines()
     assert traj_lines[0].startswith("t,micro,x1,")
     assert len(traj_lines) == 1 + 1 + 2 * plain_net.micro_steps_per_macro
+
+
+#: Floats whose text is easy to get wrong: signed zeros, NaN, infinities,
+#: the least subnormal and a sum that is not its decimal.
+ODD_FLOATS = (-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 0.1 + 0.2, 1.0)
+
+#: (role, activation, phase) of the 12 units of a 1 x 1 table, written out by hand.
+ONE_CELL_UNITS = (
+    ("mcl:y1", RAMP, 5), ("mcl:y2", RAMP, 5), ("one", STEP, 1),
+    ("cmp:x:0:lo", STEP, 1), ("cmp:x:0:hi", STEP, 1), ("cmp:y:0:lo", STEP, 1), ("cmp:y:0:hi", STEP, 1),
+    ("ax:x:0", STEP, 2), ("ax:y:0", STEP, 2), ("bsl:0:0", STEP, 3),
+    ("ltl:0:0:y1", RAMP, 4), ("ltl:0:0:y2", RAMP, 4),
+)
+
+
+def _csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def test_csv_exports_match_a_csv_writer_reference_byte_for_byte():
+    n = len(ONE_CELL_UNITS)
+    rng = np.random.default_rng(7)
+    # a NaN with another payload and a negative NaN must still read "nan"
+    other_nans = np.array([0x7FF0000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    weights = rng.choice(np.array(ODD_FLOATS), size=(n, n))
+    weights[0, 1:3] = other_nans
+    spec = NetworkSpec(weights=weights, x_cells=1, y_cells=1)
+    want = [["record", "a", "b", "c", "d"]]
+    want += [["unit", u, role, kind, phase] for u, (role, kind, phase) in enumerate(ONE_CELL_UNITS)]
+    want += [["weight", t, s, repr(float(weights[t, s])), ""]
+             for t in range(n) for s in range(n) if float(weights[t, s]) != 0.0]
+    assert network_csv(spec) == _csv_text(want)
+
+    xs = rng.choice(np.array(ODD_FLOATS), size=(11, n))
+    xs[0, 1:3] = other_nans
+    states = tuple(NeuralState(x=x, macro=t // 5, micro=t % 5) for t, x in enumerate(xs))
+    run = NaRun(states)
+    want = [["t", "micro"] + ["x%d" % (k + 1) for k in range(n)]]
+    want += [[st.macro, st.micro] + [repr(float(v)) for v in st.x] for st in states]
+    assert trajectory_csv(run) == _csv_text(want)
+    assert "-0.0" in trajectory_csv(run) and "nan" in network_csv(spec)
 
 
 @pytest.mark.parametrize("case", ["plain", "chain"])

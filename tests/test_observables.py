@@ -1,5 +1,6 @@
 """Observables, recoding motions, and their invariance contract."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,35 @@ def test_dissimilarity_extremes():
     assert dissimilarity(a, a) == pytest.approx(0.0)
     assert dissimilarity(a, b) == pytest.approx(1.0)
     assert dissimilarity(_floats(0.0, 0.0), b) == 0.0
+
+
+def _left_to_right(terms):
+    """Plain float sum, first term first, rounding after every addition."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("previous, current", [
+    ((1e16, 1.0, -1e16), (1e16, 1.0, -1e16)),  # amari: exact sum 1.0, rounded sum 0.0
+    ((1e8, 1.0, 1.0, 1.0, 1.0), (1e8, 0.0, 0.0, 0.0, 0.0)),  # dissimilarity: |previous|**2 drops the ones
+])
+def test_amari_and_dissimilarity_sum_plainly_left_to_right(previous, current):
+    # the cases are chosen where a compensated sum (builtin sum() of floats
+    # from Python 3.12 on) differs from the plain one
+    squares = [v * v for v in previous]
+    assert math.fsum(previous) != _left_to_right(previous) or math.fsum(squares) != _left_to_right(squares)
+    a, b = NeuralState(x=np.array(previous)), NeuralState(x=np.array(current))
+    assert _bits(amari(a)) == _bits(_left_to_right(previous) / len(previous))
+    norm_a = math.sqrt(_left_to_right(squares))
+    norm_b = math.sqrt(_left_to_right(v * v for v in current))
+    dot = _left_to_right(u * v for u, v in zip(previous, current))
+    assert _bits(dissimilarity(a, b)) == _bits(1.0 - dot / (norm_a * norm_b))
 
 
 def test_permutation_pair_must_fix_zero():
