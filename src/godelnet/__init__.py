@@ -64,7 +64,6 @@ from .patterns import (
 from .shift import (
     ACCEPT,
     REJECT,
-    WILDCARD,
     Cfg,
     DoD,
     VersatileShift,
@@ -126,7 +125,6 @@ __all__ = [
     "UnsupportedInputError",
     "VersatileShift",
     "VsRule",
-    "WILDCARD",
     "amari",
     "build_step_observable",
     "compile_cfg_topdown",

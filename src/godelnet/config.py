@@ -146,29 +146,22 @@ def load_config(path):
         grammar_path = path.parent / grammar_path
     sentence = tuple(grammar_sec["sentence"].split())
 
-    run_id, macro_steps = "run", 6
-    if "run" in parser:
-        run_id = parser["run"].get("id", run_id).strip()
-        macro_steps = _int(parser["run"], "macro_steps", macro_steps)
-
-    soundness, step_inv = SOUNDNESS, 0.0
-    if "tolerances" in parser:
-        sec = parser["tolerances"]
-        soundness = _float(sec, "soundness", soundness)
-        step_inv = _float(sec, "step_invariance", step_inv)
-
-    window, seed = (2, 3), 11
-    enabled = list(OBSERVABLE_NAMES)
-    if "observables" in parser:
+    # only the keys the file sets; ExperimentConfig supplies the rest
+    values = {}
+    for section, key, name, parse in (
+        ("run", "id", "run_id", lambda key, raw: raw.strip()),
+        ("run", "macro_steps", "macro_steps", _as_int),
+        ("tolerances", "soundness", "soundness", _as_float),
+        ("tolerances", "step_invariance", "step_invariance", _as_float),
+        ("observables", "window", "window", _window),
+        ("observables", "seed", "seed", _as_int),
+    ):
+        if parser.has_option(section, key):
+            values[name] = parse(key, parser[section][key])
+    if any(parser.has_option("observables", name) for name in OBSERVABLE_NAMES):
         sec = parser["observables"]
-        if "window" in sec:
-            parts = sec["window"].split()
-            if len(parts) != 2:
-                raise ConfigError("[observables] window needs two lengths, got %r" % sec["window"])
-            window = (_as_int("window", parts[0]), _as_int("window", parts[1]))
-        seed = _int(sec, "seed", seed)
-        enabled = [name for name in OBSERVABLE_NAMES
-                   if _bool("observables", name, sec.get(name, "on"))]
+        values["observables"] = tuple(name for name in OBSERVABLE_NAMES
+                                      if _bool("observables", name, sec.get(name, "on")))
 
     encodings = {}
     for section in parser.sections():
@@ -186,18 +179,7 @@ def load_config(path):
             raise ConfigError("encoding %r needs both an input and a stack section" % name)
         pairs.append(EncodingTables(name, sides["input"], sides["stack"]))
 
-    return ExperimentConfig(
-        grammar_path=grammar_path,
-        sentence=sentence,
-        run_id=run_id,
-        macro_steps=macro_steps,
-        soundness=soundness,
-        step_invariance=step_inv,
-        window=window,
-        seed=seed,
-        observables=tuple(enabled),
-        encodings=tuple(pairs),
-    )
+    return ExperimentConfig(grammar_path, sentence, encodings=tuple(pairs), **values)
 
 
 def _check_names(parser):
@@ -223,16 +205,15 @@ def _as_int(key, raw):
         raise ConfigError("%s: integer expected, got %r" % (key, raw)) from None
 
 
-def _int(section, key, default):
-    if key not in section:
-        return default
-    return _as_int(key, section[key])
-
-
-def _float(section, key, default):
-    if key not in section:
-        return default
+def _as_float(key, raw):
     try:
-        return float(section[key])
+        return float(raw)
     except ValueError:
-        raise ConfigError("%s: number expected, got %r" % (key, section[key])) from None
+        raise ConfigError("%s: number expected, got %r" % (key, raw)) from None
+
+
+def _window(key, raw):
+    parts = raw.split()
+    if len(parts) != 2:
+        raise ConfigError("[observables] %s needs two lengths, got %r" % (key, raw))
+    return _as_int(key, parts[0]), _as_int(key, parts[1])

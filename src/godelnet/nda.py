@@ -225,8 +225,8 @@ def _machine_pass(machine):
         for w_st in product(stack_syms, repeat=machine.dod.l):
             tails = [((), ()), ((st_extra,), (in_extra,))]
             tape_a, tape_b = (DottedSequence(w_st + s, w_in + t, machine.blank) for s, t in tails)
-            rule, _ = machine.find_rule(tape_a)
-            if rule is not machine.find_rule(tape_b)[0]:
+            rule = machine.find_rule(tape_a)
+            if rule is not machine.find_rule(tape_b):
                 raise InternalConsistencyError(
                     "window (%r, %r): representatives matched different rules" % (w_st, w_in)
                 )

@@ -50,7 +50,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import DomainError, InternalConsistencyError, ResourceLimitError
 from .nda import PhasePoint, nda_step
 
 RAMP = "ramp"
@@ -260,8 +260,12 @@ def na_run(spec, state, macro_steps, reference=None, tol=SOUNDNESS, point=None):
 
     With ``reference`` (an affine cell table) and ``point`` (the exact phase
     point embedded in ``state``) the MCL trace is compared at every macro
-    boundary; exceeding ``tol`` flags the run as diverged.
+    boundary; exceeding ``tol`` flags the run as diverged.  Either one
+    without the other would compare nothing and raises DomainError.
     """
+    if (reference is None) != (point is None):
+        raise DomainError("na_run compares with the exact orbit given both reference and point, "
+                          "got only %s" % ("point" if reference is None else "reference"))
     states = [state]
     max_div, div_step = 0.0, -1
     exact = point
@@ -269,7 +273,7 @@ def na_run(spec, state, macro_steps, reference=None, tol=SOUNDNESS, point=None):
         for _ in range(spec.micro_steps_per_macro):
             state = na_micro_step(spec, state)
             states.append(state)
-        if reference is not None and exact is not None:
+        if reference is not None:
             exact = nda_step(reference, exact)
             e1, e2 = float(exact.y1), float(exact.y2)
             err = max(abs(state.x[0] - e1), abs(state.x[1] - e2))

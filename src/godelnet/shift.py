@@ -3,35 +3,27 @@
 A versatile shift examines a fixed window around the dot of a dotted
 sequence (l symbols left, r symbols right: the domain of dependence),
 replaces the window content by rule-specific words, then shifts the dot.
-Rules may carry one wildcard variable which binds to an arbitrary non-blank
-input symbol; the same variable may appear on both sides of the dot (forcing
-equality) and in the replacement.
+A rule's match words are concrete symbols, and it claims every window that
+begins with them.  So the machine is its window table: built once with the
+machine, it maps each (stack window, input window) to the one rule that
+claims it, and a step is one lookup.
 
 A context-free grammar compiles to such a machine as a top-down recognizer:
-one predict rule per production (rewrite the nonterminal on the stack by its
-right-hand side, reversed in display order so the leftmost symbol lands on
-top) and one attach rule per terminal (cancel equal stack top and input
-head).  The empty tape is the accept fixed point, a tape matching no rule
-halts as reject.
+one predict rule per production and terminal (with that terminal as the
+input head, rewrite the nonterminal on the stack by its right-hand side,
+reversed in display order so the leftmost symbol lands on top) and one
+attach rule per terminal (cancel equal stack top and input head).  The
+empty tape is the accept fixed point, a tape matching no rule halts as
+reject.
 """
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import DomainError, GrammarError, MachineBuildError
 from .symbols import BLANK, Alphabet, DottedSequence
-
-
-class Wildcard:
-    """Marker for the rule variable; one shared instance is enough."""
-
-    def __repr__(self):
-        return "a?"
-
-
-WILDCARD = Wildcard()
 
 ACCEPT = "accept"
 REJECT = "halt-reject"
@@ -55,8 +47,8 @@ class VsRule:
     """One dot-local rewrite.
 
     Match and replacement windows are stored top-first on the stack side
-    (index 0 touches the dot); entries are concrete symbols or the wildcard.
-    ``shift`` moves the dot after substitution (positive: rightward).
+    (index 0 touches the dot).  ``shift`` moves the dot after substitution
+    (positive: rightward).
     """
 
     label: str
@@ -69,19 +61,12 @@ class VsRule:
     def __post_init__(self):
         for name in ("match_stack", "match_input", "repl_stack", "repl_input"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        uses_var = any(
-            isinstance(tok, Wildcard)
-            for tok in self.match_stack + self.match_input + self.repl_stack + self.repl_input
-        )
-        binds_var = any(isinstance(tok, Wildcard) for tok in self.match_stack + self.match_input)
-        if uses_var and not binds_var:
-            raise MachineBuildError("rule %r replaces with an unbound wildcard" % (self.label,))
 
     def display(self):
         """Human form with the stack side printed in reversed (tape) order."""
 
         def side(toks):
-            return " ".join("a" if isinstance(t, Wildcard) else str(t) for t in toks) or "ε"
+            return " ".join(map(str, toks)) or "ε"
 
         return "%s . %s -> %s . %s" % (
             side(tuple(reversed(self.match_stack))), side(self.match_input),
@@ -89,35 +74,20 @@ class VsRule:
         )
 
 
-def _match_window(pattern, window, binding, wild_domain):
-    """Try to match a pattern tuple against a window prefix; extend binding."""
-    for tok, sym in zip(pattern, window):
-        if isinstance(tok, Wildcard):
-            if "a" in binding:
-                if binding["a"] != sym:
-                    return None
-            else:
-                if sym not in wild_domain:
-                    return None
-                binding["a"] = sym
-        elif tok != sym:
-            return None
-    return binding
-
-
-def _substitute(template, binding):
-    return tuple(binding["a"] if isinstance(tok, Wildcard) else tok for tok in template)
-
-
 @dataclass(frozen=True)
 class VersatileShift:
-    """A deterministic rule table over declared stack/input alphabets."""
+    """A deterministic rule table over declared stack/input alphabets.
+
+    ``table`` maps each claimed (stack window, input window) pair, windows
+    top-first on the stack side and padded with blanks, to its rule.
+    """
 
     stack_alphabet: Alphabet
     input_alphabet: Alphabet
     dod: DoD
     rules: tuple
     blank: object = BLANK
+    table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -133,52 +103,42 @@ class VersatileShift:
                     % (rule.label, self.dod.l, self.dod.r)
                 )
             for tok in rule.match_stack + rule.repl_stack:
-                if not isinstance(tok, Wildcard) and tok not in self.stack_alphabet:
+                if tok not in self.stack_alphabet:
                     raise MachineBuildError("rule %r uses %r outside the stack alphabet" % (rule.label, tok))
             for tok in rule.match_input + rule.repl_input:
-                if not isinstance(tok, Wildcard) and tok not in self.input_alphabet:
+                if tok not in self.input_alphabet:
                     raise MachineBuildError("rule %r uses %r outside the input alphabet" % (rule.label, tok))
             if rule.shift > 0 and rule.shift > len(rule.repl_input):
                 raise NonDeterminedShiftError(rule)
             if rule.shift < 0 and -rule.shift > len(rule.repl_stack):
                 raise NonDeterminedShiftError(rule)
-        # symbols a wildcard may bind: input alphabet minus the blank
-        object.__setattr__(self, "wild_domain",
-                           frozenset(s for s in self.input_alphabet if s != self.blank))
-        self._check_determinism()
-
-    def _check_determinism(self):
-        stack_words = product(self.stack_alphabet.symbols, repeat=self.dod.l)
-        for left in stack_words:
-            for right in product(self.input_alphabet.symbols, repeat=self.dod.r):
-                hits = [r.label for r in self.rules
-                        if self._rule_matches(r, left, right) is not None]
-                if len(hits) > 1:
-                    raise MachineBuildError(
-                        "window %r . %r matched by %d rules: %s"
-                        % (" ".join(map(str, reversed(left))), " ".join(map(str, right)),
-                           len(hits), ", ".join(hits))
-                    )
-
-    def _rule_matches(self, rule, left, right):
-        binding = _match_window(rule.match_stack, left, {}, self.wild_domain)
-        if binding is None:
-            return None
-        binding = _match_window(rule.match_input, right, binding, self.wild_domain)
-        return binding
+        stack, inp = self.stack_alphabet.symbols, self.input_alphabet.symbols
+        claims = {}  # window -> the rules claiming it, in rule order
+        for rule in self.rules:
+            for st_tail in product(stack, repeat=self.dod.l - len(rule.match_stack)):
+                for in_tail in product(inp, repeat=self.dod.r - len(rule.match_input)):
+                    window = rule.match_stack + st_tail, rule.match_input + in_tail
+                    claims.setdefault(window, []).append(rule)
+        clashes = [window for window, hits in claims.items() if len(hits) > 1]
+        if clashes:
+            # name the first clash in product order: stack window major
+            left, right = min(clashes, key=lambda w: ([stack.index(s) for s in w[0]],
+                                                      [inp.index(s) for s in w[1]]))
+            hits = [rule.label for rule in claims[left, right]]
+            raise MachineBuildError(
+                "window %r . %r matched by %d rules: %s"
+                % (" ".join(map(str, reversed(left))), " ".join(map(str, right)),
+                   len(hits), ", ".join(hits))
+            )
+        object.__setattr__(self, "table", {window: hits[0] for window, hits in claims.items()})
 
     def find_rule(self, state):
-        """The unique rule matching the state's window, with its binding."""
-        left, right = state.window(self.dod.l, self.dod.r)
-        for rule in self.rules:
-            binding = self._rule_matches(rule, left, right)
-            if binding is not None:
-                return rule, binding
-        return None, None
+        """The rule that claims the state's window, or None."""
+        return self.table.get(state.window(self.dod.l, self.dod.r))
 
-    def apply(self, state, rule, binding):
-        new_stack = _substitute(rule.repl_stack, binding) + state.stack[len(rule.match_stack):]
-        new_input = _substitute(rule.repl_input, binding) + state.input[len(rule.match_input):]
+    def apply(self, state, rule):
+        new_stack = rule.repl_stack + state.stack[len(rule.match_stack):]
+        new_input = rule.repl_input + state.input[len(rule.match_input):]
         out = DottedSequence(new_stack, new_input, self.blank)
         if rule.shift:
             out = out.shift(rule.shift)
@@ -199,13 +159,13 @@ class NonDeterminedShiftError(MachineBuildError):
 def vs_step(machine, state):
     """One machine step: (next state, operation label).
 
-    Rules are tried first; the empty tape with no matching rule is the
-    accept fixed point, any other tape with no matching rule halts as
-    reject.  Both terminal labels return the state unchanged.
+    A claimed window applies its rule; with no rule, the empty tape is the
+    accept fixed point and any other tape halts as reject.  Both terminal
+    labels return the state unchanged.
     """
-    rule, binding = machine.find_rule(state)
+    rule = machine.find_rule(state)
     if rule is not None:
-        return machine.apply(state, rule, binding), rule.label
+        return machine.apply(state, rule), rule.label
     if state.is_empty:
         return state, ACCEPT
     return state, REJECT
@@ -334,10 +294,10 @@ def load_grammar(path):
 def compile_cfg_topdown(grammar):
     """Compile a grammar into the top-down recognizer machine.
 
-    Produces one predict rule per production Z -> alpha (stack window Z
-    becomes alpha with its leftmost symbol on top, input untouched via the
-    wildcard) and one attach rule per terminal (equal stack top and input
-    head cancel).  Both rule families have shift 0 and window sizes (1, 1).
+    Produces one predict rule per production Z -> alpha and terminal t
+    (window Z . t becomes alpha . t with alpha's leftmost symbol on top) and
+    one attach rule per terminal (equal stack top and input head cancel).
+    Both rule families have shift 0 and window sizes (1, 1).
 
     Deterministic one-symbol-lookahead recognition needs a unique production
     per nonterminal; grammars violating that are rejected with the
@@ -361,20 +321,10 @@ def compile_cfg_topdown(grammar):
     stack_alpha = Alphabet((BLANK,) + terminals + nonterminals, blank=BLANK)
     input_alpha = Alphabet((BLANK,) + terminals, blank=BLANK)
 
-    rules = []
-    for lhs, rhs in grammar.productions:
-        rules.append(VsRule(
-            label="predict(%s -> %s)" % (lhs, " ".join(rhs)),
-            match_stack=(lhs,), match_input=(WILDCARD,),
-            repl_stack=tuple(rhs), repl_input=(WILDCARD,),
-        ))
-    for t in terminals:
-        rules.append(VsRule(
-            label="attach",
-            match_stack=(t,), match_input=(t,),
-            repl_stack=(), repl_input=(),
-        ))
-    return VersatileShift(stack_alpha, input_alpha, DoD(1, 1), tuple(rules))
+    rules = [VsRule("predict(%s -> %s)" % (lhs, " ".join(rhs)), (lhs,), (t,), rhs, (t,))
+             for lhs, rhs in grammar.productions for t in terminals]
+    rules += [VsRule("attach", (t,), (t,), (), ()) for t in terminals]
+    return VersatileShift(stack_alpha, input_alpha, DoD(1, 1), rules)
 
 
 def initial_state(machine, sentence, start):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from godelnet import ExperimentConfig, cli, harness, load_config
+from godelnet import BLANK, ExperimentConfig, cli, harness, load_config
+from godelnet.config import EncodingTables
 from godelnet.errors import ConfigError
 from godelnet.harness import (
     Verdict,
@@ -87,6 +88,15 @@ def test_config_without_tolerances_uses_the_network_soundness(tmp_path):
     assert (cfg.soundness, cfg.step_invariance) == (SOUNDNESS, 0.0)
     # the dataclass defaults are the loader's fallbacks
     assert ExperimentConfig(cfg.grammar_path, cfg.sentence, encodings=cfg.encodings) == cfg
+
+
+@pytest.mark.parametrize("sections", ["", "[run]\n[tolerances]\n[observables]\n"], ids=["absent", "empty"])
+def test_config_defaults_are_the_dataclass_defaults(tmp_path, sections):
+    ini = tmp_path / "bare.ini"
+    ini.write_text("[grammar]\npath = g\nsentence = a b\n" + sections
+                   + "[encoding:e:input]\na = 1\n[encoding:e:stack]\na = 2\n", encoding="utf-8")
+    pair = EncodingTables("e", ((BLANK, 0), ("a", 1)), ((BLANK, 0), ("a", 2)))
+    assert load_config(ini) == ExperimentConfig(tmp_path / "g", ("a", "b"), encodings=(pair,))
 
 
 def _shipped_config_with(tmp_path, old, new):
@@ -238,6 +248,36 @@ def test_cli_parse(capsys):
     assert code == 0
     assert "verdict: accept" in out
     assert "t=0   S . NP V NP   [predict(S -> NP VP)]" in out
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["NP", "V", "NP"],
+     "t=0   S . NP V NP   [predict(S -> NP VP)]\n"
+     "t=1   VP NP . NP V NP   [attach]\n"
+     "t=2   VP . V NP   [predict(VP -> V NP)]\n"
+     "t=3   NP V . V NP   [attach]\n"
+     "t=4   NP . NP   [attach]\n"
+     "t=5   ε . ε   [accept]\n"
+     "verdict: accept\n"),
+    (["V"],
+     "t=0   S . V   [predict(S -> NP VP)]\n"
+     "t=1   VP NP . V   [halt-reject]\n"
+     "verdict: halt-reject\n"),
+    (["NP", "NP"],
+     "t=0   S . NP NP   [predict(S -> NP VP)]\n"
+     "t=1   VP NP . NP NP   [attach]\n"
+     "t=2   VP . NP   [predict(VP -> V NP)]\n"
+     "t=3   NP V . NP   [halt-reject]\n"
+     "verdict: halt-reject\n"),
+    (["NP", "V", "NP", "--max-steps", "2"],
+     "t=0   S . NP V NP   [predict(S -> NP VP)]\n"
+     "t=1   VP NP . NP V NP   [attach]\n"
+     "t=2   VP . V NP   [step-limit]\n"
+     "verdict: step-limit\n"),
+])
+def test_cli_parse_stdout_keeps_its_bytes(argv, want, capsys):
+    assert cli.main(["parse", str(CONFIG_DIR / "parser.grammar")] + argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == want
 
 
 def test_cli_parse_missing_grammar(capsys):

@@ -200,8 +200,8 @@ def test_tail_dependent_machine_is_rejected(machine, plain):
     class Sneaky(_Wrapped):
         """Acts on symbols it never read: reverses the whole input side."""
 
-        def apply(self, state, rule, binding):
-            out = self.inner.apply(state, rule, binding)
+        def apply(self, state, rule):
+            out = self.inner.apply(state, rule)
             return DottedSequence(out.stack, tuple(reversed(out.input)), self.blank)
 
     with pytest.raises(NonAffineRuleError, match="is not affine on window"):
@@ -214,8 +214,8 @@ def test_machine_with_non_power_linear_part_is_rejected(machine, plain):
         its linear part would be 0, which no power of m is, and symbolically
         the input tail does not ride along."""
 
-        def apply(self, state, rule, binding):
-            out = self.inner.apply(state, rule, binding)
+        def apply(self, state, rule):
+            out = self.inner.apply(state, rule)
             return DottedSequence(out.stack, (), self.blank)
 
     message = r"'attach' is not affine on window \(\('NP',\), \('NP',\)\): tape NP NP \. NP NP maps to NP \. ε, not NP \. NP$"
@@ -227,8 +227,8 @@ def test_foreign_symbol_is_the_encodings_domain_error(machine, plain):
     class Foreign(_Wrapped):
         """Writes a symbol outside the input alphabet after every rule."""
 
-        def apply(self, state, rule, binding):
-            out = self.inner.apply(state, rule, binding)
+        def apply(self, state, rule):
+            out = self.inner.apply(state, rule)
             return DottedSequence(out.stack, out.input + ("zz",), self.blank)
 
     with pytest.raises(DomainError) as digit_error:
@@ -377,10 +377,10 @@ class _Faulty(_Wrapped):
         super().__init__(inner)
         self.fault_tops, self.sneaky_tops = fault_tops, sneaky_tops
 
-    def apply(self, state, rule, binding):
+    def apply(self, state, rule):
         if state.stack[:1] in self.fault_tops:
             raise RuntimeError("apply failed on %s" % state)
-        out = self.inner.apply(state, rule, binding)
+        out = self.inner.apply(state, rule)
         if state.stack[:1] in self.sneaky_tops:
             out = DottedSequence(out.stack, tuple(reversed(out.input)), self.blank)
         return out

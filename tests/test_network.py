@@ -22,7 +22,7 @@ from godelnet import (
     parse_grammar,
     synthesize,
 )
-from godelnet.errors import InternalConsistencyError, ResourceLimitError
+from godelnet.errors import DomainError, InternalConsistencyError, ResourceLimitError
 from godelnet.network import (
     RAMP,
     STEP,
@@ -214,6 +214,16 @@ def test_divergence_detection_against_wrong_reference(plain_nda, mixed_nda, plai
     run = na_run(plain_net, embed(plain_net, plain_start), 6,
                  reference=mixed_nda, tol=1e-9, point=plain_start)
     assert run.diverged and run.divergence_step >= 1
+
+
+@pytest.mark.parametrize("given", ["reference", "point"])
+def test_one_sided_comparison_is_refused(given, plain_nda, plain_net, plain_start):
+    # either alone would compare nothing and report a sound run
+    kwargs = {"reference": plain_nda, "point": plain_start}
+    del kwargs["point" if given == "reference" else "reference"]
+    message = r"^na_run compares with the exact orbit given both reference and point, got only %s$" % given
+    with pytest.raises(DomainError, match=message):
+        na_run(plain_net, embed(plain_net, plain_start), 6, **kwargs)
 
 
 def test_csv_exports(plain_net, plain_start):

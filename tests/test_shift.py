@@ -1,5 +1,7 @@
 """Grammar parsing, machine compilation, and machine runs."""
 
+from pathlib import Path
+
 import pytest
 
 from godelnet import (
@@ -9,7 +11,6 @@ from godelnet import (
     REJECT,
     VersatileShift,
     VsRule,
-    WILDCARD,
     Alphabet,
     DottedSequence,
     compile_cfg_topdown,
@@ -19,7 +20,10 @@ from godelnet import (
     vs_step,
 )
 from godelnet.errors import DomainError, GrammarError, MachineBuildError
-from godelnet.shift import STEP_LIMIT, NonDeterminedShiftError, trace_csv
+from godelnet.shift import STEP_LIMIT, NonDeterminedShiftError, load_grammar, trace_csv
+
+DEMO_GRAMMAR = Path(__file__).resolve().parent.parent / "configs" / "parser.grammar"
+G4_GRAMMAR = "S -> t0 A1\nA1 -> t1 A2\nA2 -> t2 A3\nA3 -> t3 t4\n"
 
 EXPECTED_TRACE = (
     (0, "S", "NP V NP", "predict(S -> NP VP)"),
@@ -63,6 +67,32 @@ def test_compile_rejects_ambiguous_nonterminal():
     assert "S -> a" in str(err.value) and "S -> b" in str(err.value)
 
 
+@pytest.mark.parametrize("grammar", [load_grammar(DEMO_GRAMMAR), parse_grammar(G4_GRAMMAR)],
+                         ids=["demo", "G4"])
+def test_every_window_steps_as_its_grammar_says(grammar):
+    # the oracle reads the productions only: a nonterminal top over a
+    # terminal head predicts its production, equal terminals attach, any
+    # other window halts (accept on the empty tape, reject elsewhere)
+    machine = compile_cfg_topdown(grammar)
+    production = dict(grammar.productions)
+    terminals = set(grammar.terminals)
+    tails = ((), ()), ((grammar.start,), (grammar.terminals[0],))
+    for top in machine.stack_alphabet:
+        for head in machine.input_alphabet:
+            for st_tail, in_tail in tails:
+                state = DottedSequence((top,) + st_tail, (head,) + in_tail)
+                if top in production and head in terminals:
+                    want = (DottedSequence(production[top] + st_tail, (head,) + in_tail),
+                            "predict(%s -> %s)" % (top, " ".join(production[top])))
+                elif top == head and head in terminals:
+                    want = DottedSequence(st_tail, in_tail), "attach"
+                elif top == head == BLANK and not st_tail:
+                    want = state, ACCEPT
+                else:
+                    want = state, REJECT
+                assert vs_step(machine, state) == want
+
+
 def test_compiled_machine_shape(machine):
     assert machine.dod == DoD(1, 1)
     # blank, then terminals, then production heads in first-appearance order
@@ -97,12 +127,12 @@ def test_rejection_on_wrong_sentence(machine):
     state = initial_state(machine, ("V",), "S")
     trace = vs_run(machine, state, max_steps=10)
     assert trace.verdict == REJECT
-    # predict fires once (the wildcard binds V), then no rule matches
+    # predict fires once (its input head is V), then no rule matches
     assert trace.steps[0].operation.startswith("predict")
     assert trace.steps[1].operation == REJECT
 
 
-def test_wildcard_does_not_bind_blank(machine):
+def test_predict_does_not_fire_on_a_blank_input_head(machine):
     state = initial_state(machine, (), "S")
     nxt, label = vs_step(machine, state)
     assert label == REJECT and nxt == state
@@ -128,22 +158,24 @@ def test_step_limit_verdict():
         vs_run(machine, DottedSequence(("x",), ()), max_steps=-1)
 
 
-def test_wildcard_forces_equality():
-    alpha = Alphabet((BLANK, "x", "y"), blank=BLANK)
-    rule = VsRule("eq", (WILDCARD,), (WILDCARD,), (), ())
-    machine = VersatileShift(alpha, alpha, DoD(1, 1), (rule,))
-    hit, _ = machine.find_rule(DottedSequence(("x",), ("x",)))
-    miss, _ = machine.find_rule(DottedSequence(("x",), ("y",)))
-    assert hit is rule and miss is None
-
-
 def test_determinism_check_catches_overlap():
     alpha = Alphabet((BLANK, "x", "y"), blank=BLANK)
-    a = VsRule("broad", (WILDCARD,), (), ("x",), ())
+    a = VsRule("broad", (), (), ("x",), ())  # claims every window
     b = VsRule("narrow", ("x",), (), ("y",), ())
     with pytest.raises(MachineBuildError) as err:
         VersatileShift(alpha, alpha, DoD(1, 0), (a, b))
-    assert "broad" in str(err.value) and "narrow" in str(err.value)
+    assert str(err.value) == "window 'x' . '' matched by 2 rules: broad, narrow"
+
+
+def test_determinism_check_names_the_first_window_in_product_order():
+    # rule order meets window 'y' . 'y' first; product order (stack symbol
+    # major, then input symbol, each in alphabet order) meets 'x' . 'x' first
+    alpha = Alphabet((BLANK, "x", "y"), blank=BLANK)
+    rules = (VsRule("late", ("y",), ("y",), (), ()), VsRule("any_y", ("y",), (), (), ()),
+             VsRule("early", ("x",), ("x",), (), ()), VsRule("any_x", ("x",), (), (), ()))
+    with pytest.raises(MachineBuildError) as err:
+        VersatileShift(alpha, alpha, DoD(1, 1), rules)
+    assert str(err.value) == "window 'x' . 'x' matched by 2 rules: early, any_x"
 
 
 def test_shift_past_replacement_rejected():
@@ -154,8 +186,6 @@ def test_shift_past_replacement_rejected():
 
 
 def test_rule_validation():
-    with pytest.raises(MachineBuildError):
-        VsRule("free", ("x",), (), (WILDCARD,), ())  # unbound wildcard
     alpha = Alphabet((BLANK, "x"), blank=BLANK)
     stranger = VsRule("alien", ("z",), (), (), ())
     with pytest.raises(MachineBuildError):
@@ -183,5 +213,5 @@ def test_initial_state_validation(machine):
 
 
 def test_rule_display_reverses_stack_side():
-    rule = VsRule("r", ("VP", "NP"), (WILDCARD,), ("V",), (WILDCARD,))
-    assert rule.display() == "NP VP . a -> V . a"
+    rule = VsRule("r", ("VP", "NP"), ("V",), ("V",), ())
+    assert rule.display() == "NP VP . V -> V . ε"
