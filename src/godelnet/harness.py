@@ -98,16 +98,26 @@ def _ordering(alphabet, table, where):
 
 
 def _check_trace_commutes(machine, nda, pair, trace, where):
-    """Spot-check map/machine agreement along the symbolic trace."""
-    for step in trace.steps:
-        nxt, _ = vs_step(machine, step.state)
-        image = nda_step(nda, encode_tape(step.state, pair))
+    """Walk the symbolic trace and the exact orbit from its first state together.
+
+    Row k+1's state is row k's successor, so the orbit's point k+1, the
+    cell map's image of point k, must encode it; only the final row is
+    stepped to find its successor.  Returns the checked orbit, one point per
+    row and one past the last.
+    """
+    steps = trace.steps
+    orbit = [encode_tape(steps[0].state, pair)]
+    for k, step in enumerate(steps):
+        image = nda_step(nda, orbit[-1])
+        nxt = steps[k + 1].state if k + 1 < len(steps) else vs_step(machine, step.state)[0]
         want = encode_tape(nxt, pair)
         if image != want:
             raise DivergenceError(
                 "map image disagrees with machine at t=%d under %s"
                 % (step.time, where),
                 counterexample=(step.state, image, want))
+        orbit.append(image)
+    return orbit
 
 
 def run_experiment(config):
@@ -140,9 +150,11 @@ def run_experiment(config):
     runs = []
     for name, pair in pairs:
         nda = from_versatile_shift(machine, pair)
-        _check_trace_commutes(machine, nda, pair, trace, "encoding %s" % name)
-        point0 = encode_tape(state0, pair)
-        exact = nda_run(nda, point0, config.macro_steps)
+        orbit = _check_trace_commutes(machine, nda, pair, trace, "encoding %s" % name)
+        # the orbit runs on past a trace that stops at accept or reject
+        exact = orbit[:config.macro_steps + 1]
+        exact += nda_run(nda, exact[-1], config.macro_steps + 1 - len(exact))[1:]
+        point0 = exact[0]
         network = synthesize(nda)
         na = na_run(network, embed(network, point0), config.macro_steps,
                     reference=nda, tol=config.soundness, point=point0)

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .patterns import DEFAULT_CELL_BUDGET
 from .shift import vs_step
-from .symbols import DottedSequence, Ordering, digits_to_index, godel_encode, index_to_digits
+from .symbols import DottedSequence, Ordering, _trim, digits_to_index, godel_encode, index_to_digits
 
 HALT = "halt"
 
@@ -213,9 +213,10 @@ def _machine_pass(machine):
     itself.  The rewrite words are read off the tape whose tails are one
     non-blank symbol each, then required of the other representative and
     of ``VERIFY_TAPES`` seeded tapes: tape ``w_st+s . w_in+t`` must step to
-    ``r_st+s . r_in+t``.
+    ``r_st+s . r_in+t``, compared side by side with trailing blanks trimmed.
     """
     rng = random.Random(VERIFY_SEED)
+    blank = machine.blank
     stack_syms, input_syms = machine.stack_alphabet.symbols, machine.input_alphabet.symbols
     stack_members, input_members = frozenset(stack_syms), frozenset(input_syms)
     in_extra = _nonblank(machine.input_alphabet)
@@ -224,36 +225,37 @@ def _machine_pass(machine):
     for w_in in product(input_syms, repeat=machine.dod.r):
         for w_st in product(stack_syms, repeat=machine.dod.l):
             tails = [((), ()), ((st_extra,), (in_extra,))]
-            tape_a, tape_b = (DottedSequence(w_st + s, w_in + t, machine.blank) for s, t in tails)
-            rule = machine.find_rule(tape_a)
-            if rule is not machine.find_rule(tape_b):
+            tapes = [DottedSequence(w_st + s, w_in + t, blank) for s, t in tails]
+            rule = machine.find_rule(tapes[0])
+            if rule is not machine.find_rule(tapes[1]):
                 raise InternalConsistencyError(
                     "window (%r, %r): representatives matched different rules" % (w_st, w_in)
                 )
             if rule is None:
                 windows.append((w_st, w_in, HALT, w_st, w_in))
                 continue
-            tails += [
-                (tuple(rng.choice(stack_syms) for _ in range(rng.randrange(4))),
-                 tuple(rng.choice(input_syms) for _ in range(rng.randrange(4))))
-                for _ in range(VERIFY_TAPES)
-            ]
+            for _ in range(VERIFY_TAPES):
+                s = tuple(rng.choice(stack_syms) for _ in range(rng.randrange(4)))
+                t = tuple(rng.choice(input_syms) for _ in range(rng.randrange(4)))
+                tails.append((s, t))
+                tapes.append(DottedSequence(w_st + s, w_in + t, blank))
             successors = []
-            for s, t in tails:
-                successor = vs_step(machine, DottedSequence(w_st + s, w_in + t, machine.blank))[0]
+            for tape in tapes:
+                successor = vs_step(machine, tape)[0]
                 _check_alphabet(successor.input, input_members, machine.input_alphabet)
                 _check_alphabet(successor.stack, stack_members, machine.stack_alphabet)
                 successors.append(successor)
-            # tape_b's tails are one non-blank symbol each, so no trailing
+            # tapes[1]'s tails are one non-blank symbol each, so no trailing
             # blank of the rewrite words was trimmed off its successor
             r_st, r_in = successors[1].stack[:-1], successors[1].input[:-1]
-            for (s, t), successor in zip(tails, successors):
-                expected = DottedSequence(r_st + s, r_in + t, machine.blank)
-                if successor != expected:
+            for tape, (s, t), successor in zip(tapes, tails, successors):
+                if (successor.stack, successor.input, successor.blank) != (
+                    _trim(r_st + s, blank), _trim(r_in + t, blank), blank
+                ):
                     raise NonAffineRuleError(
                         "rule %r is not affine on window (%r, %r): tape %s maps to %s, not %s"
-                        % (rule.label, w_st, w_in, DottedSequence(w_st + s, w_in + t, machine.blank),
-                           successor, expected)
+                        % (rule.label, w_st, w_in, tape, successor,
+                           DottedSequence(r_st + s, r_in + t, blank))
                     )
             windows.append((w_st, w_in, rule.label, r_st, r_in))
     return windows
@@ -302,12 +304,18 @@ def from_versatile_shift(machine, enc):
 
 
 def nda_csv(nda):
-    """CSV text of the cell table (intervals and affine coefficients)."""
+    """CSV text of the cell table (intervals and affine coefficients).
+
+    Cell (i, j) spans [i/p, (i+1)/p) x [j/q, (j+1)/q); the p+1 and q+1 axis
+    bounds are made once per table and shared by the cells that meet there.
+    """
     p, q = nda.x_cells, nda.y_cells
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["i", "j", "y1_lo", "y1_hi", "y2_lo", "y2_hi", "a1", "a2", "lambda1", "lambda2", "label"])
+    xs = [Fraction(i, p) for i in range(p + 1)]
+    ys = [Fraction(j, q) for j in range(q + 1)]
     for c in nda.cells:
-        w.writerow([c.i, c.j, Fraction(c.i, p), Fraction(c.i + 1, p), Fraction(c.j, q),
-                    Fraction(c.j + 1, q), c.a1, c.a2, c.lam1, c.lam2, c.label])
+        w.writerow([c.i, c.j, xs[c.i], xs[c.i + 1], ys[c.j], ys[c.j + 1],
+                    c.a1, c.a2, c.lam1, c.lam2, c.label])
     return out.getvalue()

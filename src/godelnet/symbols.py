@@ -343,8 +343,12 @@ class DottedSequence:
     blank: object = BLANK
 
     def __post_init__(self):
-        object.__setattr__(self, "stack", _trim(tuple(self.stack), self.blank))
-        object.__setattr__(self, "input", _trim(tuple(self.input), self.blank))
+        # a plain tuple without a trailing blank is canonical already
+        stack, inp, blank = self.stack, self.input, self.blank
+        if type(stack) is not tuple or stack and stack[-1] == blank:
+            object.__setattr__(self, "stack", _trim(tuple(stack), blank))
+        if type(inp) is not tuple or inp and inp[-1] == blank:
+            object.__setattr__(self, "input", _trim(tuple(inp), blank))
 
     @property
     def is_empty(self):
@@ -353,9 +357,7 @@ class DottedSequence:
     def window(self, l, r):
         """The l symbols left of the dot (top first) and r symbols right of
         it, padded with blanks beyond the support."""
-        left = tuple(self.stack[k] if k < len(self.stack) else self.blank for k in range(l))
-        right = tuple(self.input[k] if k < len(self.input) else self.blank for k in range(r))
-        return left, right
+        return _pad(self.stack, l, self.blank), _pad(self.input, r, self.blank)
 
     def shift(self, steps):
         """Move the dot ``steps`` positions right (negative: left).
@@ -376,6 +378,13 @@ class DottedSequence:
         left = " ".join(str(s) for s in reversed(self.stack)) or "ε"
         right = " ".join(str(s) for s in self.input) or "ε"
         return f"{left} . {right}"
+
+
+def _pad(word, n, blank):
+    """The first n symbols of a trimmed word, blanks past its end."""
+    if len(word) < n:
+        return word + (blank,) * (n - len(word))
+    return word[:n] if n > 0 else ()
 
 
 def _trim(word, blank):

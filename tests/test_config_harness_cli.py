@@ -5,13 +5,14 @@ import hashlib
 import math
 import shutil
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from godelnet import BLANK, ExperimentConfig, cli, harness, load_config
+from godelnet import BLANK, DottedSequence, ExperimentConfig, PhasePoint, cli, harness, load_config
 from godelnet.config import EncodingTables
-from godelnet.errors import ConfigError
+from godelnet.errors import ConfigError, DivergenceError, InternalConsistencyError
 from godelnet.harness import (
     Verdict,
     observables_csv,
@@ -240,6 +241,77 @@ def test_a_nan_observable_is_never_invariant(config, report, monkeypatch, step):
     assert [v for v in nan_report.verdicts if v.observable != "amari"] == [
         v for v in report.verdicts if v.observable != "amari"]
     assert "amari (delta vs gamma): NOT invariant, max |delta| = nan" in report_text(nan_report)
+
+
+def _identity(cell):
+    return dataclasses.replace(cell, a1=Fraction(0), a2=Fraction(0), lam1=Fraction(1), lam2=Fraction(1))
+
+
+def _plant(monkeypatch, config, encoding, faults):
+    """Build ``encoding``'s table with each (stack top, input head) cell of
+    ``faults`` replaced by its function's image of the true cell."""
+    real = harness.from_versatile_shift
+    names = iter(tables.name for tables in config.encodings)  # tables are built in this order
+
+    def planted(machine, pair):
+        nda = real(machine, pair)
+        if next(names) != encoding:
+            return nda
+        cells = list(nda.cells)
+        for (top, head), fault in faults.items():
+            k = pair.input.digit(head) * nda.y_cells + pair.stack.digit(top)
+            cells[k] = fault(cells[k])
+        return dataclasses.replace(nda, cells=tuple(cells))
+
+    monkeypatch.setattr(harness, "from_versatile_shift", planted)
+
+
+# The demo trace visits the windows (S, NP), (NP, NP), (VP, V), (V, V), (NP, NP)
+# and the halt window (blank, blank); the expected texts and points were
+# recorded from the build that re-stepped every trace row.
+WRONG_IMAGES = [
+    ("delta", {("VP", "V"): _identity}, 2,
+     DottedSequence(("VP",), ("V", "NP")),
+     PhasePoint(Fraction(5, 9), Fraction(1, 5)), PhasePoint(Fraction(5, 9), Fraction(19, 25))),
+    ("gamma", {("NP", "NP"): _identity}, 1,
+     DottedSequence(("NP", "VP"), ("NP", "V", "NP")),
+     PhasePoint(Fraction(16, 27), Fraction(8, 25)), PhasePoint(Fraction(7, 9), Fraction(3, 5))),
+    # the final row is the accept fixed point: its image must be itself
+    ("delta", {(BLANK, BLANK): lambda c: dataclasses.replace(c, a2=Fraction(1, 2))}, 5,
+     DottedSequence(), PhasePoint(0, Fraction(1, 2)), PhasePoint(0, 0)),
+    # the first disagreement wins over a later cell that leaves the square
+    ("delta", {("VP", "V"): _identity, ("V", "V"): lambda c: dataclasses.replace(c, a1=Fraction(1))}, 2,
+     DottedSequence(("VP",), ("V", "NP")),
+     PhasePoint(Fraction(5, 9), Fraction(1, 5)), PhasePoint(Fraction(5, 9), Fraction(19, 25))),
+]
+
+
+@pytest.mark.parametrize("encoding, faults, t, state, image, want", WRONG_IMAGES,
+                         ids=["delta-t2", "gamma-t1", "delta-final-row", "delta-first-of-two"])
+def test_a_wrong_cell_on_the_trace_is_a_divergence(config, monkeypatch, encoding, faults, t, state, image, want):
+    _plant(monkeypatch, config, encoding, faults)
+    with pytest.raises(DivergenceError) as err:
+        run_experiment(config)
+    assert str(err.value) == "map image disagrees with machine at t=%d under encoding %s" % (t, encoding)
+    assert err.value.counterexample == (state, image, want)
+
+
+LEAVING_IMAGES = [
+    ("gamma", ("V", "V"), lambda c: dataclasses.replace(c, a1=Fraction(1)),
+     "cell (2, 2) mapped PhasePoint(y1=Fraction(7, 9), y2=Fraction(11, 25)) outside the unit square: "
+     "phase coordinates must lie in [0, 1), got 10/3"),
+    ("delta", ("S", "NP"), lambda c: dataclasses.replace(c, a2=Fraction(-1)),
+     "cell (2, 2) mapped PhasePoint(y1=Fraction(23, 27), y2=Fraction(2, 5)) outside the unit square: "
+     "phase coordinates must lie in [0, 1), got -23/25"),
+]
+
+
+@pytest.mark.parametrize("encoding, window, fault, message", LEAVING_IMAGES, ids=["gamma-t3", "delta-t0"])
+def test_a_cell_on_the_trace_that_leaves_the_square_is_internal(config, monkeypatch, encoding, window, fault, message):
+    _plant(monkeypatch, config, encoding, {window: fault})
+    with pytest.raises(InternalConsistencyError) as err:
+        run_experiment(config)
+    assert str(err.value) == message
 
 
 def test_cli_parse(capsys):

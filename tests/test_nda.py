@@ -238,6 +238,22 @@ def test_foreign_symbol_is_the_encodings_domain_error(machine, plain):
     assert str(build_error.value) == str(digit_error.value)
 
 
+def test_representatives_matching_different_rules_is_internal(machine, plain):
+    class Peeking(_Wrapped):
+        """Reads past the window: a tape with symbols below the stack top
+        matches no rule."""
+
+        def find_rule(self, state):
+            return None if len(state.stack) > self.dod.l else self.inner.find_rule(state)
+
+        def apply(self, state, rule):
+            return self.inner.apply(state, rule)
+
+    message = r"^window \(\('NP',\), \('NP',\)\): representatives matched different rules$"
+    with pytest.raises(InternalConsistencyError, match=message):
+        from_versatile_shift(Peeking(machine), plain)
+
+
 def test_nda_csv(plain_nda):
     lines = nda_csv(plain_nda).strip().splitlines()
     assert lines[0].startswith("i,j,y1_lo,y1_hi,y2_lo,y2_hi,")

@@ -207,6 +207,61 @@ def test_dotted_sequence_trims_and_compares():
     assert DottedSequence().is_empty
 
 
+class _Word(tuple):
+    """A tuple subclass: a dotted sequence must still store plain tuples."""
+
+
+def _canonical(word, blank):
+    """Oracle: the word as a plain tuple, trailing blanks dropped one by one."""
+    symbols = list(word)
+    while symbols and symbols[-1] == blank:
+        symbols.pop()
+    return tuple(symbols)
+
+
+def _padded(word, n, blank):
+    """Oracle: symbol k of the half-tape for k < n, blank past the word."""
+    return tuple(word[k] if k < len(word) else blank for k in range(n))
+
+
+SIDES = [
+    (),
+    ("S",),
+    ("S", "NP"),
+    ("S", BLANK),
+    (BLANK, BLANK),
+    (BLANK, "S", BLANK, BLANK),
+    ["NP", BLANK],
+    _Word(("NP", "V", BLANK)),
+    _Word(("V",)),
+]
+
+
+@pytest.mark.parametrize("stack", SIDES)
+def test_dotted_sequence_canonical_form_matches_an_oracle(stack):
+    ways = (lambda w: w, lambda w: (sym for sym in w))  # as given, and as a generator
+    for input, make in product(SIDES, ways):
+        state = DottedSequence(make(stack), make(input))
+        want_stack, want_input = _canonical(stack, BLANK), _canonical(input, BLANK)
+        assert (state.stack, state.input) == (want_stack, want_input)
+        assert type(state.stack) is tuple and type(state.input) is tuple
+        assert state == DottedSequence(want_stack, want_input)
+        assert hash(state) == hash(DottedSequence(want_stack, want_input))
+        assert state.is_empty == (not want_stack and not want_input)
+        for l, r in product(range(4), repeat=2):  # l = r = 0 and past the support
+            left, right = state.window(l, r)
+            assert (left, right) == (_padded(want_stack, l, BLANK), _padded(want_input, r, BLANK))
+            assert type(left) is tuple and type(right) is tuple
+
+
+def test_dotted_sequence_canonical_form_under_another_blank():
+    state = DottedSequence([1, 0, 2, 0, 0], iter([0, 0]), blank=0)
+    assert (state.stack, state.input) == ((1, 0, 2), ())
+    assert state.window(4, 2) == ((1, 0, 2, 0), (0, 0))
+    assert state.window(0, 0) == ((), ())
+    assert state != DottedSequence((1, 0, 2), (), blank=BLANK)
+
+
 def test_dotted_sequence_window_pads_with_blanks():
     state = DottedSequence(("V", "NP"), ("NP",))
     left, right = state.window(3, 2)
