@@ -21,7 +21,6 @@ from .errors import (
     GrammarError,
     InternalConsistencyError,
     MachineBuildError,
-    NonAffineRuleError,
     ResourceLimitError,
     UnsupportedInputError,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "Nda",
     "NetworkSpec",
     "NeuralState",
-    "NonAffineRuleError",
     "OneSidedSequence",
     "Ordering",
     "PermutationPair",

@@ -33,12 +33,10 @@ class GrammarError(GodelnetError):
 
 class MachineBuildError(GodelnetError):
     """A versatile shift could not be assembled (window/alphabet mismatch,
-    nondeterministic rule table, malformed rule)."""
-
-
-class NonAffineRuleError(MachineBuildError):
-    """A rule's action on some cell is not an affine map of the Godel
-    encodings, so no piecewise-affine automaton exists for the machine."""
+    nondeterministic rule table, malformed rule, or a shift past the
+    replacement, ``shift.NonDeterminedShiftError``).  A machine that is
+    built acts affinely on every cell, so building its cell table cannot
+    fail on the machine's account."""
 
 
 class ResourceLimitError(GodelnetError):

@@ -21,41 +21,35 @@ The table is an index grid: cell (i, j) is the rectangle
 at position i*q + j of the row-major cell tuple.  A cell stores only its
 index and its affine action; its rectangle follows from (i, j) and (p, q).
 
-A table is built in two passes.  The machine pass finds each window's rule,
-steps seeded test tapes of the window symbolically and reads off the
-rewrite words, checking that every tape's tails ride along unchanged; none
-of that depends on the encoding, so it runs once per machine and is kept in
-a weak-keyed memo that drops it when the machine is garbage collected.  The
-encoding pass indexes the windows and writes each cell in closed form; it
-runs for every table and cannot fail.  Since enc(R + T) = enc(R) +
-m**-|R| enc(T) and enc is injective on words without trailing blanks, a
-tape steps to the affine image of its point under one blank-pinned encoding
-exactly when it does so symbolically, so the one check covers them all.
+Every window of a ``VersatileShift`` is affine by construction.  A rule's
+match words are concrete symbols, and it may shift the dot only across
+symbols of its own replacement (``NonDeterminedShiftError`` otherwise), so
+the words it writes depend on the window alone, never on the tails.  The
+machine works them out in closed form when it is built and keeps them in
+its window table; a step writes them in the window's place, and a cell is
+written from them for any blank-pinned encoding, since
+enc(R + T) = enc(R) + m**-|R| enc(T).  No window can fail a table build.
+
+Step and table read the same words, so the checks on them bring oracles of
+their own: the grammar's productions for every window's step
+(``tests/test_shift.py``), term-by-term base-m sums of stepped tapes for
+every cell (``_base_m`` in ``tests/test_nda.py``), the parse the chain
+benchmark works out from its grammar (``perfbench/workloads.py``), and the
+``commutation`` check suite, which compares each cell's image with the
+Godel encoding of the stepped tape on random machines that shift both ways.
 """
 
 import csv
 import io
-import random
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    MachineBuildError,
-    NonAffineRuleError,
-    ResourceLimitError,
-)
+from .errors import DomainError, InternalConsistencyError, MachineBuildError, ResourceLimitError
 from .patterns import DEFAULT_CELL_BUDGET
-from .shift import vs_step
-from .symbols import DottedSequence, Ordering, _trim, digits_to_index, godel_encode, index_to_digits
+from .symbols import Ordering, digits_to_index, godel_encode, index_to_digits
 
 HALT = "halt"
-
-#: Number and RNG seed of the random tapes that verify each cell's affine map.
-VERIFY_TAPES, VERIFY_SEED = 8, 7
 
 
 @dataclass(frozen=True)
@@ -186,100 +180,21 @@ def nda_run(nda, point, steps):
     return orbit
 
 
-def _nonblank(alphabet):
-    for sym in alphabet:
-        if sym != alphabet.blank:
-            return sym
-    raise MachineBuildError("alphabet %r has no non-blank symbol" % (alphabet.symbols,))
-
-
-#: Machine pass of every machine a table was built for; an entry goes when its machine does.
-_MACHINE_PASSES = weakref.WeakKeyDictionary()
-
-
-def _check_alphabet(word, members, alphabet):
-    """Reject the first symbol of ``word`` not in ``members``, the set of ``alphabet``'s symbols."""
-    for sym in word:
-        if sym not in members:
-            raise DomainError("symbol %r not in alphabet %r" % (sym, alphabet.symbols))
-
-
-def _machine_pass(machine):
-    """The encoding-free half of a table build.
-
-    One record ``(w_st, w_in, label, r_st, r_in)`` per window in ``product``
-    order: the window, the label of its cell, and the words the machine
-    writes in its place while both tails ride along.  A halt window writes
-    itself.  The rewrite words are read off the tape whose tails are one
-    non-blank symbol each, then required of the other representative and
-    of ``VERIFY_TAPES`` seeded tapes: tape ``w_st+s . w_in+t`` must step to
-    ``r_st+s . r_in+t``, compared side by side with trailing blanks trimmed.
-    """
-    rng = random.Random(VERIFY_SEED)
-    blank = machine.blank
-    stack_syms, input_syms = machine.stack_alphabet.symbols, machine.input_alphabet.symbols
-    stack_members, input_members = frozenset(stack_syms), frozenset(input_syms)
-    in_extra = _nonblank(machine.input_alphabet)
-    st_extra = _nonblank(machine.stack_alphabet)
-    windows = []
-    for w_in in product(input_syms, repeat=machine.dod.r):
-        for w_st in product(stack_syms, repeat=machine.dod.l):
-            tails = [((), ()), ((st_extra,), (in_extra,))]
-            tapes = [DottedSequence(w_st + s, w_in + t, blank) for s, t in tails]
-            rule = machine.find_rule(tapes[0])
-            if rule is not machine.find_rule(tapes[1]):
-                raise InternalConsistencyError(
-                    "window (%r, %r): representatives matched different rules" % (w_st, w_in)
-                )
-            if rule is None:
-                windows.append((w_st, w_in, HALT, w_st, w_in))
-                continue
-            for _ in range(VERIFY_TAPES):
-                s = tuple(rng.choice(stack_syms) for _ in range(rng.randrange(4)))
-                t = tuple(rng.choice(input_syms) for _ in range(rng.randrange(4)))
-                tails.append((s, t))
-                tapes.append(DottedSequence(w_st + s, w_in + t, blank))
-            successors = []
-            for tape in tapes:
-                successor = vs_step(machine, tape)[0]
-                _check_alphabet(successor.input, input_members, machine.input_alphabet)
-                _check_alphabet(successor.stack, stack_members, machine.stack_alphabet)
-                successors.append(successor)
-            # tapes[1]'s tails are one non-blank symbol each, so no trailing
-            # blank of the rewrite words was trimmed off its successor
-            r_st, r_in = successors[1].stack[:-1], successors[1].input[:-1]
-            for tape, (s, t), successor in zip(tapes, tails, successors):
-                if (successor.stack, successor.input, successor.blank) != (
-                    _trim(r_st + s, blank), _trim(r_in + t, blank), blank
-                ):
-                    raise NonAffineRuleError(
-                        "rule %r is not affine on window (%r, %r): tape %s maps to %s, not %s"
-                        % (rule.label, w_st, w_in, tape, successor,
-                           DottedSequence(r_st + s, r_in + t, blank))
-                    )
-            windows.append((w_st, w_in, rule.label, r_st, r_in))
-    return windows
-
-
 def from_versatile_shift(machine, enc):
     """Derive the complete affine cell table for a machine and encoding.
 
-    Alphabets of the encoding must be the machine's.  The machine pass
-    (``_machine_pass``) finds, for each window (w_st, w_in), the words
-    (r_st, r_in) its rule writes in the window's place; a halt window writes
-    itself.  It does not depend on the encoding, so it runs once per machine
-    and is kept until the machine is garbage collected, unless it raised.
+    ``machine`` is a ``VersatileShift``; the alphabets of the encoding must
+    be its own.  Its window table holds, for each claimed window
+    (w_st, w_in), the rule and the words (r_st, r_in) it writes in the
+    window's place; a window no rule claims is a halt cell and writes
+    itself.
 
-    The encoding pass is closed form.  With p = m_in**r, the window w_in is
+    Each cell is closed form.  With p = m_in**r, the window w_in is
     cell i = p * enc(w_in) and an input tail t sits at m_in**-r, so the input
     side maps as y1 = i/p + m_in**-r enc(t)  ->  enc(r_in) + m_in**-|r_in| enc(t),
     which is lambda1 = m_in**(r - |r_in|) and a1 = enc(r_in) - lambda1 * i/p;
-    the stack side likewise with q = m_st**l and j.
-
-    One symbolic check covers every encoding: for a blank-pinned encoding
-    enc(R+T) = enc(R) + m**-|R| enc(T), and enc is injective on words
-    without trailing blanks, so a tape lands on the affine image of its
-    point exactly when it steps to r_st+s . r_in+t.
+    the stack side likewise with q = m_st**l and j.  This holds for every
+    blank-pinned encoding, because enc(R+T) = enc(R) + m**-|R| enc(T).
     """
     if enc.input.alphabet != machine.input_alphabet or enc.stack.alphabet != machine.stack_alphabet:
         raise MachineBuildError("encoding alphabets must match the machine alphabets")
@@ -287,19 +202,20 @@ def from_versatile_shift(machine, enc):
     p, q = enc.m_in**r, enc.m_st**l
     if p * q > DEFAULT_CELL_BUDGET:
         raise ResourceLimitError("cell table needs %d cells, budget is %d" % (p * q, DEFAULT_CELL_BUDGET))
-    windows = _MACHINE_PASSES.get(machine)
-    if windows is None:
-        windows = _MACHINE_PASSES[machine] = _machine_pass(machine)
 
+    table = machine.table
     cells = [None] * (p * q)
-    for w_st, w_in, label, r_st, r_in in windows:
+    for w_in in product(machine.input_alphabet.symbols, repeat=r):
         i = digits_to_index(enc.input.digits(w_in), enc.m_in)
-        j = digits_to_index(enc.stack.digits(w_st), enc.m_st)
-        lam1 = Fraction(enc.m_in) ** (r - len(r_in))
-        lam2 = Fraction(enc.m_st) ** (l - len(r_st))
-        a1 = godel_encode(r_in, enc.input) - lam1 * Fraction(i, p)
-        a2 = godel_encode(r_st, enc.stack) - lam2 * Fraction(j, q)
-        cells[i * q + j] = NdaCell(i, j, a1, a2, lam1, lam2, label)
+        for w_st in product(machine.stack_alphabet.symbols, repeat=l):
+            j = digits_to_index(enc.stack.digits(w_st), enc.m_st)
+            rule, r_st, r_in = table.get((w_st, w_in), (None, w_st, w_in))
+            label = HALT if rule is None else rule.label
+            lam1 = Fraction(enc.m_in) ** (r - len(r_in))
+            lam2 = Fraction(enc.m_st) ** (l - len(r_st))
+            a1 = godel_encode(r_in, enc.input) - lam1 * Fraction(i, p)
+            a2 = godel_encode(r_st, enc.stack) - lam2 * Fraction(j, q)
+            cells[i * q + j] = NdaCell(i, j, a1, a2, lam1, lam2, label)
     return Nda(enc, l, r, tuple(cells))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .nda import PhasePoint
 from .patterns import square_partition
-from .symbols import check_permutation, digits_to_index, index_to_digits, recode
+from .symbols import check_permutation
 
 
 def _axis_index(y, m, window):
@@ -115,13 +115,10 @@ def _rigid_move(y, perm, m, window):
     """Translate y by (sigma(k) - k) / m**window, sigma permuting the digits of its cell index k."""
     num, den, cells = y.numerator, y.denominator, m**window
     k = num * cells // den  # _axis_index(y, m, window), without a second m**window
-    if len(perm) == m:  # a PermutationPair perm of the base: permute the digits of k arithmetically
-        k_new, rest, place = 0, k, 1
-        for _ in range(window):
-            rest, d = divmod(rest, m)
-            k_new, place = k_new + perm[d] * place, place * m
-    else:  # the digit route, which rejects digits the perm does not fit
-        k_new = digits_to_index(recode(index_to_digits(k, m, window), perm), m)
+    k_new, rest, place = 0, k, 1
+    for _ in range(window):
+        rest, d = divmod(rest, m)
+        k_new, place = k_new + perm[d] * place, place * m
     # y + (k_new - k) / cells, normalised once
     return y if k_new == k else Fraction(num * cells + (k_new - k) * den, den * cells)
 
@@ -130,9 +127,12 @@ def rho_pi(point, pair, window, bases):
     """Rigid square motion induced by a recoding pair, exact on phase points.
 
     ``window`` is (l, r) = (stack, input) lengths; ``bases`` is
-    (m_in, m_st).
+    (m_in, m_st), and each side's permutation must act on its base's digits.
     """
     l, r = window
     m_in, m_st = bases
+    if len(pair.input_perm) != m_in or len(pair.stack_perm) != m_st:
+        raise DomainError("permutations of sizes (%d, %d) do not act on bases (%d, %d)"
+                          % (len(pair.input_perm), len(pair.stack_perm), m_in, m_st))
     return PhasePoint(_rigid_move(point.y1, pair.input_perm, m_in, r),
                       _rigid_move(point.y2, pair.stack_perm, m_st, l))

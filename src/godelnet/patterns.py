@@ -196,13 +196,30 @@ class PatternClassMap:
         return [cell for cell, cid in zip(self.cells(), self.assignment) if cid == class_id]
 
 
+def _budget_cells(what, *sides):
+    """Cells of the grid with m**l cells along each (m, l) side, within DEFAULT_CELL_BUDGET.
+
+    Each side's product stops once it passes the budget, so an oversized
+    grid raises ResourceLimitError without its count ever being built.
+    """
+    count = 1
+    for m, l in sides:
+        cells = 1
+        for _ in range(l):
+            if cells > DEFAULT_CELL_BUDGET:
+                raise ResourceLimitError("%s needs more than its budget of %d cells" % (what, DEFAULT_CELL_BUDGET))
+            cells *= m
+        count *= cells
+    if count > DEFAULT_CELL_BUDGET:
+        raise ResourceLimitError("%s needs %d cells, budget is %d" % (what, count, DEFAULT_CELL_BUDGET))
+    return count
+
+
 def interval_partition(m, l, blank_pinned=False):
     """Group the m**l corner words of length l by equality pattern."""
     if m < 2 or l < 0:
         raise DomainError("need m >= 2 and l >= 0, got m=%r l=%r" % (m, l))
-    count = m**l
-    if count > DEFAULT_CELL_BUDGET:
-        raise ResourceLimitError("interval partition needs %d cells, budget is %d" % (count, DEFAULT_CELL_BUDGET))
+    count = _budget_cells("interval partition", (m, l))
     keys = (pattern_of(index_to_digits(k, m, l), blank_pinned) for k in range(count))
     key_to_id = {}
     ids = tuple(key_to_id.setdefault(key, len(key_to_id)) for key in keys)
@@ -229,9 +246,7 @@ def square_partition(m, l, r, mode="joint", blank_pinned=False, m_right=None):
         raise DomainError("joint mode needs one shared base, got m=%d vs m_right=%d" % (m, m_right))
     if m < 2 or m_right < 2 or l < 0 or r < 0:
         raise DomainError("need bases >= 2 and lengths >= 0")
-    count = (m**l) * (m_right**r)
-    if count > DEFAULT_CELL_BUDGET:
-        raise ResourceLimitError("square partition needs %d cells, budget is %d" % (count, DEFAULT_CELL_BUDGET))
+    _budget_cells("square partition", (m, l), (m_right, r))
     if mode == "joint":
         ids = interval_partition(m, l + r, blank_pinned).assignment
     else:

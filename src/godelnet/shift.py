@@ -6,7 +6,10 @@ replaces the window content by rule-specific words, then shifts the dot.
 A rule's match words are concrete symbols, and it claims every window that
 begins with them.  So the machine is its window table: built once with the
 machine, it maps each (stack window, input window) to the one rule that
-claims it, and a step is one lookup.
+claims it and to the words that rule writes in the window's place.  A rule
+may shift the dot only across symbols of its own replacement, so those
+words follow from the window alone, and a step is one lookup: the words
+replace the window while both tape tails ride along.
 
 A context-free grammar compiles to such a machine as a top-down recognizer:
 one predict rule per production and terminal (with that terminal as the
@@ -79,7 +82,10 @@ class VersatileShift:
     """A deterministic rule table over declared stack/input alphabets.
 
     ``table`` maps each claimed (stack window, input window) pair, windows
-    top-first on the stack side and padded with blanks, to its rule.
+    top-first on the stack side and padded with blanks, to
+    ``(rule, r_st, r_in)``: its rule and the words the rule writes in the
+    window's place, trailing blanks kept, since a word's length is how far
+    the tail beneath it moves.
     """
 
     stack_alphabet: Alphabet
@@ -130,19 +136,26 @@ class VersatileShift:
                 % (" ".join(map(str, reversed(left))), " ".join(map(str, right)),
                    len(hits), ", ".join(hits))
             )
-        object.__setattr__(self, "table", {window: hits[0] for window, hits in claims.items()})
+        object.__setattr__(self, "table", {window: (hits[0],) + _rewrite(hits[0], *window)
+                                           for window, hits in claims.items()})
 
-    def find_rule(self, state):
-        """The rule that claims the state's window, or None."""
-        return self.table.get(state.window(self.dod.l, self.dod.r))
 
-    def apply(self, state, rule):
-        new_stack = rule.repl_stack + state.stack[len(rule.match_stack):]
-        new_input = rule.repl_input + state.input[len(rule.match_input):]
-        out = DottedSequence(new_stack, new_input, self.blank)
-        if rule.shift:
-            out = out.shift(rule.shift)
-        return out
+def _rewrite(rule, w_st, w_in):
+    """The words (r_st, r_in) ``rule`` writes in place of window (w_st, w_in).
+
+    The replacement takes the place of the matched symbols, beside the
+    unmatched rest of the window; then ``shift`` symbols cross the dot, the
+    nearest first.  They all come from the replacement, so both tails ride
+    along unchanged.
+    """
+    st = rule.repl_stack + w_st[len(rule.match_stack):]
+    inp = rule.repl_input + w_in[len(rule.match_input):]
+    k = rule.shift
+    if k > 0:
+        return inp[k - 1::-1] + st, inp[k:]
+    if k < 0:
+        return st[-k:], st[-k - 1::-1] + inp
+    return st, inp
 
 
 class NonDeterminedShiftError(MachineBuildError):
@@ -159,13 +172,16 @@ class NonDeterminedShiftError(MachineBuildError):
 def vs_step(machine, state):
     """One machine step: (next state, operation label).
 
-    A claimed window applies its rule; with no rule, the empty tape is the
-    accept fixed point and any other tape halts as reject.  Both terminal
-    labels return the state unchanged.
+    A claimed window is replaced by its rule's words while both tails ride
+    along; with no rule, the empty tape is the accept fixed point and any
+    other tape halts as reject.  Both terminal labels return the state
+    unchanged.
     """
-    rule = machine.find_rule(state)
-    if rule is not None:
-        return machine.apply(state, rule), rule.label
+    l, r = machine.dod.l, machine.dod.r
+    entry = machine.table.get(state.window(l, r))
+    if entry is not None:
+        rule, r_st, r_in = entry
+        return DottedSequence(r_st + state.stack[l:], r_in + state.input[r:], machine.blank), rule.label
     if state.is_empty:
         return state, ACCEPT
     return state, REJECT

@@ -359,21 +359,6 @@ class DottedSequence:
         it, padded with blanks beyond the support."""
         return _pad(self.stack, l, self.blank), _pad(self.input, r, self.blank)
 
-    def shift(self, steps):
-        """Move the dot ``steps`` positions right (negative: left).
-
-        Symbols crossing the dot change sides; blanks materialize when a
-        side runs out.
-        """
-        stack, inp = list(self.stack), list(self.input)
-        for _ in range(steps):
-            head = inp.pop(0) if inp else self.blank
-            stack.insert(0, head)
-        for _ in range(-steps):
-            top = stack.pop(0) if stack else self.blank
-            inp.insert(0, top)
-        return DottedSequence(tuple(stack), tuple(inp), self.blank)
-
     def __str__(self):
         left = " ".join(str(s) for s in reversed(self.stack)) or "ε"
         right = " ".join(str(s) for s in self.input) or "ε"

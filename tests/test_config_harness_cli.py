@@ -12,7 +12,7 @@ import pytest
 
 from godelnet import BLANK, DottedSequence, ExperimentConfig, PhasePoint, cli, harness, load_config
 from godelnet.config import EncodingTables
-from godelnet.errors import ConfigError, DivergenceError, InternalConsistencyError
+from godelnet.errors import ConfigError, DivergenceError, InternalConsistencyError, ResourceLimitError
 from godelnet.harness import (
     Verdict,
     observables_csv,
@@ -426,6 +426,30 @@ def test_cli_partition_refuses_square_flags_without_r(argv, flag, tmp_path, caps
     assert out == "" and not csv_path.exists()
     assert err.startswith("usage: godelnet partition")
     assert err.endswith("godelnet partition: error: %s applies to the square partition only; give --r too\n" % flag)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--m 3 --l 3000000", "interval partition needs more than its budget of 1000000 cells"),
+    ("--m 3 --l 3000", "interval partition needs more than its budget of 1000000 cells"),
+    ("--m 3 --l 13", "interval partition needs 1594323 cells, budget is 1000000"),
+    ("--m 3 --l 2 --r 3000000", "square partition needs more than its budget of 1000000 cells"),
+], ids=["l=3000000", "l=3000", "l=13", "r=3000000"])
+def test_cli_partition_over_the_cell_budget_exits_4(argv, message, tmp_path, capsys):
+    csv_path = tmp_path / "cells.csv"
+    assert cli.main(["partition"] + argv.split() + ["--csv", str(csv_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("window", ["10000000 3", "2 10000000"], ids=["stack", "input"])
+def test_an_observable_window_over_the_cell_budget_is_refused(tmp_path, capsys, window):
+    path = _shipped_config_with(tmp_path, "window = 2 3\n", "window = %s\n" % window)
+    message = "square partition needs more than its budget of 1000000 cells"
+    with pytest.raises(ResourceLimitError, match="^%s$" % message):
+        run_experiment(load_config(path))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run(tmp_path, capsys):

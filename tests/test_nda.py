@@ -28,15 +28,8 @@ from godelnet import (
     vs_run,
     vs_step,
 )
-from godelnet.errors import (
-    DomainError,
-    InternalConsistencyError,
-    MachineBuildError,
-    NonAffineRuleError,
-    ResourceLimitError,
-)
+from godelnet.errors import DomainError, InternalConsistencyError, MachineBuildError, ResourceLimitError
 from godelnet.nda import HALT, nda_csv
-from godelnet.shift import VersatileShift
 
 
 def test_encoding_pair_requires_pinned_blank(machine):
@@ -182,78 +175,6 @@ def test_cell_budget(machine, plain, monkeypatch):
         from_versatile_shift(machine, plain)
 
 
-class _Wrapped:
-    """Looks like the demo machine; subclasses corrupt what ``apply`` returns."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.input_alphabet = inner.input_alphabet
-        self.stack_alphabet = inner.stack_alphabet
-        self.dod = inner.dod
-        self.blank = inner.blank
-
-    def find_rule(self, state):
-        return self.inner.find_rule(state)
-
-
-def test_tail_dependent_machine_is_rejected(machine, plain):
-    class Sneaky(_Wrapped):
-        """Acts on symbols it never read: reverses the whole input side."""
-
-        def apply(self, state, rule):
-            out = self.inner.apply(state, rule)
-            return DottedSequence(out.stack, tuple(reversed(out.input)), self.blank)
-
-    with pytest.raises(NonAffineRuleError, match="is not affine on window"):
-        from_versatile_shift(Sneaky(machine), plain)
-
-
-def test_machine_with_non_power_linear_part_is_rejected(machine, plain):
-    class Forgetful(_Wrapped):
-        """Erases the input side, so every tape of a cell has the same image:
-        its linear part would be 0, which no power of m is, and symbolically
-        the input tail does not ride along."""
-
-        def apply(self, state, rule):
-            out = self.inner.apply(state, rule)
-            return DottedSequence(out.stack, (), self.blank)
-
-    message = r"'attach' is not affine on window \(\('NP',\), \('NP',\)\): tape NP NP \. NP NP maps to NP \. ε, not NP \. NP$"
-    with pytest.raises(NonAffineRuleError, match=message):
-        from_versatile_shift(Forgetful(machine), plain)
-
-
-def test_foreign_symbol_is_the_encodings_domain_error(machine, plain):
-    class Foreign(_Wrapped):
-        """Writes a symbol outside the input alphabet after every rule."""
-
-        def apply(self, state, rule):
-            out = self.inner.apply(state, rule)
-            return DottedSequence(out.stack, out.input + ("zz",), self.blank)
-
-    with pytest.raises(DomainError) as digit_error:
-        plain.input.digit("zz")
-    with pytest.raises(DomainError) as build_error:
-        from_versatile_shift(Foreign(machine), plain)
-    assert str(build_error.value) == str(digit_error.value)
-
-
-def test_representatives_matching_different_rules_is_internal(machine, plain):
-    class Peeking(_Wrapped):
-        """Reads past the window: a tape with symbols below the stack top
-        matches no rule."""
-
-        def find_rule(self, state):
-            return None if len(state.stack) > self.dod.l else self.inner.find_rule(state)
-
-        def apply(self, state, rule):
-            return self.inner.apply(state, rule)
-
-    message = r"^window \(\('NP',\), \('NP',\)\): representatives matched different rules$"
-    with pytest.raises(InternalConsistencyError, match=message):
-        from_versatile_shift(Peeking(machine), plain)
-
-
 def test_nda_csv(plain_nda):
     lines = nda_csv(plain_nda).strip().splitlines()
     assert lines[0].startswith("i,j,y1_lo,y1_hi,y2_lo,y2_hi,")
@@ -283,32 +204,6 @@ def _random_pair(machine, rng):
 def _base_m(word, digits, m):
     """sum_k digits[word_k] * m**-(k+1), term by term."""
     return sum((Fraction(digits[sym], m ** (k + 1)) for k, sym in enumerate(word)), Fraction(0))
-
-
-def test_second_table_for_a_machine_reuses_its_machine_pass(monkeypatch):
-    import godelnet.nda as nda
-
-    calls = {"vs_step": 0, "find_rule": 0}
-    real_vs_step, real_find_rule = nda.vs_step, VersatileShift.find_rule
-
-    def counting_vs_step(machine, state):
-        calls["vs_step"] += 1
-        return real_vs_step(machine, state)
-
-    def counting_find_rule(self, state):
-        calls["find_rule"] += 1
-        return real_find_rule(self, state)
-
-    monkeypatch.setattr(nda, "vs_step", counting_vs_step)
-    monkeypatch.setattr(VersatileShift, "find_rule", counting_find_rule)
-    machine = _chain_machine(5)  # no other test builds G_5
-    rng = random.Random(8)
-    first = from_versatile_shift(machine, _random_pair(machine, rng))
-    assert calls["vs_step"] > 0 and calls["find_rule"] > 0
-    calls.update(vs_step=0, find_rule=0)
-    second = from_versatile_shift(machine, _random_pair(machine, rng))
-    assert calls == {"vs_step": 0, "find_rule": 0}
-    assert first.enc != second.enc and len(first.cells) == len(second.cells)
 
 
 def _pinned_pairs(machine):
@@ -376,45 +271,10 @@ def test_chain_tables_keep_their_bytes(k, seed, digest):
     assert hashlib.sha256(nda_csv(table).encode()).hexdigest() == digest
 
 
-def test_machine_pass_does_not_keep_the_machine_alive():
+def test_a_table_does_not_keep_its_machine_alive():
     machine = _chain_machine(3)
     from_versatile_shift(machine, _random_pair(machine, random.Random(0)))
     ref = weakref.ref(machine)
     del machine
     gc.collect()
     assert ref() is None
-
-
-class _Faulty(_Wrapped):
-    """Raises in ``apply`` on stack tops in ``fault_tops``, reverses the
-    input side after rules on stack tops in ``sneaky_tops``."""
-
-    def __init__(self, inner, fault_tops=(), sneaky_tops=()):
-        super().__init__(inner)
-        self.fault_tops, self.sneaky_tops = fault_tops, sneaky_tops
-
-    def apply(self, state, rule):
-        if state.stack[:1] in self.fault_tops:
-            raise RuntimeError("apply failed on %s" % state)
-        out = self.inner.apply(state, rule)
-        if state.stack[:1] in self.sneaky_tops:
-            out = DottedSequence(out.stack, tuple(reversed(out.input)), self.blank)
-        return out
-
-
-def test_first_window_fault_wins_whichever_pass_finds_it(machine, plain):
-    # windows run input-major: (NP, NP) attach, then (VP, NP) and (S, NP) predict
-    late_fault = _Faulty(machine, fault_tops=(("S",),), sneaky_tops=(("NP",),))
-    with pytest.raises(NonAffineRuleError, match=r"'attach' is not affine on window \(\('NP',\), \('NP',\)\)"):
-        from_versatile_shift(late_fault, plain)
-    early_fault = _Faulty(machine, fault_tops=(("NP",),), sneaky_tops=(("S",),))
-    with pytest.raises(RuntimeError, match=r"apply failed on NP \. NP$"):
-        from_versatile_shift(early_fault, plain)
-
-
-def test_failed_machine_pass_is_not_kept(machine, plain, plain_nda):
-    flaky = _Faulty(machine, fault_tops=(("VP",),))
-    with pytest.raises(RuntimeError, match="apply failed"):
-        from_versatile_shift(flaky, plain)
-    flaky.fault_tops = ()
-    assert nda_csv(from_versatile_shift(flaky, plain)) == nda_csv(plain_nda)

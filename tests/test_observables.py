@@ -160,15 +160,16 @@ def test_cell_of_reads_both_ends_of_every_cell(bases, window):
                 assert spec.cell_of(PhasePoint(x, y)) == (i, j)
 
 
-def test_rho_with_a_permutation_of_another_size_takes_the_digit_route(swap_pair):
-    point = PhasePoint(Fraction(16, 27), Fraction(4, 5))
-    want = rho_pi(point, swap_pair, WINDOW, BASES)
-    # a longer permutation that keeps the base's digits moves the point as its restriction does
-    assert rho_pi(point, PermutationPair((0, 2, 1, 3), swap_pair.stack_perm), WINDOW, BASES) == want
-    for perm, message in (((0, 1), "digit 2 outside 0..1"), ((0, 3, 1, 2), "digit 3 outside 0..2")):
-        with pytest.raises(DomainError) as err:
-            rho_pi(point, PermutationPair(perm, swap_pair.stack_perm), WINDOW, BASES)
-        assert str(err.value) == message
+@pytest.mark.parametrize("perm", [(0, 1), (0, 2, 1, 3)])
+@pytest.mark.parametrize("y1", [Fraction(1, 9), Fraction(2, 9), Fraction(4, 9), Fraction(16, 27)])
+def test_rho_refuses_a_permutation_of_another_size(swap_pair, perm, y1):
+    # base 3 on the input side: a perm of 2 or 4 digits is refused whatever digits the point's window holds
+    point = PhasePoint(y1, Fraction(4, 5))
+    with pytest.raises(DomainError) as err:
+        rho_pi(point, PermutationPair(perm, swap_pair.stack_perm), WINDOW, BASES)
+    assert str(err.value) == "permutations of sizes (%d, 5) do not act on bases (3, 5)" % len(perm)
+    with pytest.raises(DomainError):
+        rho_pi(point, PermutationPair(swap_pair.input_perm, perm), WINDOW, BASES)
 
 
 def test_rho_translates_beyond_the_window_decimals(swap_pair):

@@ -1,5 +1,7 @@
 """Grammar parsing, machine compilation, and machine runs."""
 
+import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,77 @@ def test_shift_moves_replacement_symbols():
     nxt, label = vs_step(machine, state)
     assert label == "push"
     assert nxt == DottedSequence(("y",), ("x",))
+
+
+def _random_shifting_machine(rng):
+    """Seeded machine over (blank, x, y) with windows up to (3, 3) whose rules
+    match prefixes of distinct windows, write words that may end in blanks,
+    and shift up to the length of their replacement either way."""
+    syms = (BLANK, "x", "y")
+    alpha = Alphabet(syms, blank=BLANK)
+    l, r = rng.randrange(4), rng.randrange(4)
+    windows = list(product(product(syms, repeat=l), product(syms, repeat=r)))
+    while True:
+        rules = []
+        for idx, (ws, wi) in enumerate(rng.sample(windows, min(len(windows), rng.randrange(1, 6)))):
+            repl_st = tuple(rng.choice(syms) for _ in range(rng.randrange(4)))
+            repl_in = tuple(rng.choice(syms) for _ in range(rng.randrange(4)))
+            if rng.random() < 0.3:
+                repl_st += (BLANK,)
+            if rng.random() < 0.3:
+                repl_in += (BLANK,)
+            shift = rng.randrange(-len(repl_st), len(repl_in) + 1)
+            match_st, match_in = ws[:rng.randrange(l + 1)], wi[:rng.randrange(r + 1)]
+            rules.append(VsRule("r%d" % idx, match_st, match_in, repl_st, repl_in, shift))
+        try:
+            return VersatileShift(alpha, alpha, DoD(l, r), tuple(rules))
+        except MachineBuildError:  # two rules claim one window: draw again
+            continue
+
+
+def _step_by_list_pops(machine, stack, inp):
+    """Oracle step: match the rules on the blank-padded tape, splice the
+    replacement in as lists, then pop symbols across the dot one at a time."""
+    l, r, blank = machine.dod.l, machine.dod.r, machine.blank
+    padded_st = list(stack) + [blank] * l
+    padded_in = list(inp) + [blank] * r
+    hits = [rule for rule in machine.rules
+            if tuple(padded_st[:len(rule.match_stack)]) == rule.match_stack
+            and tuple(padded_in[:len(rule.match_input)]) == rule.match_input]
+    assert len(hits) <= 1
+    if not hits:
+        return (stack, inp), (ACCEPT if not stack and not inp else REJECT)
+    rule = hits[0]
+    new_st = list(rule.repl_stack) + list(stack[len(rule.match_stack):])
+    new_in = list(rule.repl_input) + list(inp[len(rule.match_input):])
+    for _ in range(rule.shift):
+        new_st.insert(0, new_in.pop(0) if new_in else blank)
+    for _ in range(-rule.shift):
+        new_in.insert(0, new_st.pop(0) if new_st else blank)
+    while new_st and new_st[-1] == blank:
+        new_st.pop()
+    while new_in and new_in[-1] == blank:
+        new_in.pop()
+    return (tuple(new_st), tuple(new_in)), rule.label
+
+
+def test_window_rewrites_step_as_list_pops_do():
+    rng = random.Random(19)
+    syms = (BLANK, "x", "y")
+    shifts = set()
+    for _ in range(150):
+        machine = _random_shifting_machine(rng)
+        shifts.update(rule.shift for rule in machine.rules)
+        # every claimed window under a non-blank tail, so no trailing blank of
+        # its words is trimmed, then random tapes, shorter than the window too
+        tapes = [DottedSequence(w_st + ("x",), w_in + ("y",)) for w_st, w_in in machine.table]
+        for _ in range(20):
+            tapes.append(DottedSequence(tuple(rng.choice(syms) for _ in range(rng.randrange(6))),
+                                        tuple(rng.choice(syms) for _ in range(rng.randrange(6)))))
+        for tape in tapes:
+            nxt, label = vs_step(machine, tape)
+            assert ((nxt.stack, nxt.input), label) == _step_by_list_pops(machine, tape.stack, tape.input)
+    assert {-3, -1, 1, 3} <= shifts
 
 
 def test_initial_state_validation(machine):

@@ -267,15 +267,3 @@ def test_dotted_sequence_window_pads_with_blanks():
     left, right = state.window(3, 2)
     assert left == ("V", "NP", BLANK)
     assert right == ("NP", BLANK)
-
-
-def test_dotted_sequence_shift_roundtrip():
-    state = DottedSequence(("B", "A"), ("C", "D"))
-    right = state.shift(1)
-    assert right.stack == ("C", "B", "A") and right.input == ("D",)
-    assert right.shift(-1) == state
-    assert state.shift(-2) == DottedSequence((), ("A", "B", "C", "D"))
-    # past the support, blanks materialize on the vacated side
-    deep = state.shift(-3)
-    assert deep.stack == () and deep.input == (BLANK, "A", "B", "C", "D")
-    assert deep.shift(3) == state
