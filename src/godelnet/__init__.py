@@ -29,7 +29,6 @@ from .nda import (
     EncodingPair,
     Nda,
     PhasePoint,
-    decode_point,
     encode_tape,
     from_versatile_shift,
     nda_run,
@@ -78,11 +77,7 @@ from .symbols import (
     BLANK,
     Alphabet,
     DottedSequence,
-    Interval,
-    OneSidedSequence,
     Ordering,
-    cylinder,
-    godel_decode,
     godel_encode,
     identity_ordering,
     recode,
@@ -109,12 +104,10 @@ __all__ = [
     "GodelnetError",
     "GrammarError",
     "InternalConsistencyError",
-    "Interval",
     "MachineBuildError",
     "Nda",
     "NetworkSpec",
     "NeuralState",
-    "OneSidedSequence",
     "Ordering",
     "PermutationPair",
     "PhasePoint",
@@ -126,15 +119,12 @@ __all__ = [
     "amari",
     "build_step_observable",
     "compile_cfg_topdown",
-    "cylinder",
-    "decode_point",
     "demo_encodings",
     "demo_machine",
     "dissimilarity",
     "embed",
     "encode_tape",
     "from_versatile_shift",
-    "godel_decode",
     "godel_encode",
     "harmony",
     "identity_ordering",

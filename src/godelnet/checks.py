@@ -2,7 +2,7 @@
 
 Every suite states a law the toolkit relies on and verifies it against an
 independent oracle: brute-force permutation search for orbit equality,
-direct interval membership for the metric/cylinder correspondence, symbolic
+grid-index cell lookups for the metric/cylinder correspondence, symbolic
 machine steps for the affine cell maps, and the exact cell table for the
 network.  Suites return a CheckResult with a counterexample on failure
 instead of raising, so a run reports every broken law at once.
@@ -479,6 +479,7 @@ def check_network(seed=0):
     for name, pair in demo_encodings(machine).items():
         nda = from_versatile_shift(machine, pair)
         spec = synthesize(nda)
+        bsl_lo, bsl_hi, _ = spec.phase_ranges[2]  # the branch bank
         want_units = 3 + 3 * (nda.x_cells + nda.y_cells) + 3 * nda.x_cells * nda.y_cells
         if spec.n != want_units:
             return CheckResult("network", False,
@@ -510,7 +511,7 @@ def check_network(seed=0):
                 if st.x.min() < 0.0 or st.x.max() > 1.0:
                     return CheckResult("network", False, "unit left [0, 1]", (name, st.macro, st.micro))
                 if st.micro == 3:
-                    bank = [st.x[u] for u in spec.bsl_units()]
+                    bank = st.x[bsl_lo:bsl_hi].tolist()
                     if sum(1 for v in bank if v == 1.0) != 1 or any(v not in (0.0, 1.0) for v in bank):
                         return CheckResult("network", False, "branch bank not one-hot",
                                            (name, st.macro))

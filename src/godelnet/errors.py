@@ -15,9 +15,8 @@ class DomainError(GodelnetError):
 
 
 class UnsupportedInputError(GodelnetError):
-    """The input is well-formed but outside the finitely-representable class
-    this implementation supports (e.g. a sequence tail that does not encode
-    to digit zero)."""
+    """The input is well-formed but outside the class this implementation
+    can represent faithfully."""
 
 
 class GrammarError(GodelnetError):

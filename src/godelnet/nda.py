@@ -47,7 +47,7 @@ from itertools import product
 
 from .errors import DomainError, InternalConsistencyError, MachineBuildError, ResourceLimitError
 from .patterns import DEFAULT_CELL_BUDGET
-from .symbols import Ordering, digits_to_index, godel_encode, index_to_digits
+from .symbols import Ordering, digits_to_index, godel_encode, grid_index
 
 HALT = "halt"
 
@@ -147,17 +147,7 @@ class Nda:
         return self.cells[i * self.y_cells + j]
 
     def locate(self, point):
-        i = (point.y1 * self.x_cells).__floor__()
-        j = (point.y2 * self.y_cells).__floor__()
-        return self.cell_at(i, j)
-
-
-def decode_point(nda, point):
-    """Cell indices and window digit words of a phase point."""
-    cell = nda.locate(point)
-    input_digits = index_to_digits(cell.i, nda.enc.m_in, nda.r)
-    stack_digits = index_to_digits(cell.j, nda.enc.m_st, nda.l)
-    return (cell.i, cell.j), input_digits, stack_digits
+        return self.cell_at(grid_index(point.y1, self.x_cells), grid_index(point.y2, self.y_cells))
 
 
 def nda_step(nda, point):

@@ -112,10 +112,6 @@ class NetworkSpec:
     def n(self):
         return len(self.weights)
 
-    def bsl_units(self):
-        lo, hi, _ = self.phase_ranges[2]
-        return range(lo, hi)
-
 
 @dataclass(frozen=True)
 class NeuralState:

@@ -25,7 +25,8 @@ import io
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import DomainError, GrammarError, MachineBuildError
+from .errors import DomainError, GrammarError, MachineBuildError, ResourceLimitError
+from .patterns import DEFAULT_CELL_BUDGET, _budget_cells
 from .symbols import BLANK, Alphabet, DottedSequence
 
 ACCEPT = "accept"
@@ -64,17 +65,6 @@ class VsRule:
     def __post_init__(self):
         for name in ("match_stack", "match_input", "repl_stack", "repl_input"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def display(self):
-        """Human form with the stack side printed in reversed (tape) order."""
-
-        def side(toks):
-            return " ".join(map(str, toks)) or "ε"
-
-        return "%s . %s -> %s . %s" % (
-            side(tuple(reversed(self.match_stack))), side(self.match_input),
-            side(tuple(reversed(self.repl_stack))), side(self.repl_input),
-        )
 
 
 @dataclass(frozen=True)
@@ -119,6 +109,11 @@ class VersatileShift:
             if rule.shift < 0 and -rule.shift > len(rule.repl_stack):
                 raise NonDeterminedShiftError(rule)
         stack, inp = self.stack_alphabet.symbols, self.input_alphabet.symbols
+        # count the windows (cells) each rule claims before listing any
+        claimed = sum(_budget_cells("rule %r" % rule.label, (len(stack), self.dod.l - len(rule.match_stack)),
+                                    (len(inp), self.dod.r - len(rule.match_input))) for rule in self.rules)
+        if claimed > DEFAULT_CELL_BUDGET:
+            raise ResourceLimitError("rules claim %d cells, budget is %d" % (claimed, DEFAULT_CELL_BUDGET))
         claims = {}  # window -> the rules claiming it, in rule order
         for rule in self.rules:
             for st_tail in product(stack, repeat=self.dod.l - len(rule.match_stack)):

@@ -8,16 +8,18 @@ integer) over m**n: the left corner of its cell on the m**n grid.  All
 arithmetic here is exact (integers and fractions.Fraction); floats only
 appear much later, inside the neural module.
 
-The module also provides the sequence ultrametric (m**-n for a shared prefix
-of length n), cylinder intervals, digit permutations acting on words
-("recodings"), and the dotted two-sided sequences used by shift machines.
+A point's cell on the m**n grid is its grid index, floor(y * m**n), read
+by ``grid_index`` in integers.  The module also provides the sequence
+ultrametric (m**-n for a shared prefix of length n), digit permutations
+acting on words ("recodings"), and the dotted two-sided sequences used by
+shift machines.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DomainError, UnsupportedInputError
+from .errors import DomainError
 
 #: Canonical blank glyph.  Alphabets may declare any token as their blank;
 #: this is the default used by dotted sequences and the grammar pipeline.
@@ -88,7 +90,6 @@ class Ordering:
         canon = tuple(sorted(mapping.items(), key=lambda kv: kv[1]))
         object.__setattr__(self, "table", canon)
         object.__setattr__(self, "_digit_of", mapping)
-        object.__setattr__(self, "_symbol_of", {d: s for s, d in mapping.items()})
 
     @property
     def m(self):
@@ -105,17 +106,8 @@ class Ordering:
         except KeyError:
             raise DomainError("symbol %r not in alphabet %r" % (sym, self.alphabet.symbols)) from None
 
-    def symbol(self, digit):
-        try:
-            return self._symbol_of[digit]
-        except KeyError:
-            raise DomainError("digit %r outside 0..%d" % (digit, self.m - 1)) from None
-
     def digits(self, word):
         return tuple(self.digit(s) for s in word)
-
-    def word(self, digits):
-        return tuple(self.symbol(d) for d in digits)
 
 
 def identity_ordering(m):
@@ -128,46 +120,9 @@ def identity_ordering(m):
     return Ordering(alpha, tuple((d, d) for d in range(m)))
 
 
-@dataclass(frozen=True)
-class OneSidedSequence:
-    """A one-sided infinite sequence with eventually-constant tail.
-
-    Stored as a finite prefix plus the constant tail symbol; the prefix is
-    canonicalized by trimming trailing copies of the tail symbol, so equality
-    of the dataclass is equality of the sequences.
-    """
-
-    prefix: tuple
-    tail: object = BLANK
-
-    def __post_init__(self):
-        p = tuple(self.prefix)
-        while p and p[-1] == self.tail:
-            p = p[:-1]
-        object.__setattr__(self, "prefix", p)
-
-    def at(self, k):
-        """Symbol at 1-based position k."""
-        if k < 1:
-            raise DomainError("positions are 1-based, got %d" % k)
-        return self.prefix[k - 1] if k <= len(self.prefix) else self.tail
-
-
-def godel_encode(seq, ordering):
-    """Exact Godel encoding of a word or one-sided sequence.
-
-    Each symbol contributes digit * m**-position.  A sequence tail is only
-    accepted when its digit is 0 (then the series terminates); anything else
-    raises UnsupportedInputError rather than silently truncating.
-    """
-    if isinstance(seq, OneSidedSequence):
-        if ordering.digit(seq.tail) != 0:
-            raise UnsupportedInputError(
-                "tail symbol %r has digit %d != 0; only digit-0 tails encode to a finite sum"
-                % (seq.tail, ordering.digit(seq.tail))
-            )
-        seq = seq.prefix
-    return encode_digits(ordering.digits(seq), ordering.m)
+def godel_encode(word, ordering):
+    """Exact Godel encoding of a word: each symbol contributes digit * m**-position."""
+    return encode_digits(ordering.digits(word), ordering.m)
 
 
 def encode_digits(digits, m):
@@ -176,20 +131,9 @@ def encode_digits(digits, m):
     return Fraction(digits_to_index(digits, m), m ** len(digits))
 
 
-def godel_decode(x, m, length):
-    """First ``length`` base-m digits of x in [0, 1).
-
-    Truncates: for x in cell k/m**length the result is the digit expansion of
-    k.  The right endpoint 1 is outside the domain.
-    """
-    if m < 2:
-        raise DomainError("base m must be >= 2, got %r" % (m,))
-    if length < 0:
-        raise DomainError("length must be >= 0, got %r" % (length,))
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise DomainError("decode needs 0 <= x < 1, got %s" % x)
-    return index_to_digits((x * m**length).__floor__(), m, length)
+def grid_index(y, cells):
+    """Index of the cell holding an exact y in [0, 1) on the grid of ``cells`` equal cells."""
+    return y.numerator * cells // y.denominator
 
 
 def digits_to_index(digits, m):
@@ -213,59 +157,23 @@ def index_to_digits(k, m, length):
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Half-open rational interval [lo, hi)."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.hi < self.lo:
-            raise DomainError("interval endpoints out of order: [%s, %s)" % (self.lo, self.hi))
-
-    def __contains__(self, x):
-        return self.lo <= x < self.hi
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-
-def cylinder(word, ordering):
-    """Interval of encodings of all sequences beginning with ``word``.
-
-    For a word of length n with grid index k over m**n this is
-    [k/m**n, (k+1)/m**n); the empty word gives the whole of [0, 1).
-    """
-    digits = ordering.digits(word)
-    k, cells = digits_to_index(digits, ordering.m), ordering.m ** len(digits)
-    return Interval(Fraction(k, cells), Fraction(k + 1, cells))
-
-
 def ultrametric(p, q, m, tail=BLANK):
     """Sequence distance m**-n where n is the shared prefix length.
 
-    Accepts finite words (implicitly extended by ``tail``) or
-    OneSidedSequence values.  Equal sequences are at distance 0; sequences
-    already differing in the first symbol are at distance 1.
+    Both words are extended by the constant ``tail``.  Equal sequences are
+    at distance 0; sequences already differing in the first symbol are at
+    distance 1.
     """
     if m < 2:
         raise DomainError("base m must be >= 2, got %r" % (m,))
     # a word's trailing tail symbols need no trimming: they equal the tail that follows them
-    p, p_tail = (p.prefix, p.tail) if isinstance(p, OneSidedSequence) else (tuple(p), tail)
-    q, q_tail = (q.prefix, q.tail) if isinstance(q, OneSidedSequence) else (tuple(q), tail)
+    p, q = tuple(p), tuple(q)
     p_len, q_len = len(p), len(q)
-    horizon = max(p_len, q_len)
-    for k in range(horizon):
-        a = p[k] if k < p_len else p_tail
-        b = q[k] if k < q_len else q_tail
+    for k in range(max(p_len, q_len)):
+        a = p[k] if k < p_len else tail
+        b = q[k] if k < q_len else tail
         if a != b:
             return Fraction(1, m**k)
-    if p_tail != q_tail:
-        return Fraction(1, m**horizon)
     return Fraction(0)
 
 

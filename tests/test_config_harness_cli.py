@@ -160,6 +160,15 @@ def test_readme_config_block_loads(tmp_path, config):
     assert load_config(tmp_path / "experiment.ini") == want
 
 
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md (Library)", "exec"), namespace)
+    assert namespace["spec"].n == 72
+
+
 def test_config_rejects_unknown_symbols(tmp_path, config):
     text = (CONFIG_DIR / "experiment.ini").read_text(encoding="utf-8")
     broken = tmp_path / "broken.ini"

@@ -18,7 +18,6 @@ from godelnet import (
     Ordering,
     PhasePoint,
     compile_cfg_topdown,
-    decode_point,
     encode_tape,
     from_versatile_shift,
     identity_ordering,
@@ -30,6 +29,7 @@ from godelnet import (
 )
 from godelnet.errors import DomainError, InternalConsistencyError, MachineBuildError, ResourceLimitError
 from godelnet.nda import HALT, nda_csv
+from godelnet.symbols import index_to_digits
 
 
 def test_encoding_pair_requires_pinned_blank(machine):
@@ -137,9 +137,9 @@ def test_locate_and_decode(plain_nda):
     point = PhasePoint(Fraction(16, 27), Fraction(4, 5))
     cell = plain_nda.locate(point)
     assert (cell.i, cell.j) == (1, 4)
-    (i, j), input_digits, stack_digits = decode_point(plain_nda, point)
-    assert (i, j) == (1, 4)
-    assert input_digits == (1,) and stack_digits == (4,)
+    # the cell's index digits are the window's: input NP, stack S
+    assert index_to_digits(cell.i, 3, plain_nda.r) == (1,)
+    assert index_to_digits(cell.j, 5, plain_nda.l) == (4,)
 
 
 def test_orbits_match_machine_runs(machine, encodings, start_state):

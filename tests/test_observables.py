@@ -18,7 +18,7 @@ from godelnet import (
     step_observable,
 )
 from godelnet.errors import DomainError
-from godelnet.symbols import encode_digits, godel_decode, recode, zero_fixing_permutations
+from godelnet.symbols import encode_digits, recode, zero_fixing_permutations
 
 WINDOW = (2, 3)  # (stack, input) window lengths
 BASES = (3, 5)  # (input, stack) alphabet sizes
@@ -118,9 +118,19 @@ def test_rho_identity_and_involution(swap_pair):
     assert twice.y2 != point.y2
 
 
+def _expand(y, m, window):
+    """The first ``window`` base-m digits of y, one digit per multiply by m."""
+    digits = []
+    for _ in range(window):
+        y *= m
+        digits.append(int(y))
+        y -= int(y)
+    return tuple(digits)
+
+
 def _recoded(y, perm, m, window):
     """Oracle for one axis of rho_pi: swap the window's digits for their recoded ones."""
-    digits = godel_decode(y, m, window)
+    digits = _expand(y, m, window)
     return y - encode_digits(digits, m) + encode_digits(recode(digits, perm), m)
 
 

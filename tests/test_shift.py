@@ -21,7 +21,7 @@ from godelnet import (
     vs_run,
     vs_step,
 )
-from godelnet.errors import DomainError, GrammarError, MachineBuildError
+from godelnet.errors import DomainError, GrammarError, MachineBuildError, ResourceLimitError
 from godelnet.shift import STEP_LIMIT, NonDeterminedShiftError, load_grammar, trace_csv
 
 DEMO_GRAMMAR = Path(__file__).resolve().parent.parent / "configs" / "parser.grammar"
@@ -197,6 +197,28 @@ def test_rule_validation():
         VersatileShift(alpha, alpha, DoD(1, 0), (wide,))
 
 
+def test_a_rule_claiming_more_windows_than_the_budget_is_refused_before_listing():
+    # 3**13 = 1,594,323 windows over 3 symbols, past DEFAULT_CELL_BUDGET (10**6)
+    alpha = Alphabet((BLANK, "x", "y"), blank=BLANK)
+    anything = VsRule("anything", (), (), (), ())
+    with pytest.raises(ResourceLimitError, match=r"^rule 'anything' needs 1594323 cells, budget is 1000000$"):
+        VersatileShift(alpha, alpha, DoD(0, 13), (anything,))
+    # two rules of 3**12 windows each pass alone but not together
+    halves = (VsRule("x", (), ("x",), (), ()), VsRule("y", (), ("y",), (), ()))
+    with pytest.raises(ResourceLimitError, match=r"^rules claim 1062882 cells, budget is 1000000$"):
+        VersatileShift(alpha, alpha, DoD(0, 13), halves)
+
+
+def test_a_rule_matching_the_full_window_builds_and_steps_at_the_same_window():
+    alpha = Alphabet((BLANK, "x", "y"), blank=BLANK)
+    word = ("x", "y") * 6 + ("x",)
+    machine = VersatileShift(alpha, alpha, DoD(0, 13), (VsRule("full", (), word, ("y",), ("y", "y")),))
+    assert len(machine.table) == 1
+    nxt, label = vs_step(machine, DottedSequence((), word + ("x", "y")))
+    assert (nxt, label) == (DottedSequence(("y",), ("y", "y", "x", "y")), "full")
+    assert vs_step(machine, nxt) == (nxt, REJECT)
+
+
 def test_shift_moves_replacement_symbols():
     alpha = Alphabet((BLANK, "x", "y"), blank=BLANK)
     rule = VsRule("push", (), ("x",), (), ("y",), shift=1)
@@ -283,8 +305,3 @@ def test_initial_state_validation(machine):
         initial_state(machine, ("NP", "Q"), "S")
     with pytest.raises(MachineBuildError):
         initial_state(machine, ("NP",), "Q")
-
-
-def test_rule_display_reverses_stack_side():
-    rule = VsRule("r", ("VP", "NP"), ("V",), ("V",), ())
-    assert rule.display() == "NP VP . V -> V . ε"

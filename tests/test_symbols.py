@@ -1,5 +1,6 @@
 """Encodings, the sequence metric, recodings, dotted sequences."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,22 +11,20 @@ from godelnet import (
     Alphabet,
     BLANK,
     DottedSequence,
-    Interval,
-    OneSidedSequence,
     Ordering,
-    cylinder,
-    godel_decode,
     godel_encode,
     identity_ordering,
     recode,
     recode_ordering,
     ultrametric,
 )
-from godelnet.errors import DomainError, UnsupportedInputError
+from godelnet.errors import DomainError
 from godelnet.symbols import (
     all_permutations,
     compose_perms,
     encode_digits,
+    grid_index,
+    index_to_digits,
     invert_perm,
     zero_fixing_permutations,
 )
@@ -38,17 +37,6 @@ def test_known_encoding_value(plain):
 
 def test_empty_word_encodes_to_zero(plain):
     assert godel_encode((), plain.input) == 0
-
-
-def test_sequence_and_word_agree(plain):
-    seq = OneSidedSequence(("NP", "V", BLANK, BLANK))
-    assert godel_encode(seq, plain.input) == godel_encode(("NP", "V"), plain.input)
-
-
-def test_nonzero_tail_is_rejected():
-    ordering = identity_ordering(3)
-    with pytest.raises(UnsupportedInputError):
-        godel_encode(OneSidedSequence((0, 1), tail=2), ordering)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7])
@@ -71,33 +59,34 @@ def test_encoders_match_term_by_term_sum(m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_decode_inverts_encode(m):
+    # decoding a word of length n: its grid index on the m**n grid, then that index's digits
     for length in range(4):
         for digits in product(range(m), repeat=length):
-            assert godel_decode(encode_digits(digits, m), m, length) == digits
-
-
-def test_decode_domain():
-    with pytest.raises(DomainError):
-        godel_decode(1, 3, 2)
-    with pytest.raises(DomainError):
-        godel_decode(Fraction(-1, 3), 3, 2)
+            assert index_to_digits(grid_index(encode_digits(digits, m), m**length), m, length) == digits
 
 
 def test_cylinder_contains_extensions():
     ordering = identity_ordering(3)
-    # a word given as a one-shot iterator must give the same interval
+    # a word given as a one-shot iterator must encode the same
     for word in ((1, 2), [1, 2], iter((1, 2))):
-        iv = cylinder(word, ordering)
-        assert (iv.lo, iv.hi) == (Fraction(5, 9), Fraction(2, 3))
-        for ext in product(range(3), repeat=2):
-            assert encode_digits((1, 2) + ext, 3) in iv
-        assert encode_digits((1, 1), 3) not in iv
+        assert godel_encode(word, ordering) == Fraction(5, 9)
+    # every extension of 1 2 lies in cell 5 of the 9-cell grid, 1 1 does not
+    for ext in product(range(3), repeat=2):
+        assert grid_index(encode_digits((1, 2) + ext, 3), 9) == 5
+    assert grid_index(encode_digits((1, 1, 2, 2), 3), 9) == 4
 
 
-def test_interval_is_half_open():
-    iv = Interval(Fraction(1, 3), Fraction(2, 3))
-    assert Fraction(1, 3) in iv
-    assert Fraction(2, 3) not in iv
+#: The demo's grids: its cell table is 3 x 5 cells, its step observable (window 2 3) 27 x 25.
+DEMO_GRIDS = [3, 9, 27, 5, 25]
+
+
+@pytest.mark.parametrize("cells", DEMO_GRIDS)
+def test_grid_index_matches_floor(cells):
+    for k in range(cells):
+        left = Fraction(k, cells)
+        points = (left, left + Fraction(1, 3 * cells), Fraction(k + 1, cells) - Fraction(1, 10**12))
+        for y in points:
+            assert grid_index(y, cells) == math.floor(y * cells) == k, (y, cells)
 
 
 def test_ultrametric_values():
@@ -107,17 +96,11 @@ def test_ultrametric_values():
     assert ultrametric((), (0, 0, 1), 3, tail=0) == Fraction(1, 9)
 
 
-def test_ultrametric_distinguishes_tails():
-    p = OneSidedSequence((1,), tail=0)
-    q = OneSidedSequence((1,), tail=BLANK)
-    assert ultrametric(p, q, 3) == Fraction(1, 3)
-
-
-def _padded_distance(p, p_tail, q, q_tail, m):
+def _padded_distance(p, q, tail, m):
     """m**-n for the first position n (0-based) where the padded sequences differ, else 0."""
-    horizon = max(len(p), len(q)) + 1  # past both prefixes each side is its constant tail
-    p = tuple(p) + (p_tail,) * (horizon - len(p))
-    q = tuple(q) + (q_tail,) * (horizon - len(q))
+    horizon = max(len(p), len(q)) + 1  # past both words each side is the constant tail
+    p = tuple(p) + (tail,) * (horizon - len(p))
+    q = tuple(q) + (tail,) * (horizon - len(q))
     for n, (a, b) in enumerate(zip(p, q)):
         if a != b:
             return Fraction(1, m**n)
@@ -129,18 +112,14 @@ def test_ultrametric_matches_padded_oracle_on_short_words(tail):
     words = [w for n in range(4) for w in product(range(3), repeat=n)]
     for p in words:
         for q in words:
-            assert ultrametric(p, q, 3, tail=tail) == _padded_distance(p, tail, q, tail, 3), (p, q)
+            assert ultrametric(p, q, 3, tail=tail) == _padded_distance(p, q, tail, 3), (p, q)
 
 
 def test_ultrametric_matches_padded_oracle_on_sequences_with_other_tails():
-    tails = (0, 1, BLANK)
+    # a tail that is a digit of the words but not 0, and a word given as a list
     words = [w for n in range(3) for w in product(range(3), repeat=n)]
-    for p, p_tail, q, q_tail in product(words, tails, words, tails):
-        want = _padded_distance(p, p_tail, q, q_tail, 3)
-        got = ultrametric(OneSidedSequence(p, tail=p_tail), OneSidedSequence(q, tail=q_tail), 3)
-        assert got == want, (p, p_tail, q, q_tail)
-        # a bare word takes the ``tail`` argument, a sequence keeps its own
-        assert ultrametric(p, OneSidedSequence(q, tail=q_tail), 3, tail=p_tail) == want, (p, p_tail, q, q_tail)
+    for p, q in product(words, repeat=2):
+        assert ultrametric(list(p), q, 3, tail=1) == _padded_distance(p, q, 1, 3), (p, q)
 
 
 def test_ultrametric_rejects_a_base_below_two():
@@ -164,11 +143,8 @@ def test_ordering_lookup_and_pinning():
     unpinned = Ordering(alpha, {BLANK: 1, "x": 0})
     assert pinned.blank_pinned and not unpinned.blank_pinned
     assert pinned.digits(("x", BLANK)) == (1, 0)
-    assert pinned.word((1, 0)) == ("x", BLANK)
     with pytest.raises(DomainError):
         pinned.digit("y")
-    with pytest.raises(DomainError):
-        pinned.symbol(2)
 
 
 def test_recode_ordering_matches_word_recoding():
@@ -189,13 +165,6 @@ def test_permutation_helpers():
         (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
     with pytest.raises(DomainError):
         recode((0, 3), (1, 0, 2))
-
-
-def test_one_sided_sequence_positions():
-    seq = OneSidedSequence((5, 6), tail=0)
-    assert (seq.at(1), seq.at(2), seq.at(3), seq.at(99)) == (5, 6, 0, 0)
-    with pytest.raises(DomainError):
-        seq.at(0)
 
 
 def test_dotted_sequence_trims_and_compares():
