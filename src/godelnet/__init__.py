@@ -52,7 +52,6 @@ from .observables import (
     step_observable,
 )
 from .patterns import (
-    EqualityPattern,
     interval_partition,
     orbit,
     pattern_of,
@@ -98,7 +97,6 @@ __all__ = [
     "DomainError",
     "DottedSequence",
     "EncodingPair",
-    "EqualityPattern",
     "ExperimentConfig",
     "ExperimentReport",
     "GodelnetError",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .errors import ConfigError, DivergenceError, InternalConsistencyError
+from .errors import ConfigError, DivergenceError, DomainError, InternalConsistencyError
 from .nda import (
     EncodingPair,
     encode_tape,
@@ -81,19 +81,9 @@ class ExperimentReport:
 
 
 def _ordering(alphabet, table, where):
-    symbols = dict(table)
-    missing = [s for s in alphabet.symbols if s not in symbols]
-    extra = [s for s in symbols if s not in alphabet.symbols]
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append("missing %s" % ", ".join(sorted(missing)))
-        if extra:
-            parts.append("unknown %s" % ", ".join(sorted(extra)))
-        raise ConfigError("%s: %s" % (where, "; ".join(parts)))
     try:
-        return Ordering(alphabet, symbols)
-    except Exception as err:
+        return Ordering(alphabet, table)
+    except DomainError as err:
         raise ConfigError("%s: %s" % (where, err)) from None
 
 

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import DomainError, InternalConsistencyError, MachineBuildError, ResourceLimitError
-from .patterns import DEFAULT_CELL_BUDGET
+from .errors import DomainError, InternalConsistencyError, MachineBuildError
+from .patterns import _budget_cells
 from .symbols import Ordering, digits_to_index, godel_encode, grid_index
 
 HALT = "halt"
@@ -189,12 +189,9 @@ def from_versatile_shift(machine, enc):
     if enc.input.alphabet != machine.input_alphabet or enc.stack.alphabet != machine.stack_alphabet:
         raise MachineBuildError("encoding alphabets must match the machine alphabets")
     l, r = machine.dod.l, machine.dod.r
+    cells = [None] * _budget_cells("cell table", (enc.m_in, r), (enc.m_st, l))
     p, q = enc.m_in**r, enc.m_st**l
-    if p * q > DEFAULT_CELL_BUDGET:
-        raise ResourceLimitError("cell table needs %d cells, budget is %d" % (p * q, DEFAULT_CELL_BUDGET))
-
     table = machine.table
-    cells = [None] * (p * q)
     for w_in in product(machine.input_alphabet.symbols, repeat=r):
         i = digits_to_index(enc.input.digits(w_in), enc.m_in)
         for w_st in product(machine.stack_alphabet.symbols, repeat=l):

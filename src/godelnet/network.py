@@ -181,26 +181,20 @@ def synthesize(nda):
 
 
 def _validate_synthesis(spec, nda):
-    """Drive one macro step from every cell corner and compare to the table."""
+    """Run one macro step from every cell corner with ``na_run`` against the table."""
     bsl_lo, bsl_hi, _ = spec.phase_ranges[2]  # branch unit of (i, j) is bsl_lo + i*q + j
     for cell in nda.cells:
         corner = PhasePoint(Fraction(cell.i, spec.x_cells), Fraction(cell.j, spec.y_cells))
-        state = embed(spec, corner)
-        for _ in range(3):
-            state = na_micro_step(spec, state)
+        run = na_run(spec, embed(spec, corner), 1, reference=nda, point=corner)
         active = [divmod(int(k), spec.y_cells)
-                  for k in np.flatnonzero(state.x[bsl_lo:bsl_hi] == 1.0)]
+                  for k in np.flatnonzero(run.states[3].x[bsl_lo:bsl_hi] == 1.0)]
         if active != [(cell.i, cell.j)]:
             raise InternalConsistencyError(
                 "branch bank not one-hot on cell (%d, %d): active %r" % (cell.i, cell.j, active)
             )
-        for _ in range(2):
-            state = na_micro_step(spec, state)
-        exact = cell.apply(corner)
-        err = max(abs(state.x[0] - float(exact.y1)), abs(state.x[1] - float(exact.y2)))
-        if err > SOUNDNESS:
+        if run.diverged:
             raise InternalConsistencyError(
-                "macro step from corner of cell (%d, %d) off by %g" % (cell.i, cell.j, err)
+                "macro step from corner of cell (%d, %d) off by %g" % (cell.i, cell.j, run.max_divergence)
             )
 
 

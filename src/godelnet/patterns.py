@@ -26,47 +26,21 @@ from .symbols import BLANK, index_to_digits
 DEFAULT_CELL_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class EqualityPattern:
-    """Set partition of 1-based positions, plus optional zero marking.
-
-    ``blocks`` are tuples of ascending positions, ordered by smallest
-    element.  In pinned mode ``zero_block`` is the index of the block whose
-    positions carry the zero/blank token, or None when no position does; in
-    unpinned mode it is always None and the flag distinguishes the modes.
-    """
-
-    length: int
-    blocks: tuple
-    pinned: bool = False
-    zero_block: object = None
-
-
 def _zero_token_for(word):
     """The token playing the zero role: 0 in digit words, else the blank glyph."""
     return 0 if all(isinstance(t, int) for t in word) else BLANK
 
 
-def pattern_of(word, blank_pinned=False):
-    """Equality pattern of a word of hashable tokens.
+def pattern_of(word, m, blank_pinned=False):
+    """Equality pattern of a word of hashable tokens, as a hashable key.
 
-    In pinned mode the zero role is played by 0 in digit words and by the
-    blank glyph in symbol words.
+    The key holds each position's block number, blocks numbered in order of
+    first occurrence; in pinned mode it is paired with the zero block, the
+    block of 0 in digit words and of the blank glyph in symbol words (None
+    when no position holds it).  Digits are validated against 0..m-1 and
+    the number of distinct symbols against m.
     """
     word = tuple(word)
-    groups = {}  # token -> its positions, in order of first occurrence
-    for pos, tok in enumerate(word, start=1):
-        groups.setdefault(tok, []).append(pos)
-    blocks = tuple(map(tuple, groups.values()))
-    zero_block = None
-    if blank_pinned:
-        zero = _zero_token_for(word)
-        zero_block = next((i for i, tok in enumerate(groups) if tok == zero), None)
-    return EqualityPattern(len(word), blocks, blank_pinned, zero_block)
-
-
-def _pattern_key(word, m, blank_pinned):
-    """Equality pattern as a flat key: each position's block number, plus the zero block if pinned."""
     blocks = {}  # token -> block number; each token is validated once, at its first occurrence
     key = []
     ints = True  # whether the distinct tokens are all ints, as _zero_token_for asks of the word
@@ -81,6 +55,7 @@ def _pattern_key(word, m, blank_pinned):
         key.append(block)
     if len(blocks) > m:
         raise DomainError("word %r uses %d distinct symbols, more than m=%d" % (word, len(blocks), m))
+    key = tuple(key)
     return (key, blocks.get(0 if ints else BLANK)) if blank_pinned else key
 
 
@@ -92,8 +67,7 @@ def same_orbit(w, u, m, blank_pinned=False):
     validated against 0..m-1, for symbol words the number of distinct
     symbols is validated against m.
     """
-    w, u = tuple(w), tuple(u)
-    return _pattern_key(w, m, blank_pinned) == _pattern_key(u, m, blank_pinned)
+    return pattern_of(w, m, blank_pinned) == pattern_of(u, m, blank_pinned)
 
 
 def orbit(word, m, blank_pinned=False, universe=None):
@@ -220,7 +194,7 @@ def interval_partition(m, l, blank_pinned=False):
     if m < 2 or l < 0:
         raise DomainError("need m >= 2 and l >= 0, got m=%r l=%r" % (m, l))
     count = _budget_cells("interval partition", (m, l))
-    keys = (pattern_of(index_to_digits(k, m, l), blank_pinned) for k in range(count))
+    keys = (pattern_of(index_to_digits(k, m, l), m, blank_pinned) for k in range(count))
     key_to_id = {}
     ids = tuple(key_to_id.setdefault(key, len(key_to_id)) for key in keys)
     return PatternClassMap(kind="interval", m=m, l=l, blank_pinned=blank_pinned, assignment=ids)

@@ -78,11 +78,12 @@ class Ordering:
         pairs = tuple(self.table.items()) if isinstance(self.table, dict) else tuple(self.table)
         mapping = dict(pairs)
         m = self.alphabet.size
-        if set(mapping) != set(self.alphabet.symbols):
-            raise DomainError(
-                "ordering must cover the alphabet exactly; alphabet %r vs table keys %r"
-                % (self.alphabet.symbols, sorted(map(str, mapping)))
-            )
+        missing = [s for s in self.alphabet.symbols if s not in mapping]
+        unknown = [s for s in mapping if s not in self.alphabet.symbols]
+        if missing or unknown:
+            parts = ["%s %s" % (what, ", ".join(sorted(map(str, syms))))
+                     for what, syms in (("missing", missing), ("unknown", unknown)) if syms]
+            raise DomainError("ordering must cover the alphabet exactly: %s" % "; ".join(parts))
         if sorted(mapping.values()) != list(range(m)):
             raise DomainError(
                 "ordering digits must be exactly 0..%d, got %r" % (m - 1, sorted(mapping.values()))

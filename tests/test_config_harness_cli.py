@@ -180,6 +180,15 @@ def test_config_rejects_unknown_symbols(tmp_path, config):
         run_experiment(cfg)
 
 
+def test_cli_run_names_the_missing_and_unknown_symbols_of_an_encoding(tmp_path, capsys):
+    path = _shipped_config_with(tmp_path, "[encoding:gamma:input]\n⊔ = 0\nNP = 1\nV = 2\n",
+                                "[encoding:gamma:input]\n⊔ = 0\nNP = 1\nX = 2\n")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: encoding gamma (input side): ordering must cover "
+                                       "the alphabet exactly: missing V; unknown X\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_contents(report):
     assert report.unit_count == 72
     assert [run.name for run in report.runs] == ["delta", "gamma"]

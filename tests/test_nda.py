@@ -13,10 +13,13 @@ import pytest
 from godelnet import (
     BLANK,
     Alphabet,
+    DoD,
     DottedSequence,
     EncodingPair,
     Ordering,
     PhasePoint,
+    VersatileShift,
+    VsRule,
     compile_cfg_topdown,
     encode_tape,
     from_versatile_shift,
@@ -170,9 +173,19 @@ def test_encoding_must_match_machine(machine):
 
 
 def test_cell_budget(machine, plain, monkeypatch):
-    monkeypatch.setattr("godelnet.nda.DEFAULT_CELL_BUDGET", 3)
+    monkeypatch.setattr("godelnet.patterns.DEFAULT_CELL_BUDGET", 3)
     with pytest.raises(ResourceLimitError, match="cell table needs 15 cells, budget is 3"):
         from_versatile_shift(machine, plain)
+
+
+def test_cell_budget_refuses_a_wide_window_without_counting_its_cells():
+    # 3**3000 input-axis cells: the refusal must not build, let alone print, that count
+    alpha = Alphabet((BLANK, "x", "y"), blank=BLANK)
+    machine = VersatileShift(alpha, alpha, DoD(0, 3000), (VsRule("wide", (), ("x",) * 3000, (), ()),))
+    ordering = Ordering(alpha, {BLANK: 0, "x": 1, "y": 2})
+    with pytest.raises(ResourceLimitError) as err:
+        from_versatile_shift(machine, EncodingPair(input=ordering, stack=ordering))
+    assert str(err.value) == "cell table needs more than its budget of 1000000 cells"
 
 
 def test_nda_csv(plain_nda):

@@ -1,6 +1,7 @@
 """Network synthesis and micro-step simulation."""
 
 import csv
+import hashlib
 import io
 from dataclasses import replace
 from fractions import Fraction
@@ -345,3 +346,27 @@ def test_validation_catches_a_corrupted_affine_weight(plain_nda, plain_net, delt
     unit = _unit_of(plain_net)["ltl:%d:%d:y1" % (cell.i, cell.j)]
     with pytest.raises(InternalConsistencyError, match="off by"):
         _validate_synthesis(_corrupted(plain_net, unit, plain_net.always_on, delta), plain_nda)
+
+
+#: sha256 of the weight-corruption sweep's outcomes below, one line per
+#: corrupted network, frozen so that any change to what the synthesis check
+#: rejects, or to how it says so, shows here.
+CORRUPTION_SWEEP_SHA256 = "d654be56564509d37e60ac157a08d35a73cffe8b06a7da200f35ac20484b5173"
+
+
+def test_validation_outcomes_under_every_unit_weight_corruption(plain_nda, mixed_nda):
+    # +1.0, then -1.0, on each nonzero weight of both demo networks in turn
+    outcomes = []
+    for nda in (plain_nda, mixed_nda):
+        spec = synthesize(nda)
+        rows, cols = np.nonzero(spec.weights)
+        for unit, column in zip(rows.tolist(), cols.tolist()):
+            for delta in (1.0, -1.0):
+                try:
+                    _validate_synthesis(_corrupted(spec, unit, column, delta), nda)
+                    outcomes.append("passed")
+                except InternalConsistencyError as err:
+                    outcomes.append("rejected: %s" % err)
+    assert len(outcomes) == 884
+    assert outcomes.count("passed") == 172
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == CORRUPTION_SWEEP_SHA256

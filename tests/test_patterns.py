@@ -19,16 +19,15 @@ from godelnet.symbols import BLANK, all_permutations, index_to_digits, recode, z
 
 
 def test_pattern_blocks():
-    pat = pattern_of("aaabcabc")
-    assert pat.length == 8
-    assert pat.blocks == ((1, 2, 3, 6), (4, 7), (5, 8))
+    # blocks {1, 2, 3, 6}, {4, 7}, {5, 8}, numbered in order of first occurrence
+    assert pattern_of("aaabcabc", 3) == (0, 0, 0, 1, 2, 0, 1, 2)
 
 
 def test_pattern_zero_marking():
-    pinned = pattern_of((1, 0, 1), blank_pinned=True)
-    assert pinned.zero_block == 1
-    assert pattern_of((1, 2, 1), blank_pinned=True).zero_block is None
-    assert pattern_of((1, 0, 1)).zero_block is None
+    assert pattern_of((1, 0, 1), 3, True) == ((0, 1, 0), 1)
+    assert pattern_of((1, 2, 1), 3, True) == ((0, 1, 0), None)
+    assert pattern_of((1, 0, 1), 3) == (0, 1, 0)
+    assert pattern_of(("x", BLANK), 2, True) == ((0, 1), 1)
 
 
 def test_same_orbit_basics():

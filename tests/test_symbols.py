@@ -137,6 +137,15 @@ def test_ordering_requires_exact_digit_cover():
         Ordering(alpha, {"a": 0, "b": 0, "c": 1})
 
 
+def test_ordering_names_the_missing_and_unknown_symbols():
+    alpha = Alphabet(("a", "b", "c"))
+    with pytest.raises(DomainError) as err:
+        Ordering(alpha, {"a": 0, "x": 1, "y": 2})
+    assert str(err.value) == "ordering must cover the alphabet exactly: missing b, c; unknown x, y"
+    with pytest.raises(DomainError, match="exactly: missing c$"):
+        Ordering(alpha, {"a": 0, "b": 1})
+
+
 def test_ordering_lookup_and_pinning():
     alpha = Alphabet((BLANK, "x"), blank=BLANK)
     pinned = Ordering(alpha, {BLANK: 0, "x": 1})
