@@ -15,7 +15,7 @@ from itertools import product
 
 from .errors import ConfigError
 from .nda import EncodingPair, PhasePoint, encode_tape, from_versatile_shift, nda_step
-from .network import SOUNDNESS, embed, na_run, synthesize
+from .network import embed, na_run, synthesize
 from .observables import PermutationPair, build_step_observable, rho_pi, step_observable
 from .patterns import interval_partition, same_orbit, square_partition
 from .shift import DoD, VersatileShift, VsRule, compile_cfg_topdown, initial_state, parse_grammar, vs_step
@@ -486,7 +486,7 @@ def check_network(seed=0):
                                "unit count %d, expected %d" % (spec.n, want_units), name)
         state0 = initial_state(machine, DEMO_SENTENCE, "S")
         point0 = encode_tape(state0, pair)
-        run_a = na_run(spec, embed(spec, point0), 6, reference=nda, tol=SOUNDNESS, point=point0)
+        run_a = na_run(spec, embed(spec, point0), 6, reference=nda, point=point0)
         run_b = na_run(spec, embed(spec, point0), 6)
         if run_a.diverged:
             return CheckResult("network", False,
@@ -501,7 +501,7 @@ def check_network(seed=0):
             for _ in range(10)
         ]
         for start in starts:
-            run = na_run(spec, embed(spec, start), 4, reference=nda, tol=SOUNDNESS, point=start)
+            run = na_run(spec, embed(spec, start), 4, reference=nda, point=start)
             if run.diverged:
                 return CheckResult("network", False,
                                    "divergence from start %r under encoding %s" % (start, name),

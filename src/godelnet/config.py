@@ -1,8 +1,8 @@
 """Plain-text experiment configuration.
 
 One INI-style file with named sections describes a whole experiment: the
-grammar file and sentence, run limits and tolerances, observable selection,
-and one section pair per named encoding mapping symbols to digits:
+grammar file and sentence, the run limits, the step observable's window and
+seed, and one section pair per named encoding mapping symbols to digits:
 
     [grammar]
     path = parser.grammar
@@ -12,17 +12,9 @@ and one section pair per named encoding mapping symbols to digits:
     id = demo
     macro_steps = 6
 
-    [tolerances]
-    soundness = 1e-9
-    step_invariance = 0
-
     [observables]
     window = 2 3
     seed = 11
-    step = on
-    amari = on
-    harmony = on
-    dissimilarity = on
 
     [encoding:gamma:input]
     ⊔ = 0
@@ -32,32 +24,26 @@ and one section pair per named encoding mapping symbols to digits:
     [encoding:gamma:stack]
     ...
 
+Every run records all four observables and judges the networks and the step
+series by fixed criteria, so no key selects observables or sets a tolerance.
 Symbol keys are case-sensitive.  The blank row is optional; a missing blank
 is pinned to digit 0 automatically, a present one must carry digit 0.  Any
 other section, and any key a fixed section does not read, is a ConfigError.
 """
 
 import configparser
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .network import SOUNDNESS
 from .symbols import BLANK
-
-OBSERVABLE_NAMES = ("step", "amari", "harmony", "dissimilarity")
 
 #: The keys each fixed section reads; an encoding section's keys are its symbols.
 _SECTION_KEYS = {
     "grammar": ("path", "sentence"),
     "run": ("id", "macro_steps"),
-    "tolerances": ("soundness", "step_invariance"),
-    "observables": ("window", "seed") + OBSERVABLE_NAMES,
+    "observables": ("window", "seed"),
 }
-
-_TRUE = {"1", "on", "true", "yes"}
-_FALSE = {"0", "off", "false", "no"}
 
 
 @dataclass(frozen=True)
@@ -75,33 +61,18 @@ class ExperimentConfig:
     sentence: tuple
     run_id: str = "run"
     macro_steps: int = 6
-    soundness: float = SOUNDNESS
-    step_invariance: float = 0.0
     window: tuple = (2, 3)
     seed: int = 11
-    observables: tuple = OBSERVABLE_NAMES
     encodings: tuple = ()
+
+    #: Every run records these series; only "step" must survive recoding.
+    observables = ("step", "amari", "harmony", "dissimilarity")
 
     def __post_init__(self):
         if self.macro_steps < 1:
             raise ConfigError("macro_steps must be >= 1, got %d" % self.macro_steps)
-        for key in ("soundness", "step_invariance"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError("%s must be a finite number >= 0, got %r" % (key, value))
         if not self.encodings:
             raise ConfigError("at least one [encoding:NAME:input/stack] pair is required")
-        if not self.observables:
-            raise ConfigError("no observables enabled")
-
-
-def _bool(section, key, raw):
-    val = raw.strip().lower()
-    if val in _TRUE:
-        return True
-    if val in _FALSE:
-        return False
-    raise ConfigError("[%s] %s: expected on/off, got %r" % (section, key, raw))
 
 
 def _table(parser, section):
@@ -151,17 +122,11 @@ def load_config(path):
     for section, key, name, parse in (
         ("run", "id", "run_id", lambda key, raw: raw.strip()),
         ("run", "macro_steps", "macro_steps", _as_int),
-        ("tolerances", "soundness", "soundness", _as_float),
-        ("tolerances", "step_invariance", "step_invariance", _as_float),
         ("observables", "window", "window", _window),
         ("observables", "seed", "seed", _as_int),
     ):
         if parser.has_option(section, key):
             values[name] = parse(key, parser[section][key])
-    if any(parser.has_option("observables", name) for name in OBSERVABLE_NAMES):
-        sec = parser["observables"]
-        values["observables"] = tuple(name for name in OBSERVABLE_NAMES
-                                      if _bool("observables", name, sec.get(name, "on")))
 
     encodings = {}
     for section in parser.sections():
@@ -203,13 +168,6 @@ def _as_int(key, raw):
         return int(raw)
     except ValueError:
         raise ConfigError("%s: integer expected, got %r" % (key, raw)) from None
-
-
-def _as_float(key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError("%s: number expected, got %r" % (key, raw)) from None
 
 
 def _window(key, raw):

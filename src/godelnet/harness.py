@@ -147,28 +147,21 @@ def run_experiment(config):
         point0 = exact[0]
         network = synthesize(nda)
         na = na_run(network, embed(network, point0), config.macro_steps,
-                    reference=nda, tol=config.soundness, point=point0)
+                    reference=nda, point=point0)
         if na.diverged:
             raise DivergenceError(
                 "network run for encoding %s left the exact orbit at macro "
                 "step %s (max deviation %.3g)"
                 % (name, na.divergence_step, na.max_divergence))
 
-        series, macro = {}, na.macro_states
-        if "step" in config.observables:
-            series["step"] = tuple(
-                (t, step_observable(obs_spec, p)) for t, p in enumerate(exact))
-        if "amari" in config.observables:
-            series["amari"] = tuple(
-                (t, amari(state)) for t, state in enumerate(macro))
-        if "harmony" in config.observables:
-            series["harmony"] = tuple(
-                (t, harmony(network.weights, state))
-                for t, state in enumerate(macro))
-        if "dissimilarity" in config.observables:
-            series["dissimilarity"] = tuple(
-                (t, dissimilarity(macro[t - 1], macro[t]))
-                for t in range(1, len(macro)))
+        macro = na.macro_states
+        series = {
+            "step": tuple((t, step_observable(obs_spec, p)) for t, p in enumerate(exact)),
+            "amari": tuple((t, amari(state)) for t, state in enumerate(macro)),
+            "harmony": tuple((t, harmony(network.weights, state)) for t, state in enumerate(macro)),
+            "dissimilarity": tuple((t, dissimilarity(macro[t - 1], macro[t]))
+                                   for t in range(1, len(macro))),
+        }
         runs.append(EncodingRun(name=name, trace=trace, nda=nda,
                                 network=network, na=na, series=series))
 
@@ -189,8 +182,7 @@ def run_experiment(config):
                          else max(deltas, default=0.0))
                 verdicts.append(Verdict(
                     observable=obs, enc_a=a.name, enc_b=b.name,
-                    max_abs_delta=delta,
-                    invariant=delta <= config.step_invariance))
+                    max_abs_delta=delta, invariant=delta == 0))
 
     return ExperimentReport(config=config, runs=tuple(runs), verdicts=tuple(verdicts))
 
@@ -201,7 +193,7 @@ def observables_csv(report):
     writer.writerow(["run", "encoding", "step", "observable", "value"])
     for run in report.runs:
         for obs in report.config.observables:
-            for t, value in run.series.get(obs, ()):
+            for t, value in run.series[obs]:
                 writer.writerow([report.config.run_id, run.name, t, obs,
                                  repr(float(value))])
     return out.getvalue()
@@ -264,7 +256,7 @@ def write_report(report, out_dir):
     emit("verdicts.csv", verdicts_csv(report))
     for obs in report.config.observables:
         series = [(run.name, [(float(t), float(v))
-                              for t, v in run.series.get(obs, ())])
+                              for t, v in run.series[obs]])
                   for run in report.runs]
         emit("%s.svg" % obs, line_chart(series, title=obs))
     emit("summary.txt", report_text(report))

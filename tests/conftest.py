@@ -1,12 +1,12 @@
 """Shared fixtures: the demo machine, its two encodings, frozen orbits,
-and one seed-0 run of every check suite."""
+one seed-0 run of every check suite, and the chain-grammar machine builder."""
 
 import time
 from fractions import Fraction
 
 import pytest
 
-from godelnet import encode_tape, from_versatile_shift, initial_state
+from godelnet import compile_cfg_topdown, encode_tape, from_versatile_shift, initial_state, parse_grammar
 from godelnet.checks import DEMO_SENTENCE, demo_encodings, demo_machine, run_checks, suite_names
 
 
@@ -54,6 +54,19 @@ def mixed_orbit():
 @pytest.fixture(scope="session")
 def machine():
     return demo_machine()
+
+
+def _chain_machine(k):
+    """G_k: S -> t0 A1, A_i -> t_i A_{i+1}, ..., A_{k-1} -> t_{k-1} t_k."""
+    lines = ["S -> t0 A1"] + ["A%d -> t%d A%d" % (i, i, i + 1) for i in range(1, k - 1)]
+    lines.append("A%d -> t%d t%d" % (k - 1, k - 1, k))
+    return compile_cfg_topdown(parse_grammar("\n".join(lines)))
+
+
+@pytest.fixture(scope="session")
+def chain_machine():
+    """The builder of G_k's machine; each call compiles a new one."""
+    return _chain_machine
 
 
 @pytest.fixture(scope="session")

@@ -20,13 +20,11 @@ from godelnet import (
     PhasePoint,
     VersatileShift,
     VsRule,
-    compile_cfg_topdown,
     encode_tape,
     from_versatile_shift,
     identity_ordering,
     nda_run,
     nda_step,
-    parse_grammar,
     vs_run,
     vs_step,
 )
@@ -197,13 +195,6 @@ def test_nda_csv(plain_nda):
     assert any(",halt" in line for line in lines[1:])
 
 
-def _chain_machine(k):
-    """G_k: S -> t0 A1, A_i -> t_i A_{i+1}, ..., A_{k-1} -> t_{k-1} t_k."""
-    lines = ["S -> t0 A1"] + ["A%d -> t%d A%d" % (i, i, i + 1) for i in range(1, k - 1)]
-    lines.append("A%d -> t%d t%d" % (k - 1, k - 1, k))
-    return compile_cfg_topdown(parse_grammar("\n".join(lines)))
-
-
 def _random_pair(machine, rng):
     def ordering(alphabet):
         others = [s for s in alphabet.symbols if s != alphabet.blank]
@@ -231,8 +222,8 @@ def _pinned_pairs(machine):
             for i in orderings(machine.input_alphabet) for s in orderings(machine.stack_alphabet)]
 
 
-def test_cells_map_representatives_to_base_m_successors(machine):
-    g4 = _chain_machine(4)
+def test_cells_map_representatives_to_base_m_successors(machine, chain_machine):
+    g4 = chain_machine(4)
     rng = random.Random(21)
     cases = [
         # one machine, three encodings built in sequence
@@ -278,14 +269,14 @@ CHAIN_TABLE_DIGESTS = [
 
 @pytest.mark.parametrize("k, seed, digest", CHAIN_TABLE_DIGESTS,
                          ids=["G%d-seed%d" % (k, seed) for k, seed, _ in CHAIN_TABLE_DIGESTS])
-def test_chain_tables_keep_their_bytes(k, seed, digest):
-    machine = _chain_machine(k)
+def test_chain_tables_keep_their_bytes(chain_machine, k, seed, digest):
+    machine = chain_machine(k)
     table = from_versatile_shift(machine, _random_pair(machine, random.Random(seed)))
     assert hashlib.sha256(nda_csv(table).encode()).hexdigest() == digest
 
 
-def test_a_table_does_not_keep_its_machine_alive():
-    machine = _chain_machine(3)
+def test_a_table_does_not_keep_its_machine_alive(chain_machine):
+    machine = chain_machine(3)
     from_versatile_shift(machine, _random_pair(machine, random.Random(0)))
     ref = weakref.ref(machine)
     del machine

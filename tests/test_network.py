@@ -13,14 +13,12 @@ from godelnet import (
     EncodingPair,
     Ordering,
     PhasePoint,
-    compile_cfg_topdown,
     embed,
     encode_tape,
     from_versatile_shift,
     initial_state,
     na_micro_step,
     na_run,
-    parse_grammar,
     synthesize,
 )
 from godelnet.errors import DomainError, InternalConsistencyError, ResourceLimitError
@@ -46,12 +44,10 @@ CHAIN_K = 4
 
 
 @pytest.fixture(scope="module")
-def chain_case():
+def chain_case(chain_machine):
     """Chain grammar G_4 (S -> t0 A1, A1 -> t1 A2, A2 -> t2 A3, A3 -> t3 t4) under a
     fixed blank-pinned encoding that reverses each alphabet's digit order."""
-    lines = ["S -> t0 A1"] + ["A%d -> t%d A%d" % (i, i, i + 1) for i in range(1, CHAIN_K - 1)]
-    lines.append("A%d -> t%d t%d" % (CHAIN_K - 1, CHAIN_K - 1, CHAIN_K))
-    machine = compile_cfg_topdown(parse_grammar("\n".join(lines)))
+    machine = chain_machine(CHAIN_K)
 
     def reversed_digits(alphabet):
         others = [s for s in alphabet.symbols if s != alphabet.blank]
