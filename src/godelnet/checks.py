@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .nda import EncodingPair, PhasePoint, encode_tape, from_versatile_shift, nda_step
 from .network import embed, na_run, synthesize
 from .observables import PermutationPair, build_step_observable, rho_pi, step_observable
@@ -66,6 +66,32 @@ def demo_encodings(machine):
         )
         for name, in_table, st_table in DEMO_TABLES
     }
+
+
+def chain_grammar(k):
+    """G_k: S -> t0 A1, A_i -> t_i A_(i+1), ..., A_(k-1) -> t_(k-1) t_k.
+
+    The sentence is t0 ... tk; the stack never holds more than two symbols.
+    """
+    if k < 2:
+        raise DomainError("a chain grammar needs k >= 2, got %d" % k)
+    lines = ["S -> t0 A1"] + ["A%d -> t%d A%d" % (i, i, i + 1) for i in range(1, k - 1)]
+    lines.append("A%d -> t%d t%d" % (k - 1, k - 1, k))
+    return "\n".join(lines) + "\n"
+
+
+def fan_grammar(k, c):
+    """F_k^c: S -> t0 A_0 ... A_(k-1), the nonterminals cycling over c kinds
+    A0 ... A(c-1), and A_j -> u_j.
+
+    The sentence is t0 and then u_(j mod c) for j < k; the stack reaches
+    depth k + 1, and the machine accepts after 2k + 3 trace rows.
+    """
+    if not 1 <= c <= k:
+        raise DomainError("a fan grammar needs 1 <= c <= k, got k = %d, c = %d" % (k, c))
+    lines = ["S -> t0 " + " ".join("A%d" % (j % c) for j in range(k))]
+    lines += ["A%d -> u%d" % (j, j) for j in range(c)]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

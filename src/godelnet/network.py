@@ -14,10 +14,11 @@ fixed 5-phase schedule per macro step:
   5. write-back: the machine configuration layer (MCL) sums the LTL bank.
 
 All thresholds ride on a single always-on unit, so the network needs no
-bias vector.  Both endpoint tests carry a small margin EPS_B; this shifts
-every detection cell to [lo - EPS_B, hi - EPS_B), which keeps the branch
-bank exactly one-hot even when a float state sits one ulp below a cell
-corner.
+bias vector.  Both endpoint tests carry a small margin EPS_B: axis cell a
+detects the floats in [lo - EPS_B, hi - EPS_B], each end rounded once, so a
+float state one ulp below a cell corner still reads as the corner's cell.
+Neighbouring cells share that rounded end, where both fire, and the top
+EPS_B of each cell reads as the next cell (as no cell at the top of an axis).
 
 For a machine with p input-axis cells, q stack-axis cells and C = p*q
 rectangles the unit count is n = 3 + 3(p + q) + 3C: MCL 2, always-on 1,
@@ -42,16 +43,47 @@ The BLAS matrix-vector product sums each row in the same order whether or
 not the other rows are computed, so the slice update is bit-identical to a
 full W x followed by a per-unit update of the phase; tests/test_network.py
 holds it to that.
+
+``synthesize`` certifies its network without running it: ``_certify`` reads
+the weights back and checks, in exact arithmetic (a float64 converts to a
+Fraction exactly), what one macro step does from every point of every cell.
+
+  - Support: each unit reads only the units ``_wiring`` gives its bank, so
+    no state left over from an earlier step enters a sum.
+  - Comparators: the gain on the coordinate is exactly +1 (lo) or -1 (hi),
+    so each fires on an exact interval (a sum of two floats rounds to a
+    float of its sign, and to 0 only when it is 0).  Each axis cell's
+    interval must hold the cell's lower edge and no other cell's; how far
+    it reaches past the true edges is the cell's margin, kept, not judged.
+  - Axis and branch units: every sum of the AND truth table over {0, 1}
+    lies beyond its rounding bound on the right side of 0, so the branch
+    bank is one-hot wherever the margins hold.
+  - Write-back: every MCL weight is exactly 1, and an affine unit whose
+    branch unit is off outputs exactly 0 for every y in [0, 1], so the MCL
+    sum adds one value to exact zeros and rounds nothing.
+  - Affine units: with the branch unit on, the row's exact value departs
+    from the cell's lambda*y + a over the cell by a linear function of y;
+    that departure plus the row's rounding must stay within SOUNDNESS.
+
+Rounding is bounded as in Higham, "Accuracy and Stability of Numerical
+Algorithms" (section 3.1): a dot product of k nonzero terms is off by at
+most gamma_k = k u / (1 - k u), u = 2**-53, times the sum of the terms'
+magnitudes, in any summation order, with or without fused multiply-adds,
+so the bounds hold under every BLAS kernel; zero weights add exact zeros.
+Any fault above is an InternalConsistencyError.  The numbers are kept on
+``NetworkSpec.certificate``, one CellBound (margins, gain, rounding) per cell.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, ResourceLimitError
-from .nda import PhasePoint, nda_step
+from .nda import nda_step
 
 RAMP = "ramp"
 STEP = "step"
@@ -92,6 +124,9 @@ class NetworkSpec:
     micro_steps_per_macro = MICRO_STEPS_PER_MACRO
     # phase_ranges[k] = (lo, hi, activation) of the units updated in phase k + 1
     phase_ranges: tuple = field(init=False, repr=False)
+    # per-cell CellBound table; only synthesize sets it, so a spec built or
+    # replaced with other weights carries none
+    certificate: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         _, ax, bsl, ltl, n = _layout(self.x_cells, self.y_cells)
@@ -126,76 +161,246 @@ def synthesize(nda):
     """Build the network for an affine cell table.
 
     Raises ResourceLimitError when the unit count would exceed UNIT_BUDGET.
-    The construction is validated before returning: from every cell corner,
-    one macro step must reproduce the exact affine image to within SOUNDNESS and
-    the branch bank must be one-hot on the correct cell.
+    Before returning, the weights are certified over every whole cell
+    without running the network (``_certify``, see the module docstring):
+    a structural fault raises InternalConsistencyError, and the per-cell
+    bounds are kept on the spec's ``certificate``.
     """
     p, q = nda.x_cells, nda.y_cells
-    cmp, ax, bsl, ltl, n = _layout(p, q)
+    n = _layout(p, q)[-1]
     if n > UNIT_BUDGET:
         raise ResourceLimitError("network needs %d units, budget is %d" % (n, UNIT_BUDGET))
-    weights = np.zeros((n, n), dtype=np.float64)
-    y1, y2 = MCL
 
     # comparators: lo fires iff y >= lo - EPS_B, hi iff y <= hi - EPS_B
-    for coord, first, count in ((y1, 0, p), (y2, p, q)):
-        k = np.arange(count)
-        lo_u = cmp + 2 * (first + k)
-        weights[lo_u, coord] = 1.0
-        weights[lo_u, ALWAYS_ON] = -(k / count) + EPS_B
-        weights[lo_u + 1, coord] = -1.0
-        weights[lo_u + 1, ALWAYS_ON] = (k + 1) / count - EPS_B
+    comparators = np.empty((2 * (p + q), 2))
+    comparators[:, 0] = (1.0, -1.0) * (p + q)
+    comparators[0::2, 1] = -np.concatenate([np.arange(p) / p, np.arange(q) / q]) + EPS_B
+    comparators[1::2, 1] = np.concatenate([np.arange(1, p + 1) / p, np.arange(1, q + 1) / q]) - EPS_B
 
-    # axis unit a: AND of its two comparators
-    a = np.arange(p + q)
-    weights[ax + a, cmp + 2 * a] = 1.0
-    weights[ax + a, cmp + 2 * a + 1] = 1.0
-    weights[ax + a, ALWAYS_ON] = -1.5
-
-    # branch unit of cell k = (i, j): AND of axis units i and p + j
-    k = np.arange(p * q)
-    i, j = np.divmod(k, q)
-    weights[bsl + k, ax + i] = 1.0
-    weights[bsl + k, ax + p + j] = 1.0
-    weights[bsl + k, ALWAYS_ON] = -1.5
-
-    # gating offset: larger than any |lambda*y + a| the affine bank can see
+    # affine units of cell k: lambda*y + a, held below 0 by a gating offset
+    # larger than any |lambda*y + a| until the branch unit adds it back
     slab = max(float(abs(c.lam1) + abs(c.a1)) for c in nda.cells)
     slab = max(slab, max(float(abs(c.lam2) + abs(c.a2)) for c in nda.cells))
     big = float(int(slab) + 2)
+    lam = np.array([(float(c.lam1), float(c.lam2)) for c in nda.cells]).ravel()
+    offset = np.array([(float(c.a1), float(c.a2)) for c in nda.cells]).ravel()
+    affine = np.stack([lam, offset - big, np.full_like(lam, big)], 1)
 
-    # affine units of cell k, released by its branch unit, summed into the MCL
-    for u, cell in zip(range(ltl, n, 2), nda.cells):
-        weights[u, y1] = float(cell.lam1)
-        weights[u, ALWAYS_ON] = float(cell.a1) - big
-        weights[u + 1, y2] = float(cell.lam2)
-        weights[u + 1, ALWAYS_ON] = float(cell.a2) - big
-    weights[ltl + 2 * k, bsl + k] = big
-    weights[ltl + 2 * k + 1, bsl + k] = big
-    weights[y1, ltl:n:2] = 1.0
-    weights[y2, ltl + 1:n:2] = 1.0
+    # axis and branch units are ANDs of their two inputs; the MCL sums its affine units
+    values = {"cmp": comparators, "ax": (1.0, 1.0, -1.5), "bsl": (1.0, 1.0, -1.5), "ltl": affine, "mcl": 1.0}
+    weights = np.zeros((n, n), dtype=np.float64)
+    for bank, (units, inputs) in _wiring(p, q).items():
+        weights[units[:, None], inputs] = values[bank]
 
     spec = NetworkSpec(weights=weights, x_cells=p, y_cells=q)
-    _validate_synthesis(spec, nda)
+    spec.certificate = _certify(spec, nda)
     return spec
 
 
-def _validate_synthesis(spec, nda):
-    """Run one macro step from every cell corner with ``na_run`` against the table."""
-    bsl_lo, bsl_hi, _ = spec.phase_ranges[2]  # branch unit of (i, j) is bsl_lo + i*q + j
-    for cell in nda.cells:
-        corner = PhasePoint(Fraction(cell.i, spec.x_cells), Fraction(cell.j, spec.y_cells))
-        run = na_run(spec, embed(spec, corner), 1, reference=nda, point=corner)
-        active = [divmod(int(k), spec.y_cells)
-                  for k in np.flatnonzero(run.states[3].x[bsl_lo:bsl_hi] == 1.0)]
-        if active != [(cell.i, cell.j)]:
-            raise InternalConsistencyError(
-                "branch bank not one-hot on cell (%d, %d): active %r" % (cell.i, cell.j, active)
-            )
-        if run.diverged:
-            raise InternalConsistencyError(
-                "macro step from corner of cell (%d, %d) off by %g" % (cell.i, cell.j, run.max_divergence)
-            )
+def _wiring(p, q):
+    """Every weight the construction may set, bank by bank: (unit, column) index grids.
+
+    Each grid has one row per unit of its bank and one column per input:
+    comparators (coordinate, always-on), axis units (lo, hi comparator,
+    always-on), branch units (axis unit i, axis unit p + j, always-on),
+    affine units (coordinate, always-on, branch unit) and the two MCL units
+    (every affine unit of their coordinate).  The always-on unit reads nothing.
+    """
+    cmp, ax, bsl, ltl, n = _layout(p, q)
+    one = ALWAYS_ON
+    a = np.arange(p + q)
+    k, c = np.divmod(np.arange(2 * p * q), 2)
+    i, j = np.divmod(np.arange(p * q), q)
+    coord = np.repeat((a >= p).astype(np.intp), 2)
+    return {
+        "cmp": (cmp + np.arange(2 * (p + q)), np.stack([coord, np.full_like(coord, one)], 1)),
+        "ax": (ax + a, np.stack([cmp + 2 * a, cmp + 2 * a + 1, np.full_like(a, one)], 1)),
+        "bsl": (bsl + i * q + j, np.stack([ax + i, ax + p + j, np.full_like(i, one)], 1)),
+        "ltl": (ltl + np.arange(2 * p * q), np.stack([c, np.full_like(c, one), bsl + k], 1)),
+        "mcl": (np.array(MCL), ltl + np.arange(2 * p * q).reshape(p * q, 2).T),
+    }
+
+
+def _role(spec, unit):
+    return next(islice(_roles(spec.x_cells, spec.y_cells), unit, None))
+
+
+def _fault(spec, unit, message, *args):
+    return InternalConsistencyError(("%s (unit %d): " % (_role(spec, unit), unit)) + message % args)
+
+
+#: Unit roundoff of float64 arithmetic (round to nearest even).
+_U = Fraction(1, 2**53)
+#: The least subnormal float64; a product that underflows is off by at most half of it.
+_TINY = Fraction(1, 2**1074)
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): a k-term dot product is off by at
+    most gamma_k times the sum of its terms' magnitudes, in any summation order."""
+    return k * _U / (1 - k * _U)
+
+
+_GAMMA2, _GAMMA3 = _gamma(2), _gamma(3)
+
+
+class CellBound(NamedTuple):
+    """What the certificate proves about one macro step from cell (i, j).
+
+    margins = (lo1, hi1, lo2, hi2): every y1 in (i/p - lo1, (i+1)/p + hi1) and
+    every y2 in (j/q - lo2, (j+1)/q + hi2) read as this cell and no other; a
+    negative hi margin is the top band of the cell that reads as another cell
+    or as none.  gain = (|lambda1|, |lambda2|) of the cell's exact map.
+    rounding = (e1, e2): from any such point, the MCL after one macro step
+    lies within e of the cell's exact image of it, clamped to [0, 1]; each e
+    is a float64, rounded up.  All numbers are exact Fractions.
+    """
+
+    margins: tuple
+    gain: tuple
+    rounding: tuple
+
+
+def _check_and_bank(spec, units, weights):
+    """Each unit theta(wa*xa + wb*xb + w1) must fire on xa = xb = 1 and on no
+    other pair in {0, 1}, every sum beyond its rounding bound.  The products
+    are exact, so only the two additions round: gamma_2.  The pair (0, 0)
+    needs no test: its sum w1 is the two silent sums less the firing one."""
+    seen = {}
+    for unit, triple in zip(units.tolist(), map(tuple, weights.tolist())):
+        if triple not in seen:
+            wa, wb, w1 = map(Fraction, triple)
+            seen[triple] = all((s - _GAMMA2 * r >= 0) if fires else (s + _GAMMA2 * r < 0)
+                               for s, r, fires in ((wb + w1, abs(wb) + abs(w1), False),
+                                                   (wa + w1, abs(wa) + abs(w1), False),
+                                                   (wa + wb + w1, abs(wa) + abs(wb) + abs(w1), True)))
+        if not seen[triple]:
+            raise _fault(spec, unit, "weights %r do not make an AND of its two inputs beyond their "
+                         "rounding, so the branch bank is not one-hot", triple)
+
+
+def _certify_comparators(spec, units, weights):
+    """Detection interval of each axis cell and its margins against the true edges.
+
+    A lo comparator fires iff y + w >= 0 and a hi comparator iff w - y >= 0:
+    the sum of two floats rounds to a float of the same sign, and to 0 only
+    when it is 0, so the interval [-w_lo, w_hi] is exact.  The comparators
+    must read each cell's lower edge as that cell's alone.  Returns per
+    axis cell the margins (lo, hi) and the interval of coordinates, true
+    cell and certified part together, that the affine rows are bounded on.
+    """
+    gains, biases = weights[:, 0], weights[:, 1]
+    for unit, gain, want in zip(units.tolist(), gains.tolist(), [1.0, -1.0] * (len(units) // 2)):
+        if gain != want:
+            raise _fault(spec, unit, "reads its coordinate with weight %r, not %r", gain, want)
+    lo = [-Fraction(b) for b in biases[0::2].tolist()]
+    hi = [Fraction(b) for b in biases[1::2].tolist()]
+    margins, domains = [], []
+    for first, count in ((0, spec.x_cells), (spec.x_cells, spec.y_cells)):
+        edges = [Fraction(t, count) for t in range(count + 1)]
+        for t in range(count):
+            a = first + t
+            edge, top = edges[t], edges[t + 1]
+            below = lo[a] > edges[t - 1] if t else True
+            above = hi[a] < top if t + 1 < count else True
+            if not (below and lo[a] < edge < hi[a] and above):
+                raise _fault(spec, units[2 * a], "its detection interval [%r, %r] does not hold the "
+                             "cell's lower edge %s alone, so the branch bank is not one-hot there",
+                             float(lo[a]), float(hi[a]), edge)
+            lo_margin = edge - (max(lo[a], hi[a - 1]) if t else lo[a])
+            hi_margin = (min(hi[a], lo[a + 1]) if t + 1 < count else hi[a]) - top
+            margins.append((lo_margin, hi_margin))
+            domains.append((max(edge - lo_margin, 0), min(max(top, top + hi_margin), 1)))
+    return margins, domains
+
+
+def _affine_row(lam_w, off_w, gate_w, lam, a):
+    """(d_lam, d_a, rounding) of an affine row against y -> lam*y + a, or None
+    when the row does not clamp to exactly 0 while its branch unit is off.
+
+    Off, the row sums lam_w*y + off_w (gamma_2; one product may underflow) and
+    must stay <= 0 for every y in [0, 1].  On, it sums lam_w*y + off_w + gate_w
+    (gamma_3, bounded here for every y in [0, 1]; the caller adds the
+    underflow), whose exact value departs from lam*y + a by d_lam*y + d_a.
+    The ramp's clamp to [0, 1] never moves it further from the clamped image.
+    """
+    lw, ow, gw = Fraction(lam_w), Fraction(off_w), Fraction(gate_w)
+    size = abs(lw) + abs(ow)
+    if ow + max(lw, 0) + _GAMMA2 * size + _TINY > 0:
+        return None
+    return lw - lam, ow + gw - a, _GAMMA3 * (size + abs(gw))
+
+
+def _round_up(x):
+    """One float64 step above the least float64 >= x, as a Fraction: an upper
+    bound on x plus one product that underflows, short enough to print."""
+    f = float(x)
+    return Fraction(math.nextafter(f if f >= x else math.nextafter(f, math.inf), math.inf))
+
+
+def _certify(spec, nda):
+    """Certify one macro step of ``spec`` over every whole cell of ``nda``.
+
+    Reads the weights back, without running the network, and checks them in
+    exact arithmetic (see the module docstring).  Returns one CellBound per
+    cell in the table's order; raises InternalConsistencyError on a
+    structural fault.
+    """
+    p, q = spec.x_cells, spec.y_cells
+    w = spec.weights
+    wiring = _wiring(p, q)
+    read = {bank: w[units[:, None], inputs] for bank, (units, inputs) in wiring.items()}
+    if np.count_nonzero(w) != sum(np.count_nonzero(values) for values in read.values()):
+        rows, cols = np.nonzero(w)
+        wired = np.concatenate([(units[:, None] * spec.n + inputs).ravel()
+                                for units, inputs in wiring.values()])
+        stray = np.flatnonzero(~np.isin(rows * spec.n + cols, wired))[0]
+        unit, col = int(rows[stray]), int(cols[stray])
+        raise _fault(spec, unit, "reads %s (unit %d), outside its bank's inputs", _role(spec, col), col)
+    if not all(np.isfinite(values).all() for values in read.values()):
+        raise InternalConsistencyError("the network has a weight that is not finite")
+
+    margins, domains = _certify_comparators(spec, wiring["cmp"][0], read["cmp"])
+    _check_and_bank(spec, wiring["ax"][0], read["ax"])
+    _check_and_bank(spec, wiring["bsl"][0], read["bsl"])
+    for unit, values, inputs in zip(MCL, read["mcl"].tolist(), wiring["mcl"][1].tolist()):
+        for value, col in zip(values, inputs):
+            if value != 1.0:
+                raise _fault(spec, unit, "reads %s with weight %r, not 1", _role(spec, col), value)
+
+    # affine rows: distinct (weights, exact map) pairs are few, so each is
+    # worked out once; its error depends on the cell's position only when
+    # the row's gain is not the exact lambda
+    ltl = wiring["ltl"][0][0]
+    rows = read["ltl"].tolist()
+    soundness = Fraction(SOUNDNESS)
+    parts, bounds, cells = {}, {}, []
+    for k, cell in enumerate(nda.cells):
+        gains, rounding = [], []
+        for c, lam, a, axis in ((0, cell.lam1, cell.a1, cell.i), (1, cell.lam2, cell.a2, p + cell.j)):
+            unit, row = ltl + 2 * k + c, rows[2 * k + c]
+            key = (*row, lam.numerator, lam.denominator, a.numerator, a.denominator)
+            part = parts.get(key)
+            if part is None:
+                part = _affine_row(*row, lam, a)
+                if part is None:
+                    raise _fault(spec, unit, "does not clamp to 0 while its branch unit is off")
+                part = parts[key] = part + (abs(lam),)
+            d_lam, d_a, r, gain = part
+            where = (key, axis if d_lam else None)
+            bound = bounds.get(where)
+            if bound is None:
+                y_lo, y_hi = domains[axis]
+                bound = _round_up((max(abs(d_lam * y_lo + d_a), abs(d_lam * y_hi + d_a)) if d_lam
+                                   else abs(d_a)) + r)
+                if bound > soundness:
+                    raise _fault(spec, unit, "off by %g from the exact image over cell (%d, %d), "
+                                 "more than SOUNDNESS", bound, cell.i, cell.j)
+                bounds[where] = bound
+            gains.append(gain)
+            rounding.append(bound)
+        cells.append(CellBound(margins[cell.i] + margins[p + cell.j], tuple(gains), tuple(rounding)))
+    return tuple(cells)
 
 
 def embed(spec, point):

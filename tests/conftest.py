@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from godelnet import compile_cfg_topdown, encode_tape, from_versatile_shift, initial_state, parse_grammar
-from godelnet.checks import DEMO_SENTENCE, demo_encodings, demo_machine, run_checks, suite_names
+from godelnet.checks import (
+    DEMO_SENTENCE,
+    chain_grammar,
+    demo_encodings,
+    demo_machine,
+    run_checks,
+    suite_names,
+)
 
 
 @pytest.fixture(scope="session")
@@ -57,10 +64,8 @@ def machine():
 
 
 def _chain_machine(k):
-    """G_k: S -> t0 A1, A_i -> t_i A_{i+1}, ..., A_{k-1} -> t_{k-1} t_k."""
-    lines = ["S -> t0 A1"] + ["A%d -> t%d A%d" % (i, i, i + 1) for i in range(1, k - 1)]
-    lines.append("A%d -> t%d t%d" % (k - 1, k - 1, k))
-    return compile_cfg_topdown(parse_grammar("\n".join(lines)))
+    """G_k's machine (``checks.chain_grammar``)."""
+    return compile_cfg_topdown(parse_grammar(chain_grammar(k)))
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,22 +14,28 @@ from godelnet import (
     EncodingPair,
     Ordering,
     PhasePoint,
+    compile_cfg_topdown,
     embed,
     encode_tape,
     from_versatile_shift,
     initial_state,
     na_micro_step,
     na_run,
+    parse_grammar,
     synthesize,
 )
+from godelnet import network
+from godelnet.checks import chain_grammar, fan_grammar, random_encoding
 from godelnet.errors import DomainError, InternalConsistencyError, ResourceLimitError
 from godelnet.network import (
+    EPS_B,
     RAMP,
+    SOUNDNESS,
     STEP,
     NaRun,
     NetworkSpec,
     NeuralState,
-    _validate_synthesis,
+    _certify,
     activate,
     network_csv,
     trajectory_csv,
@@ -331,7 +338,7 @@ def test_validation_catches_a_corrupted_branch_weight(plain_nda, plain_net):
     # raising the threshold of one branch unit silences it on its own cell
     unit = _unit_of(plain_net)["bsl:1:2"]
     with pytest.raises(InternalConsistencyError, match="one-hot"):
-        _validate_synthesis(_corrupted(plain_net, unit, plain_net.always_on, -1.0), plain_nda)
+        _certify(_corrupted(plain_net, unit, plain_net.always_on, -1.0), plain_nda)
 
 
 @pytest.mark.parametrize("delta", [-0.05, 1e-6])
@@ -341,28 +348,225 @@ def test_validation_catches_a_corrupted_affine_weight(plain_nda, plain_net, delt
                 if 0.1 < float(c.apply(PhasePoint(Fraction(c.i, 3), Fraction(c.j, 5))).y1) < 0.9)
     unit = _unit_of(plain_net)["ltl:%d:%d:y1" % (cell.i, cell.j)]
     with pytest.raises(InternalConsistencyError, match="off by"):
-        _validate_synthesis(_corrupted(plain_net, unit, plain_net.always_on, delta), plain_nda)
+        _certify(_corrupted(plain_net, unit, plain_net.always_on, delta), plain_nda)
+
+
+def _ungated(spec, role):
+    """The affine unit ``role`` with its gate folded into its offset: it no
+    longer waits for its branch unit."""
+    units = _unit_of(spec)
+    unit, gate = units[role], units["bsl:" + ":".join(role.split(":")[1:3])]
+    weights = spec.weights.copy()
+    weights[unit, spec.always_on] += weights[unit, gate]
+    weights[unit, gate] = 0.0
+    return replace(spec, weights=weights)
+
+
+def _rewired(spec, role, column, value):
+    units = _unit_of(spec)
+    weights = spec.weights.copy()
+    weights[units[role], units[column]] = value
+    return replace(spec, weights=weights)
+
+
+@pytest.mark.parametrize("build, message", [
+    # the always-on unit must read nothing, or theta(0) = 1 no longer holds
+    (lambda spec: _rewired(spec, "one", "mcl:y1", 1e-3), r"^one \(unit 2\): reads mcl:y1 \(unit 0\), outside"),
+    # an axis unit reading another cell's comparator, however lightly
+    (lambda spec: _rewired(spec, "ax:x:0", "cmp:x:1:lo", 1e-9), r"^ax:x:0 \(unit 19\): reads cmp:x:1:lo"),
+    (lambda spec: _rewired(spec, "ltl:1:2:y1", "one", float("nan")), r"^the network has a weight that is not finite$"),
+    # the unit adds its image to the MCL from every cell
+    (lambda spec: _ungated(spec, "ltl:1:2:y1"), r"^ltl:1:2:y1 \(unit 56\): does not clamp to 0 while its branch"),
+])
+def test_certificate_refuses_structural_faults_the_sweep_cannot_make(build, message, plain_nda, plain_net):
+    with pytest.raises(InternalConsistencyError, match=message):
+        _certify(build(plain_net), plain_nda)
+
+
+def test_certificate_records_a_thin_comparator_overlap_as_a_margin(plain_nda, plain_net):
+    # moving the lower detection edge of axis cell x:1 down by 1e-6 makes the
+    # top 1e-6 of cell x:0 read as both cells: a margin to keep, not a fault
+    units = _unit_of(plain_net)
+    lo_bias = plain_net.weights[units["cmp:x:1:lo"], plain_net.always_on]
+    spec = _rewired(plain_net, "cmp:x:1:lo", "one", lo_bias + 1e-6)
+    certificate = _certify(spec, plain_nda)
+    below_edge = Fraction(1, 3) - Fraction(5, 10**7)
+    for cell, bound in zip(plain_nda.cells, certificate):
+        if cell.i == 0:
+            assert Fraction(1, 3) + bound.margins[1] < below_edge
+        if cell.i == 1:
+            assert bound.margins[0] == plain_net.certificate[cell.i * 5 + cell.j].margins[0]
+    state = embed(spec, PhasePoint(below_edge, Fraction(1, 10)))
+    for _ in range(3):
+        state = na_micro_step(spec, state)
+    assert [key for key, value in _bsl_bank(spec, state).items() if value == 1.0] == [(0, 0), (1, 0)]
 
 
 #: sha256 of the weight-corruption sweep's outcomes below, one line per
-#: corrupted network, frozen so that any change to what the synthesis check
-#: rejects, or to how it says so, shows here.
-CORRUPTION_SWEEP_SHA256 = "d654be56564509d37e60ac157a08d35a73cffe8b06a7da200f35ac20484b5173"
+#: corrupted network, frozen so that any change to what the synthesis
+#: certificate rejects, or to how it says so, shows here.
+CORRUPTION_SWEEP_SHA256 = "930e631c21da6775397ab54b6b612b5b7c0d69f3b8e20d89ddfc6d63353690bd"
+
+#: The (unit, column, delta) corruptions of each demo network that the check
+#: the certificate replaced (one macro step from every cell corner) let
+#: pass; it rejected the other 712 of the sweep's 884.  Most of them leave a
+#: cell corner at an exact image of 0, or touch a comparator only a corner
+#: never tests.
+PARENT_PASSED = {
+    "plain": (
+        (0, 42, +1), (0, 42, -1), (0, 44, +1), (0, 44, -1), (0, 46, +1), (0, 46, -1), (0, 48, +1),
+        (0, 48, -1), (0, 50, +1), (0, 50, -1), (0, 54, +1), (0, 54, -1), (0, 66, +1), (0, 66, -1),
+        (1, 43, +1), (1, 43, -1), (1, 53, +1), (1, 53, -1), (1, 55, +1), (1, 55, -1), (1, 63, +1),
+        (1, 63, -1), (1, 67, +1), (1, 67, -1), (3, 0, +1), (3, 0, -1), (3, 2, +1), (4, 0, -1),
+        (5, 0, +1), (8, 0, +1), (8, 2, +1), (9, 1, +1), (9, 1, -1), (9, 2, +1), (10, 1, -1),
+        (11, 1, +1), (18, 1, +1), (18, 2, +1), (19, 4, +1), (21, 7, +1), (22, 10, +1), (26, 17, +1),
+        (42, 0, +1), (42, 0, -1), (42, 2, -1), (42, 27, -1), (43, 1, +1), (43, 1, -1), (43, 2, -1),
+        (43, 27, -1), (44, 0, +1), (44, 0, -1), (44, 2, -1), (44, 28, -1), (46, 0, +1), (46, 0, -1),
+        (46, 2, -1), (46, 29, -1), (48, 0, +1), (48, 0, -1), (48, 2, -1), (48, 30, -1), (50, 0, +1),
+        (50, 0, -1), (50, 2, -1), (50, 31, -1), (53, 1, +1), (53, 1, -1), (53, 2, -1), (53, 32, -1),
+        (54, 0, -1), (54, 2, -1), (54, 33, -1), (55, 1, -1), (55, 2, -1), (55, 33, -1), (63, 1, +1),
+        (63, 1, -1), (63, 2, -1), (63, 37, -1), (66, 0, -1), (66, 2, -1), (66, 39, -1), (67, 1, -1),
+        (67, 2, -1), (67, 39, -1),
+    ),
+    "mixed": (
+        (0, 42, +1), (0, 42, -1), (0, 44, +1), (0, 44, -1), (0, 46, +1), (0, 46, -1), (0, 48, +1),
+        (0, 48, -1), (0, 50, +1), (0, 50, -1), (0, 58, +1), (0, 58, -1), (0, 70, +1), (0, 70, -1),
+        (1, 43, +1), (1, 43, -1), (1, 53, +1), (1, 53, -1), (1, 59, +1), (1, 59, -1), (1, 63, +1),
+        (1, 63, -1), (1, 71, +1), (1, 71, -1), (3, 0, +1), (3, 0, -1), (3, 2, +1), (4, 0, -1),
+        (5, 0, +1), (8, 0, +1), (8, 2, +1), (9, 1, +1), (9, 1, -1), (9, 2, +1), (10, 1, -1),
+        (11, 1, +1), (18, 1, +1), (18, 2, +1), (19, 4, +1), (21, 7, +1), (22, 10, +1), (26, 17, +1),
+        (42, 0, +1), (42, 0, -1), (42, 2, -1), (42, 27, -1), (43, 1, +1), (43, 1, -1), (43, 2, -1),
+        (43, 27, -1), (44, 0, +1), (44, 0, -1), (44, 2, -1), (44, 28, -1), (46, 0, +1), (46, 0, -1),
+        (46, 2, -1), (46, 29, -1), (48, 0, +1), (48, 0, -1), (48, 2, -1), (48, 30, -1), (50, 0, +1),
+        (50, 0, -1), (50, 2, -1), (50, 31, -1), (53, 1, +1), (53, 1, -1), (53, 2, -1), (53, 32, -1),
+        (58, 0, -1), (58, 2, -1), (58, 35, -1), (59, 1, -1), (59, 2, -1), (59, 35, -1), (63, 1, +1),
+        (63, 1, -1), (63, 2, -1), (63, 37, -1), (70, 0, -1), (70, 2, -1), (70, 41, -1), (71, 1, -1),
+        (71, 2, -1), (71, 41, -1),
+    ),
+}
+
+#: sha256 of the positions "network,unit,column,delta" of those 712, in sweep order.
+PARENT_REJECTED_SHA256 = "33e9f9554b0c115f35d30300bff0d2df4e161ee1285d453347197cc8cfadb043"
 
 
 def test_validation_outcomes_under_every_unit_weight_corruption(plain_nda, mixed_nda):
     # +1.0, then -1.0, on each nonzero weight of both demo networks in turn
-    outcomes = []
-    for nda in (plain_nda, mixed_nda):
+    outcomes, parent_rejected = [], []
+    for name, nda in (("plain", plain_nda), ("mixed", mixed_nda)):
         spec = synthesize(nda)
         rows, cols = np.nonzero(spec.weights)
         for unit, column in zip(rows.tolist(), cols.tolist()):
-            for delta in (1.0, -1.0):
+            for delta in (1, -1):
                 try:
-                    _validate_synthesis(_corrupted(spec, unit, column, delta), nda)
+                    _certify(_corrupted(spec, unit, column, float(delta)), nda)
                     outcomes.append("passed")
                 except InternalConsistencyError as err:
                     outcomes.append("rejected: %s" % err)
+                if (unit, column, delta) not in PARENT_PASSED[name]:
+                    parent_rejected.append(("%s,%d,%d,%+d" % (name, unit, column, delta), outcomes[-1]))
     assert len(outcomes) == 884
-    assert outcomes.count("passed") == 172
+    assert outcomes.count("passed") == 8
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == CORRUPTION_SWEEP_SHA256
+    # every network the corner check rejected is still rejected
+    positions = [position for position, _ in parent_rejected]
+    assert len(positions) == 712
+    assert hashlib.sha256("\n".join(positions).encode()).hexdigest() == PARENT_REJECTED_SHA256
+    assert [position for position, outcome in parent_rejected if outcome == "passed"] == []
+
+
+def _seeded_nda(grammar, seed):
+    """Cell table of a grammar's machine under a seeded random blank-pinned encoding."""
+    machine = compile_cfg_topdown(parse_grammar(grammar))
+    return from_versatile_shift(machine, random_encoding(machine, random.Random(seed)))
+
+
+def _clamp(y):
+    return min(max(y, Fraction(0)), Fraction(1))
+
+
+def _probe_coordinates(t, count):
+    """Floats in axis cell t of count: the lower edge, the middle, and points
+    10, 2 and 0.5 EPS_B below the upper edge."""
+    top = (t + 1) / count
+    return [t / count, (t + 0.5) / count, top - 10 * EPS_B, top - 2 * EPS_B, top - 0.5 * EPS_B]
+
+
+def _inside(y, edge, lo_margin, top, hi_margin):
+    return edge - lo_margin < y < top + hi_margin
+
+
+@pytest.mark.parametrize("case", ["plain", "mixed", "G4:1", "G4:2", "G7:1"])
+def test_certificate_bounds_one_macro_step_from_points_in_every_cell(case, plain_nda, mixed_nda):
+    # the oracle is the engine itself (na_micro_step) against the exact cell
+    # map, outside the certificate: from the lower edge, the middle and points
+    # just below the upper edges of every cell, a point the certified margins
+    # hold must select its cell alone and land within the cell's rounding bound
+    if case in ("plain", "mixed"):
+        nda = plain_nda if case == "plain" else mixed_nda
+    else:
+        k, seed = case[1:].split(":")
+        nda = _seeded_nda(chain_grammar(int(k)), int(seed))
+    spec = synthesize(nda)
+    p, q = nda.x_cells, nda.y_cells
+    bsl = spec.phase_ranges[2][0]
+    held = missed = 0
+    for cell, bound in zip(nda.cells, spec.certificate):
+        lo1, hi1, lo2, hi2 = bound.margins
+        for y1 in _probe_coordinates(cell.i, p):
+            for y2 in _probe_coordinates(cell.j, q):
+                point = (Fraction(y1), Fraction(y2))
+                if not (_inside(point[0], Fraction(cell.i, p), lo1, Fraction(cell.i + 1, p), hi1)
+                        and _inside(point[1], Fraction(cell.j, q), lo2, Fraction(cell.j + 1, q), hi2)):
+                    missed += 1
+                    continue
+                held += 1
+                state = embed(spec, PhasePoint(*point))
+                for micro in range(1, 6):
+                    state = na_micro_step(spec, state)
+                    if micro == 3:
+                        assert np.flatnonzero(state.x[bsl:bsl + p * q]).tolist() == [cell.i * q + cell.j]
+                image = (cell.a1 + cell.lam1 * point[0], cell.a2 + cell.lam2 * point[1])
+                for got, want, error in zip(state.x[:2].tolist(), image, bound.rounding):
+                    assert abs(Fraction(got) - _clamp(want)) <= error
+    # the points 0.5 EPS_B below an upper edge lie in the band the margins leave out
+    assert held == 16 * len(nda.cells) and missed == 9 * len(nda.cells)
+
+
+def _gate_cases():
+    yield from (("G_%d" % k, chain_grammar(k)) for k in range(3, 13))
+    yield from (("F^1_%d" % k, fan_grammar(k, 1)) for k in range(4, 31))
+    yield from (("F^3_%d" % k, fan_grammar(k, 3)) for k in range(4, 13))
+
+
+@pytest.mark.parametrize("name, grammar", list(_gate_cases()), ids=[name for name, _ in _gate_cases()])
+def test_every_clean_network_of_the_grammar_families_is_certified(name, grammar):
+    # ten seeded blank-pinned encodings each; synthesize raises on none
+    machine = compile_cfg_topdown(parse_grammar(grammar))
+    for seed in range(10):
+        nda = from_versatile_shift(machine, random_encoding(machine, random.Random("%s:%d" % (name, seed))))
+        certificate = synthesize(nda).certificate
+        assert len(certificate) == len(nda.cells)
+        for cell, bound in zip(nda.cells, certificate):
+            assert bound.gain == (abs(cell.lam1), abs(cell.lam2))
+            assert all(0 < e <= SOUNDNESS and e == Fraction(float(e)) for e in bound.rounding)
+            # each lower edge reads as its cell; only about EPS_B below each upper edge does not
+            lo1, hi1, lo2, hi2 = bound.margins
+            assert lo1 > 0 and lo2 > 0 and hi1 < 0 and hi2 < 0
+            assert all(abs(margin) < 2 * EPS_B for margin in bound.margins)
+
+
+@pytest.mark.parametrize("case", ["plain", "G7"])
+def test_synthesis_runs_no_simulation(case, plain_nda, monkeypatch):
+    nda = plain_nda if case == "plain" else _seeded_nda(chain_grammar(7), 1)
+    calls = []
+    for name in ("na_micro_step", "nda_step"):
+        real = getattr(network, name)
+        monkeypatch.setattr(network, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    synthesize(nda)
+    assert calls == []
+
+
+def test_only_synthesis_carries_a_certificate(plain_nda, plain_net):
+    assert len(plain_net.certificate) == len(plain_nda.cells)
+    assert replace(plain_net, weights=plain_net.weights.copy()).certificate is None
+    assert NetworkSpec(weights=plain_net.weights, x_cells=3, y_cells=5).certificate is None
