@@ -24,6 +24,7 @@ from .symbols import (
     Alphabet,
     DottedSequence,
     Ordering,
+    _trim,
     all_permutations,
     compose_perms,
     digits_to_index,
@@ -124,7 +125,7 @@ def check_ultrametric(seed=0):
             checked += 1
             if d != ultrametric(q, p, m, tail=0):
                 return CheckResult("ultrametric", False, "asymmetric distance", (p, q))
-            trimmed_eq = _trim0(p) == _trim0(q)
+            trimmed_eq = _trim(p, 0) == _trim(q, 0)
             if (d == 0) != trimmed_eq:
                 return CheckResult("ultrametric", False, "identity of indiscernibles fails", (p, q, d))
             if d not in valid:
@@ -140,13 +141,6 @@ def check_ultrametric(seed=0):
             return CheckResult("ultrametric", False, "strong triangle inequality fails", (p, q, s))
     return CheckResult("ultrametric", True,
                        "%d pairs (identity, symmetry, range) and %d sampled triples" % (checked, triples))
-
-
-def _trim0(word):
-    word = tuple(word)
-    while word and word[-1] == 0:
-        word = word[:-1]
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -286,62 +280,49 @@ def _min_image(word, perms):
     return min(recode(word, p) for p in perms)
 
 
-def _numbered_in_order(cmap):
-    """Whether the class ids first occur in row-major order as 0, 1, 2, ..."""
-    return list(dict.fromkeys(cmap.assignment)) == list(range(cmap.class_count))
+def _perms(m, pinned):
+    return zero_fixing_permutations(m) if pinned else all_permutations(m)
+
+
+def _interval_case(m, l, pinned):
+    """Interval map, its cells and the brute-force orbit key of a cell."""
+    perms = _perms(m, pinned)
+    return (interval_partition(m, l, blank_pinned=pinned), list(range(m**l)),
+            lambda k: _min_image(index_to_digits(k, m, l), perms))
+
+
+def _square_case(m, m_right, l, r, mode, pinned):
+    """Square map, its cells and the brute-force orbit key of a cell."""
+    perms_x, perms_y = _perms(m, pinned), _perms(m_right, pinned)
+
+    def key(cell):
+        left, right = index_to_digits(cell[0], m, l), index_to_digits(cell[1], m_right, r)
+        if mode == "joint":
+            return _min_image(left + right, perms_x)
+        return (_min_image(left, perms_x), _min_image(right, perms_y))
+
+    cells = [(i, j) for i in range(m**l) for j in range(m_right**r)]
+    return square_partition(m, l, r, mode=mode, blank_pinned=pinned, m_right=m_right), cells, key
 
 
 def check_partitions(seed=0):
-    """Partition builders against brute-force orbit grouping."""
+    """Partition builders against brute-force orbit grouping: every map's
+    class ids first occur in row-major order as 0, 1, 2, ..., and its
+    classes are the brute-force orbits."""
+    cases = [("interval", _interval_case, (m, l, pinned))
+             for m in (2, 3) for l in range(5) for pinned in (False, True)]
+    cases += [("square", _square_case, geometry + (pinned,))
+              for geometry in ((3, 3, 1, 1, "joint"), (3, 3, 2, 1, "joint"), (3, 3, 2, 2, "joint"),
+                               (3, 3, 2, 2, "product"), (3, 2, 2, 2, "product"), (3, 5, 3, 2, "product"))
+              for pinned in (False, True)]
     checked = 0
-    for m in (2, 3):
-        for l in range(0, 5):
-            for pinned in (False, True):
-                cmap = interval_partition(m, l, blank_pinned=pinned)
-                cells = list(range(m**l))
-                if not _numbered_in_order(cmap):
-                    return CheckResult("partitions", False, "class ids not numbered in row-major order",
-                                       (m, l, pinned))
-                perms = zero_fixing_permutations(m) if pinned else all_permutations(m)
-                want = _brute_classes(cells, lambda k: _min_image(index_to_digits(k, m, l), perms))
-                got = {frozenset(cmap.members(cid)) for cid in range(cmap.class_count)}
-                checked += len(cells)
-                if want != got:
-                    return CheckResult("partitions", False,
-                                       "interval classes differ from brute-force orbits", (m, l, pinned))
-
-    for m, m_right, l, r, mode in (
-        (3, 3, 1, 1, "joint"),
-        (3, 3, 2, 1, "joint"),
-        (3, 3, 2, 2, "joint"),
-        (3, 3, 2, 2, "product"),
-        (3, 2, 2, 2, "product"),
-        (3, 5, 3, 2, "product"),
-    ):
-        for pinned in (False, True):
-            cmap = square_partition(m, l, r, mode=mode, blank_pinned=pinned, m_right=m_right)
-            if not _numbered_in_order(cmap):
-                return CheckResult("partitions", False, "class ids not numbered in row-major order",
-                                   (m, m_right, l, r, mode, pinned))
-            cells = [(i, j) for i in range(m**l) for j in range(m_right**r)]
-            perms_x = zero_fixing_permutations(m) if pinned else all_permutations(m)
-            perms_y = zero_fixing_permutations(m_right) if pinned else all_permutations(m_right)
-
-            def key(cell):
-                i, j = cell
-                left = index_to_digits(i, m, l)
-                right = index_to_digits(j, m_right, r)
-                if mode == "joint":
-                    return _min_image(left + right, perms_x)
-                return (_min_image(left, perms_x), _min_image(right, perms_y))
-
-            want = _brute_classes(cells, key)
-            got = {frozenset(cmap.members(cid)) for cid in range(cmap.class_count)}
-            checked += len(cells)
-            if want != got:
-                return CheckResult("partitions", False,
-                                   "square classes differ from brute-force orbits",
-                                   (m, m_right, l, r, mode, pinned))
+    for kind, case, where in cases:
+        cmap, cells, key = case(*where)
+        if list(dict.fromkeys(cmap.assignment)) != list(range(cmap.class_count)):
+            return CheckResult("partitions", False, "class ids not numbered in row-major order", where)
+        checked += len(cells)
+        if _brute_classes(cells, key) != {frozenset(cmap.members(cid)) for cid in range(cmap.class_count)}:
+            return CheckResult("partitions", False, "%s classes differ from brute-force orbits" % kind, where)
     return CheckResult("partitions", True, "%d cells across interval and square grids" % checked)
 
 
@@ -513,7 +494,7 @@ def check_network(seed=0):
         state0 = initial_state(machine, DEMO_SENTENCE, "S")
         point0 = encode_tape(state0, pair)
         run_a = na_run(spec, embed(spec, point0), 6, reference=nda, point=point0)
-        run_b = na_run(spec, embed(spec, point0), 6)
+        run_b = na_run(spec, embed(spec, point0), 6, reference=nda, point=point0)
         if run_a.diverged:
             return CheckResult("network", False,
                                "network left the exact orbit (max %g) under encoding %s"

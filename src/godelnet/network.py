@@ -438,8 +438,8 @@ class NaRun:
     """All micro states of a run plus divergence bookkeeping."""
 
     states: tuple  # every micro state, starting with the embedding
-    max_divergence: float = 0.0
-    divergence_step: int = -1  # first macro step off the exact orbit, or -1
+    max_divergence: float
+    divergence_step: int  # first macro step off the exact orbit, or -1
 
     @property
     def macro_states(self):  # the subsequence at macro boundaries
@@ -450,17 +450,18 @@ class NaRun:
         return self.divergence_step >= 0
 
 
-def na_run(spec, state, macro_steps, reference=None, tol=SOUNDNESS, point=None):
-    """Run ``macro_steps`` macro steps from ``state``.
+def na_run(spec, state, macro_steps, *, reference, point, tol=SOUNDNESS):
+    """Run ``macro_steps`` macro steps from ``state`` against the exact orbit.
 
-    With ``reference`` (an affine cell table) and ``point`` (the exact phase
-    point embedded in ``state``) the MCL trace is compared at every macro
-    boundary; exceeding ``tol`` flags the run as diverged.  Either one
-    without the other would compare nothing and raises DomainError.
+    ``reference`` (the affine cell table) and ``point`` (the exact phase
+    point embedded in ``state``) are both required: the MCL is compared with
+    the exact orbit at every macro boundary, and a deviation above SOUNDNESS
+    flags the run as diverged.  ``tol`` is accepted only as SOUNDNESS, for
+    the callers that still pass it (ROADMAP item 14); any other value is a
+    DomainError.  ``na_micro_step`` is the unchecked engine.
     """
-    if (reference is None) != (point is None):
-        raise DomainError("na_run compares with the exact orbit given both reference and point, "
-                          "got only %s" % ("point" if reference is None else "reference"))
+    if tol != SOUNDNESS:
+        raise DomainError("na_run checks the orbit at SOUNDNESS = %r only, got tol = %r" % (SOUNDNESS, tol))
     states = [state]
     max_div, div_step = 0.0, -1
     exact = point
@@ -468,13 +469,11 @@ def na_run(spec, state, macro_steps, reference=None, tol=SOUNDNESS, point=None):
         for _ in range(spec.micro_steps_per_macro):
             state = na_micro_step(spec, state)
             states.append(state)
-        if reference is not None:
-            exact = nda_step(reference, exact)
-            e1, e2 = float(exact.y1), float(exact.y2)
-            err = max(abs(state.x[0] - e1), abs(state.x[1] - e2))
-            max_div = max(max_div, err)
-            if err > tol and div_step < 0:
-                div_step = k + 1
+        exact = nda_step(reference, exact)
+        err = max(abs(state.x[0] - float(exact.y1)), abs(state.x[1] - float(exact.y2)))
+        max_div = max(max_div, err)
+        if err > SOUNDNESS and div_step < 0:
+            div_step = k + 1
     return NaRun(tuple(states), max_div, div_step)
 
 

@@ -142,6 +142,33 @@ def test_partition_suite_catches_renumbered_product_classes(monkeypatch):
     assert result.counterexample == (3, 3, 2, 2, "product", False)
 
 
+def _merge_last_two_classes(cmap):
+    """The same map with its last class folded into the one before: still
+    numbered in row-major order, but one class short of the orbits."""
+    last = cmap.class_count - 1
+    if last < 1:
+        return cmap
+    return replace(cmap, assignment=tuple(last - 1 if c == last else c for c in cmap.assignment))
+
+
+@pytest.mark.parametrize("name, build, detail, counterexample", [
+    ("interval_partition", interval_partition,
+     "interval classes differ from brute-force orbits", (2, 1, True)),
+    ("square_partition", square_partition,
+     "square classes differ from brute-force orbits", (3, 3, 1, 1, "joint", False)),
+], ids=["interval", "square"])
+def test_partition_suite_catches_merged_classes(monkeypatch, name, build, detail, counterexample):
+    def merged(*args, **kwargs):
+        cmap = _merge_last_two_classes(build(*args, **kwargs))
+        # every planted map keeps the numbering law, so only the orbit law can fail
+        assert list(dict.fromkeys(cmap.assignment)) == list(range(cmap.class_count))
+        return cmap
+
+    monkeypatch.setattr(checks, name, merged)
+    result = check_partitions()
+    assert (result.ok, result.detail, result.counterexample) == (False, detail, counterexample)
+
+
 #: ``godelnet check --seed 0`` details; their counts pin how much each suite
 #: checks, so a faster suite must still check as much.
 SEED0_DETAILS = {

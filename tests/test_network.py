@@ -47,6 +47,20 @@ def plain_net(plain_nda):
     return synthesize(plain_nda)
 
 
+@pytest.fixture(scope="module")
+def plain_run(plain_nda, plain_net, plain_start):
+    return na_run(plain_net, embed(plain_net, plain_start), 6, reference=plain_nda, point=plain_start)
+
+
+def _assert_follows(run, orbit):
+    """The run's MCL stays within SOUNDNESS of a frozen exact orbit at every macro boundary."""
+    assert not run.diverged and run.max_divergence <= SOUNDNESS
+    assert len(run.macro_states) == len(orbit)
+    for state, expected in zip(run.macro_states, orbit):
+        assert abs(state.x[0] - float(expected[0])) <= SOUNDNESS
+        assert abs(state.x[1] - float(expected[1])) <= SOUNDNESS
+
+
 CHAIN_K = 4
 
 
@@ -67,7 +81,7 @@ def chain_case(chain_machine):
     nda = from_versatile_shift(machine, enc)
     sentence = ["t%d" % i for i in range(CHAIN_K + 1)]
     start = encode_tape(initial_state(machine, sentence, "S"), enc)
-    return synthesize(nda), start
+    return synthesize(nda), start, nda
 
 
 #: (phase, activation) of each unit by the prefix of its role in network_csv.
@@ -189,53 +203,64 @@ def test_point_just_below_a_corner_reads_as_the_corner(plain_net):
     assert active == [(1, 2)]
 
 
-def test_macro_run_follows_exact_orbit(plain_nda, plain_net, plain_start, plain_orbit):
-    run = na_run(plain_net, embed(plain_net, plain_start), 6,
-                 reference=plain_nda, tol=1e-9, point=plain_start)
-    assert not run.diverged
-    assert run.max_divergence <= 1e-9
-    assert len(run.macro_states) == 7
-    for state, expected in zip(run.macro_states, plain_orbit):
-        assert abs(state.x[0] - float(expected[0])) <= 1e-9
-        assert abs(state.x[1] - float(expected[1])) <= 1e-9
+def test_macro_run_follows_exact_orbit(plain_run, plain_orbit):
+    _assert_follows(plain_run, plain_orbit)
 
 
-def test_runs_are_deterministic(plain_net, plain_start):
-    a = na_run(plain_net, embed(plain_net, plain_start), 6)
-    b = na_run(plain_net, embed(plain_net, plain_start), 6)
-    for sa, sb in zip(a.states, b.states):
+def test_mixed_macro_run_follows_exact_orbit(mixed_nda, mixed_start, mixed_orbit):
+    spec = synthesize(mixed_nda)
+    _assert_follows(na_run(spec, embed(spec, mixed_start), 6, reference=mixed_nda, point=mixed_start),
+                    mixed_orbit)
+
+
+def test_runs_are_deterministic(plain_nda, plain_net, plain_start, plain_run):
+    again = na_run(plain_net, embed(plain_net, plain_start), 6, reference=plain_nda, point=plain_start)
+    assert again.max_divergence == plain_run.max_divergence
+    for sa, sb in zip(plain_run.states, again.states):
         assert (sa.x == sb.x).all()
 
 
-def test_states_stay_in_unit_box(plain_net, plain_nda, plain_start):
-    run = na_run(plain_net, embed(plain_net, plain_start), 6)
-    for state in run.states:
+def test_states_stay_in_unit_box(plain_run):
+    for state in plain_run.states:
         assert state.x.min() >= 0.0 and state.x.max() <= 1.0
 
 
 def test_divergence_detection_against_wrong_reference(plain_nda, mixed_nda, plain_net, plain_start):
     # comparing the plain network against the mixed table must diverge
-    run = na_run(plain_net, embed(plain_net, plain_start), 6,
-                 reference=mixed_nda, tol=1e-9, point=plain_start)
+    run = na_run(plain_net, embed(plain_net, plain_start), 6, reference=mixed_nda, point=plain_start)
     assert run.diverged and run.divergence_step >= 1
 
 
-@pytest.mark.parametrize("given", ["reference", "point"])
-def test_one_sided_comparison_is_refused(given, plain_nda, plain_net, plain_start):
-    # either alone would compare nothing and report a sound run
+@pytest.mark.parametrize("missing", ["reference", "point"])
+def test_a_run_without_reference_or_point_is_refused(missing, plain_nda, plain_net, plain_start):
+    # na_micro_step is the unchecked engine; na_run always compares with the orbit
     kwargs = {"reference": plain_nda, "point": plain_start}
-    del kwargs["point" if given == "reference" else "reference"]
-    message = r"^na_run compares with the exact orbit given both reference and point, got only %s$" % given
-    with pytest.raises(DomainError, match=message):
+    del kwargs[missing]
+    with pytest.raises(TypeError, match="missing 1 required keyword-only argument: '%s'" % missing):
         na_run(plain_net, embed(plain_net, plain_start), 6, **kwargs)
 
 
-def test_csv_exports(plain_net, plain_start):
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_a_bound_other_than_soundness_is_refused(tol, plain_nda, plain_net, plain_start):
+    message = r"^na_run checks the orbit at SOUNDNESS = 1e-09 only, got tol = %r$" % tol
+    with pytest.raises(DomainError, match=message):
+        na_run(plain_net, embed(plain_net, plain_start), 6, reference=plain_nda, point=plain_start, tol=tol)
+
+
+def test_the_benchmark_call_at_soundness_still_runs(plain_nda, plain_net, plain_start, plain_run):
+    # perfbench's chain workload passes tol=SOUNDNESS explicitly
+    run = na_run(plain_net, embed(plain_net, plain_start), 6,
+                 reference=plain_nda, tol=SOUNDNESS, point=plain_start)
+    assert run.max_divergence == plain_run.max_divergence and not run.diverged
+    assert all((a.x == b.x).all() for a, b in zip(run.states, plain_run.states))
+
+
+def test_csv_exports(plain_nda, plain_net, plain_start):
     net_lines = network_csv(plain_net).strip().splitlines()
     assert net_lines[0] == "record,a,b,c,d"
     assert sum(1 for l in net_lines if l.startswith("unit,")) == plain_net.n
     assert not any(l.startswith("bias,") for l in net_lines)
-    run = na_run(plain_net, embed(plain_net, plain_start), 2)
+    run = na_run(plain_net, embed(plain_net, plain_start), 2, reference=plain_nda, point=plain_start)
     traj_lines = trajectory_csv(run).strip().splitlines()
     assert traj_lines[0].startswith("t,micro,x1,")
     assert len(traj_lines) == 1 + 1 + 2 * plain_net.micro_steps_per_macro
@@ -277,7 +302,7 @@ def test_csv_exports_match_a_csv_writer_reference_byte_for_byte():
     xs = rng.choice(np.array(ODD_FLOATS), size=(11, n))
     xs[0, 1:3] = other_nans
     states = tuple(NeuralState(x=x, macro=t // 5, micro=t % 5) for t, x in enumerate(xs))
-    run = NaRun(states)
+    run = NaRun(states, max_divergence=0.0, divergence_step=-1)
     want = [["t", "micro"] + ["x%d" % (k + 1) for k in range(n)]]
     want += [[st.macro, st.micro] + [repr(float(v)) for v in st.x] for st in states]
     assert trajectory_csv(run) == _csv_text(want)
@@ -285,12 +310,12 @@ def test_csv_exports_match_a_csv_writer_reference_byte_for_byte():
 
 
 @pytest.mark.parametrize("case", ["plain", "chain"])
-def test_micro_states_match_dense_reference_bit_for_bit(case, plain_net, plain_start, chain_case):
-    spec, start, macro_steps = plain_net, plain_start, 6
+def test_micro_states_match_dense_reference_bit_for_bit(case, plain_nda, plain_net, plain_start, chain_case):
+    spec, start, nda, macro_steps = plain_net, plain_start, plain_nda, 6
     if case == "chain":
-        spec, start = chain_case
+        spec, start, nda = chain_case
         macro_steps = 2 * CHAIN_K + 3
-    run = na_run(spec, embed(spec, start), macro_steps)
+    run = na_run(spec, embed(spec, start), macro_steps, reference=nda, point=start)
     assert len(run.states) == 1 + macro_steps * spec.micro_steps_per_macro
     schedule = _schedule(spec)
     x = run.states[0].x
