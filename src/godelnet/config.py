@@ -71,8 +71,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.macro_steps < 1:
             raise ConfigError("macro_steps must be >= 1, got %d" % self.macro_steps)
-        if not self.encodings:
-            raise ConfigError("at least one [encoding:NAME:input/stack] pair is required")
+        if len(self.encodings) < 2:
+            raise ConfigError("at least two [encoding:NAME:input/stack] pairs are required, got %d"
+                              % len(self.encodings))
 
 
 def _table(parser, section):

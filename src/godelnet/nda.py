@@ -18,8 +18,8 @@ the origin.
 
 The table is an index grid: cell (i, j) is the rectangle
 [i/p, (i+1)/p) x [j/q, (j+1)/q) with p = m_in**r and q = m_st**l, and it sits
-at position i*q + j of the row-major cell tuple.  A cell stores only its
-index and its affine action; its rectangle follows from (i, j) and (p, q).
+at position k = i*q + j of the row-major cell tuple.  A cell stores only its
+affine action; (i, j) = divmod(k, q), and its rectangle follows from them.
 
 Every window of a ``VersatileShift`` is affine by construction.  A rule's
 match words are concrete symbols, and it may shift the dot only across
@@ -100,10 +100,8 @@ def encode_tape(state, enc):
 
 @dataclass(frozen=True)
 class NdaCell:
-    """One rectangle of the DoD partition with its affine action."""
+    """The affine action of one rectangle of the DoD partition."""
 
-    i: int  # cell index along y1 (input axis)
-    j: int  # cell index along y2 (stack axis)
     a1: Fraction
     a2: Fraction
     lam1: Fraction
@@ -125,13 +123,9 @@ class Nda:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        q = self.y_cells
-        if len(self.cells) != self.x_cells * q or any(
-            (c.i, c.j) != divmod(k, q) for k, c in enumerate(self.cells)
-        ):
-            raise InternalConsistencyError(
-                "cell table must list the %d x %d grid in row-major order" % (self.x_cells, q)
-            )
+        if len(self.cells) != self.x_cells * self.y_cells:
+            raise InternalConsistencyError("cell table must list the %d x %d grid, got %d cells"
+                                           % (self.x_cells, self.y_cells, len(self.cells)))
 
     @property
     def x_cells(self):
@@ -152,12 +146,13 @@ class Nda:
 
 def nda_step(nda, point):
     """Apply the located cell's affine map; the image must stay in the square."""
-    cell = nda.locate(point)
+    i, j = grid_index(point.y1, nda.x_cells), grid_index(point.y2, nda.y_cells)
+    cell = nda.cell_at(i, j)
     try:
         return cell.apply(point)
     except DomainError as err:
         raise InternalConsistencyError(
-            "cell (%d, %d) mapped %r outside the unit square: %s" % (cell.i, cell.j, point, err)
+            "cell (%d, %d) mapped %r outside the unit square: %s" % (i, j, point, err)
         ) from err
 
 
@@ -202,7 +197,7 @@ def from_versatile_shift(machine, enc):
             lam2 = Fraction(enc.m_st) ** (l - len(r_st))
             a1 = godel_encode(r_in, enc.input) - lam1 * Fraction(i, p)
             a2 = godel_encode(r_st, enc.stack) - lam2 * Fraction(j, q)
-            cells[i * q + j] = NdaCell(i, j, a1, a2, lam1, lam2, label)
+            cells[i * q + j] = NdaCell(a1, a2, lam1, lam2, label)
     return Nda(enc, l, r, tuple(cells))
 
 
@@ -218,7 +213,7 @@ def nda_csv(nda):
     w.writerow(["i", "j", "y1_lo", "y1_hi", "y2_lo", "y2_hi", "a1", "a2", "lambda1", "lambda2", "label"])
     xs = [Fraction(i, p) for i in range(p + 1)]
     ys = [Fraction(j, q) for j in range(q + 1)]
-    for c in nda.cells:
-        w.writerow([c.i, c.j, xs[c.i], xs[c.i + 1], ys[c.j], ys[c.j + 1],
-                    c.a1, c.a2, c.lam1, c.lam2, c.label])
+    for k, c in enumerate(nda.cells):
+        i, j = divmod(k, q)
+        w.writerow([i, j, xs[i], xs[i + 1], ys[j], ys[j + 1], c.a1, c.a2, c.lam1, c.lam2, c.label])
     return out.getvalue()

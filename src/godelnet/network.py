@@ -25,7 +25,10 @@ rectangles the unit count is n = 3 + 3(p + q) + 3C: MCL 2, always-on 1,
 comparators 2(p+q), axis units p+q, branch units C, affine units 2C.
 
 Units are index grids laid out bank by bank, so a unit's role follows from
-its index and (p, q) alone (``_layout`` gives the bank offsets):
+its index and (p, q) alone.  ``_bank_table`` is that layout, built once per
+(p, q): each bank's units, inputs grid, role names, phase and activation.
+A network is one weight per entry of each bank's inputs grid; its dense
+matrix is derived from them, so no weight lies outside a bank.
 
   units                 bank                               phase
   0, 1                  MCL y1, y2                         5, ramp
@@ -45,11 +48,11 @@ full W x followed by a per-unit update of the phase; tests/test_network.py
 holds it to that.
 
 ``synthesize`` certifies its network without running it: ``_certify`` reads
-the weights back and checks, in exact arithmetic (a float64 converts to a
+the banks back and checks, in exact arithmetic (a float64 converts to a
 Fraction exactly), what one macro step does from every point of every cell.
 
-  - Support: each unit reads only the units ``_wiring`` gives its bank, so
-    no state left over from an earlier step enters a sum.
+  - Support needs no check: each unit reads only its bank's inputs, so no
+    state left over from an earlier step enters a sum.
   - Comparators: the gain on the coordinate is exactly +1 (lo) or -1 (hi),
     so each fires on an exact interval (a sum of two floats rounds to a
     float of its sign, and to 0 only when it is 0).  Each axis cell's
@@ -77,8 +80,10 @@ Any fault above is an InternalConsistencyError.  The numbers are kept on
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,48 +105,93 @@ UNIT_BUDGET = 4096
 SOUNDNESS = 1e-9
 
 
-def _layout(p, q):
-    """Bank offsets (comparators, axis units, BSL, LTL) and the unit count n."""
-    cmp = ALWAYS_ON + 1
-    ax = cmp + 2 * (p + q)
-    bsl = ax + p + q
-    ltl = bsl + p * q
-    return cmp, ax, bsl, ltl, ltl + 2 * p * q
+class Bank(NamedTuple):
+    """One bank of the layout: unit ``units[t]`` reads columns ``inputs[t]``."""
+
+    units: range
+    inputs: np.ndarray  # read-only, one row per unit
+    phase: int
+    activation: str
+    roles: Callable  # () -> the role name of each unit, formatted when called
+
+
+@lru_cache(maxsize=32)
+def _bank_table(p, q):
+    """The banks of the network of a p x q table, by name, in unit order.
+
+    Each bank starts where the one before it stops: MCL (units MCL), the
+    always-on unit (ALWAYS_ON), comparators, axis units, BSL, LTL.  Inputs:
+    comparators (coordinate, always-on), axis units (lo, hi comparator,
+    always-on), branch units (axis unit i, axis unit p + j, always-on),
+    affine units (coordinate, always-on, branch unit) and the two MCL units
+    (every affine unit of their coordinate); the always-on unit reads nothing.
+    """
+    sizes = {"mcl": 2, "one": 1, "cmp": 2 * (p + q), "ax": p + q, "bsl": p * q, "ltl": 2 * p * q}
+    start = dict(zip(sizes, accumulate(sizes.values(), initial=0)))
+    cmp, ax, bsl, ltl, one = start["cmp"], start["ax"], start["bsl"], start["ltl"], ALWAYS_ON
+    a = np.arange(p + q)
+    k, c = np.divmod(np.arange(2 * p * q), 2)
+    i, j = np.divmod(np.arange(p * q), q)
+    coord = np.repeat((a >= p).astype(np.intp), 2)
+    axes = [("x", t) for t in range(p)] + [("y", t) for t in range(q)]
+    banks = {
+        "mcl": (ltl + np.arange(2 * p * q).reshape(p * q, 2).T, 5, RAMP, lambda: ["mcl:y1", "mcl:y2"]),
+        "one": (np.empty((1, 0), np.intp), 1, STEP, lambda: ["one"]),  # recomputes theta(0) = 1
+        "cmp": (np.stack([coord, np.full_like(coord, one)], 1), 1, STEP,
+                lambda: ["cmp:%s:%d:%s" % (*axis, side) for axis in axes for side in ("lo", "hi")]),
+        "ax": (np.stack([cmp + 2 * a, cmp + 2 * a + 1, np.full_like(a, one)], 1), 2, STEP,
+               lambda: ["ax:%s:%d" % axis for axis in axes]),
+        "bsl": (np.stack([ax + i, ax + p + j, np.full_like(i, one)], 1), 3, STEP,
+                lambda: ["bsl:%d:%d" % divmod(t, q) for t in range(p * q)]),
+        "ltl": (np.stack([c, np.full_like(c, one), bsl + k], 1), 4, RAMP,
+                lambda: ["ltl:%d:%d:y%d" % (*divmod(t // 2, q), t % 2 + 1) for t in range(2 * p * q)]),
+    }
+    for name, (inputs, *_) in banks.items():
+        inputs.flags.writeable = False
+    return MappingProxyType({name: Bank(range(start[name], start[name] + sizes[name]), *bank)
+                             for name, bank in banks.items()})
 
 
 @dataclass
 class NetworkSpec:
-    """Synthesized network: dense weights over the grid layout of a p x q table.
+    """Synthesized network: one weight per entry of each bank's inputs grid.
 
-    Treat instances as immutable; the arrays are shared, not copied.
+    ``banks`` maps each bank of ``_bank_table(x_cells, y_cells)`` to an array
+    of its inputs grid's shape.  ``weights`` is the dense n x n matrix built
+    from them.  Both are read-only copies, so the engine runs the weights
+    the certificate read.  Treat instances as immutable.
     """
 
-    weights: np.ndarray
+    banks: dict
     x_cells: int
     y_cells: int
     mcl = MCL
     always_on = ALWAYS_ON
     micro_steps_per_macro = MICRO_STEPS_PER_MACRO
+    weights: np.ndarray = field(init=False, repr=False)
     # phase_ranges[k] = (lo, hi, activation) of the units updated in phase k + 1
     phase_ranges: tuple = field(init=False, repr=False)
     # per-cell CellBound table; only synthesize sets it, so a spec built or
-    # replaced with other weights carries none
+    # replaced with other banks carries none
     certificate: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        _, ax, bsl, ltl, n = _layout(self.x_cells, self.y_cells)
-        if self.weights.shape != (n, n):
-            raise InternalConsistencyError(
-                "a %d x %d table needs %d x %d weights, got %r"
-                % (self.x_cells, self.y_cells, n, n, self.weights.shape)
-            )
-        self.phase_ranges = (
-            (ALWAYS_ON, ax, STEP),  # the always-on unit recomputes theta(0) = 1
-            (ax, bsl, STEP),
-            (bsl, ltl, STEP),
-            (ltl, n, RAMP),
-            (MCL[0], MCL[1] + 1, RAMP),
-        )
+        table = _bank_table(self.x_cells, self.y_cells)
+        n = sum(len(bank.units) for bank in table.values())
+        banks, weights, ranges = {}, np.zeros((n, n), dtype=np.float64), {}
+        for name, bank in table.items():
+            values = banks[name] = np.array(self.banks[name], dtype=np.float64)
+            if values.shape != bank.inputs.shape:
+                raise InternalConsistencyError("bank %s of a %d x %d table needs %r weights, got %r" % (
+                    name, self.x_cells, self.y_cells, bank.inputs.shape, values.shape))
+            values.flags.writeable = False
+            np.put_along_axis(weights[bank.units.start:bank.units.stop], bank.inputs, values, 1)
+            # the banks of one phase are adjacent and share its activation
+            lo = ranges.get(bank.phase, (bank.units.start,))[0]
+            ranges[bank.phase] = (lo, bank.units.stop, bank.activation)
+        weights.flags.writeable = False
+        self.banks, self.weights = MappingProxyType(banks), weights
+        self.phase_ranges = tuple(ranges[phase] for phase in sorted(ranges))
 
     @property
     def n(self):
@@ -167,7 +217,8 @@ def synthesize(nda):
     bounds are kept on the spec's ``certificate``.
     """
     p, q = nda.x_cells, nda.y_cells
-    n = _layout(p, q)[-1]
+    table = _bank_table(p, q)
+    n = sum(len(bank.units) for bank in table.values())
     if n > UNIT_BUDGET:
         raise ResourceLimitError("network needs %d units, budget is %d" % (n, UNIT_BUDGET))
 
@@ -187,42 +238,17 @@ def synthesize(nda):
     affine = np.stack([lam, offset - big, np.full_like(lam, big)], 1)
 
     # axis and branch units are ANDs of their two inputs; the MCL sums its affine units
-    values = {"cmp": comparators, "ax": (1.0, 1.0, -1.5), "bsl": (1.0, 1.0, -1.5), "ltl": affine, "mcl": 1.0}
-    weights = np.zeros((n, n), dtype=np.float64)
-    for bank, (units, inputs) in _wiring(p, q).items():
-        weights[units[:, None], inputs] = values[bank]
-
-    spec = NetworkSpec(weights=weights, x_cells=p, y_cells=q)
+    values = {"mcl": 1.0, "one": (), "cmp": comparators, "ax": (1.0, 1.0, -1.5), "bsl": (1.0, 1.0, -1.5),
+              "ltl": affine}
+    banks = {name: np.broadcast_to(values[name], bank.inputs.shape) for name, bank in table.items()}
+    spec = NetworkSpec(banks, p, q)
     spec.certificate = _certify(spec, nda)
     return spec
 
 
-def _wiring(p, q):
-    """Every weight the construction may set, bank by bank: (unit, column) index grids.
-
-    Each grid has one row per unit of its bank and one column per input:
-    comparators (coordinate, always-on), axis units (lo, hi comparator,
-    always-on), branch units (axis unit i, axis unit p + j, always-on),
-    affine units (coordinate, always-on, branch unit) and the two MCL units
-    (every affine unit of their coordinate).  The always-on unit reads nothing.
-    """
-    cmp, ax, bsl, ltl, n = _layout(p, q)
-    one = ALWAYS_ON
-    a = np.arange(p + q)
-    k, c = np.divmod(np.arange(2 * p * q), 2)
-    i, j = np.divmod(np.arange(p * q), q)
-    coord = np.repeat((a >= p).astype(np.intp), 2)
-    return {
-        "cmp": (cmp + np.arange(2 * (p + q)), np.stack([coord, np.full_like(coord, one)], 1)),
-        "ax": (ax + a, np.stack([cmp + 2 * a, cmp + 2 * a + 1, np.full_like(a, one)], 1)),
-        "bsl": (bsl + i * q + j, np.stack([ax + i, ax + p + j, np.full_like(i, one)], 1)),
-        "ltl": (ltl + np.arange(2 * p * q), np.stack([c, np.full_like(c, one), bsl + k], 1)),
-        "mcl": (np.array(MCL), ltl + np.arange(2 * p * q).reshape(p * q, 2).T),
-    }
-
-
 def _role(spec, unit):
-    return next(islice(_roles(spec.x_cells, spec.y_cells), unit, None))
+    bank = next(bank for bank in _bank_table(spec.x_cells, spec.y_cells).values() if unit in bank.units)
+    return bank.roles()[unit - bank.units.start]
 
 
 def _fault(spec, unit, message, *args):
@@ -267,7 +293,7 @@ def _check_and_bank(spec, units, weights):
     are exact, so only the two additions round: gamma_2.  The pair (0, 0)
     needs no test: its sum w1 is the two silent sums less the firing one."""
     seen = {}
-    for unit, triple in zip(units.tolist(), map(tuple, weights.tolist())):
+    for unit, triple in zip(units, map(tuple, weights.tolist())):
         if triple not in seen:
             wa, wb, w1 = map(Fraction, triple)
             seen[triple] = all((s - _GAMMA2 * r >= 0) if fires else (s + _GAMMA2 * r < 0)
@@ -290,7 +316,7 @@ def _certify_comparators(spec, units, weights):
     cell and certified part together, that the affine rows are bounded on.
     """
     gains, biases = weights[:, 0], weights[:, 1]
-    for unit, gain, want in zip(units.tolist(), gains.tolist(), [1.0, -1.0] * (len(units) // 2)):
+    for unit, gain, want in zip(units, gains.tolist(), [1.0, -1.0] * (len(units) // 2)):
         if gain != want:
             raise _fault(spec, unit, "reads its coordinate with weight %r, not %r", gain, want)
     lo = [-Fraction(b) for b in biases[0::2].tolist()]
@@ -341,29 +367,20 @@ def _round_up(x):
 def _certify(spec, nda):
     """Certify one macro step of ``spec`` over every whole cell of ``nda``.
 
-    Reads the weights back, without running the network, and checks them in
+    Reads the banks back, without running the network, and checks them in
     exact arithmetic (see the module docstring).  Returns one CellBound per
     cell in the table's order; raises InternalConsistencyError on a
     structural fault.
     """
     p, q = spec.x_cells, spec.y_cells
-    w = spec.weights
-    wiring = _wiring(p, q)
-    read = {bank: w[units[:, None], inputs] for bank, (units, inputs) in wiring.items()}
-    if np.count_nonzero(w) != sum(np.count_nonzero(values) for values in read.values()):
-        rows, cols = np.nonzero(w)
-        wired = np.concatenate([(units[:, None] * spec.n + inputs).ravel()
-                                for units, inputs in wiring.values()])
-        stray = np.flatnonzero(~np.isin(rows * spec.n + cols, wired))[0]
-        unit, col = int(rows[stray]), int(cols[stray])
-        raise _fault(spec, unit, "reads %s (unit %d), outside its bank's inputs", _role(spec, col), col)
-    if not all(np.isfinite(values).all() for values in read.values()):
+    table, banks = _bank_table(p, q), spec.banks
+    if not all(np.isfinite(values).all() for values in banks.values()):
         raise InternalConsistencyError("the network has a weight that is not finite")
 
-    margins, domains = _certify_comparators(spec, wiring["cmp"][0], read["cmp"])
-    _check_and_bank(spec, wiring["ax"][0], read["ax"])
-    _check_and_bank(spec, wiring["bsl"][0], read["bsl"])
-    for unit, values, inputs in zip(MCL, read["mcl"].tolist(), wiring["mcl"][1].tolist()):
+    margins, domains = _certify_comparators(spec, table["cmp"].units, banks["cmp"])
+    _check_and_bank(spec, table["ax"].units, banks["ax"])
+    _check_and_bank(spec, table["bsl"].units, banks["bsl"])
+    for unit, values, inputs in zip(table["mcl"].units, banks["mcl"].tolist(), table["mcl"].inputs.tolist()):
         for value, col in zip(values, inputs):
             if value != 1.0:
                 raise _fault(spec, unit, "reads %s with weight %r, not 1", _role(spec, col), value)
@@ -371,13 +388,14 @@ def _certify(spec, nda):
     # affine rows: distinct (weights, exact map) pairs are few, so each is
     # worked out once; its error depends on the cell's position only when
     # the row's gain is not the exact lambda
-    ltl = wiring["ltl"][0][0]
-    rows = read["ltl"].tolist()
+    ltl = table["ltl"].units.start
+    rows = banks["ltl"].tolist()
     soundness = Fraction(SOUNDNESS)
     parts, bounds, cells = {}, {}, []
     for k, cell in enumerate(nda.cells):
+        i, j = divmod(k, q)
         gains, rounding = [], []
-        for c, lam, a, axis in ((0, cell.lam1, cell.a1, cell.i), (1, cell.lam2, cell.a2, p + cell.j)):
+        for c, lam, a, axis in ((0, cell.lam1, cell.a1, i), (1, cell.lam2, cell.a2, p + j)):
             unit, row = ltl + 2 * k + c, rows[2 * k + c]
             key = (*row, lam.numerator, lam.denominator, a.numerator, a.denominator)
             part = parts.get(key)
@@ -395,11 +413,11 @@ def _certify(spec, nda):
                                    else abs(d_a)) + r)
                 if bound > soundness:
                     raise _fault(spec, unit, "off by %g from the exact image over cell (%d, %d), "
-                                 "more than SOUNDNESS", bound, cell.i, cell.j)
+                                 "more than SOUNDNESS", bound, i, j)
                 bounds[where] = bound
             gains.append(gain)
             rounding.append(bound)
-        cells.append(CellBound(margins[cell.i] + margins[p + cell.j], tuple(gains), tuple(rounding)))
+        cells.append(CellBound(margins[i] + margins[p + j], tuple(gains), tuple(rounding)))
     return tuple(cells)
 
 
@@ -477,23 +495,6 @@ def na_run(spec, state, macro_steps, *, reference, point, tol=SOUNDNESS):
     return NaRun(tuple(states), max_div, div_step)
 
 
-def _roles(p, q):
-    """Readable role of every unit, in unit order."""
-    yield from ("mcl:y1", "mcl:y2", "one")
-    axes = [("x", i) for i in range(p)] + [("y", j) for j in range(q)]
-    for axis, i in axes:
-        yield "cmp:%s:%d:lo" % (axis, i)
-        yield "cmp:%s:%d:hi" % (axis, i)
-    for axis, i in axes:
-        yield "ax:%s:%d" % (axis, i)
-    cells = list(product(range(p), range(q)))
-    for i, j in cells:
-        yield "bsl:%d:%d" % (i, j)
-    for i, j in cells:
-        yield "ltl:%d:%d:y1" % (i, j)
-        yield "ltl:%d:%d:y2" % (i, j)
-
-
 def network_csv(spec):
     """CSV blocks: unit roles, then nonzero weights.
 
@@ -501,10 +502,9 @@ def network_csv(spec):
     float reprs), so each line is formatted directly.
     """
     lines = ["record,a,b,c,d"]
-    roles = _roles(spec.x_cells, spec.y_cells)
-    for lo, hi, kind, phase in sorted((lo, hi, kind, phase) for phase, (lo, hi, kind)
-                                      in enumerate(spec.phase_ranges, 1)):
-        lines += ["unit,%d,%s,%s,%d" % (unit, next(roles), kind, phase) for unit in range(lo, hi)]
+    for bank in _bank_table(spec.x_cells, spec.y_cells).values():
+        kind = "%s,%d" % (bank.activation, bank.phase)
+        lines += ["unit,%d,%s,%s" % (unit, role, kind) for unit, role in zip(bank.units, bank.roles())]
     rows, cols = np.nonzero(spec.weights)
     values = spec.weights[rows, cols].tolist()
     lines += ["weight,%d,%d,%r," % entry for entry in zip(rows.tolist(), cols.tolist(), values)]

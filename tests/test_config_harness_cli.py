@@ -85,9 +85,11 @@ def test_config_validation(tmp_path):
 def test_config_defaults_are_the_dataclass_defaults(tmp_path, sections):
     ini = tmp_path / "bare.ini"
     ini.write_text("[grammar]\npath = g\nsentence = a b\n" + sections
-                   + "[encoding:e:input]\na = 1\n[encoding:e:stack]\na = 2\n", encoding="utf-8")
-    pair = EncodingTables("e", ((BLANK, 0), ("a", 1)), ((BLANK, 0), ("a", 2)))
-    assert load_config(ini) == ExperimentConfig(tmp_path / "g", ("a", "b"), encodings=(pair,))
+                   + "[encoding:e:input]\na = 1\n[encoding:e:stack]\na = 2\n"
+                   + "[encoding:f:input]\na = 2\n[encoding:f:stack]\na = 1\n", encoding="utf-8")
+    pairs = (EncodingTables("e", ((BLANK, 0), ("a", 1)), ((BLANK, 0), ("a", 2))),
+             EncodingTables("f", ((BLANK, 0), ("a", 2)), ((BLANK, 0), ("a", 1))))
+    assert load_config(ini) == ExperimentConfig(tmp_path / "g", ("a", "b"), encodings=pairs)
 
 
 def _shipped_config_with(tmp_path, old, new):
@@ -156,8 +158,8 @@ def test_readme_config_block_loads(tmp_path, config):
     section = readme.split("## Configuration format", 1)[1]
     (tmp_path / "experiment.ini").write_text(section.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
     shutil.copy(CONFIG_DIR / "parser.grammar", tmp_path)
-    # the README shows the shipped config with its gamma encoding only
-    want = dataclasses.replace(config, grammar_path=tmp_path / "parser.grammar", encodings=config.encodings[1:])
+    # the README shows the shipped config
+    want = dataclasses.replace(config, grammar_path=tmp_path / "parser.grammar")
     assert load_config(tmp_path / "experiment.ini") == want
 
 
@@ -486,15 +488,24 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
 
 
+def test_cli_run_with_one_encoding_exits_4(tmp_path, capsys):
+    # a verdict compares encodings, so a single one would compare nothing
+    text = (CONFIG_DIR / "experiment.ini").read_text(encoding="utf-8")
+    path = _shipped_config_with(tmp_path, text[text.index("[encoding:delta:input]"):], "")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    message = "at least two [encoding:NAME:input/stack] pairs are required, got 1"
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_exits_3_when_a_network_leaves_the_exact_orbit(tmp_path, monkeypatch, capsys):
     real = harness.synthesize
 
     def offset(nda):  # every cell's y1 unit lands 1e-6 off the exact image, far above SOUNDNESS
         spec = real(nda)
-        weights = spec.weights.copy()
-        lo, hi, _ = spec.phase_ranges[3]
-        weights[lo:hi:2, spec.always_on] += 1e-6
-        return NetworkSpec(weights, spec.x_cells, spec.y_cells)
+        ltl = spec.banks["ltl"].copy()
+        ltl[0::2, 1] += 1e-6  # the y1 units' always-on weight
+        return NetworkSpec({**spec.banks, "ltl": ltl}, spec.x_cells, spec.y_cells)
 
     monkeypatch.setattr(harness, "synthesize", offset)
     assert cli.main(["run", str(CONFIG_DIR / "experiment.ini"), "--out", str(tmp_path / "out")]) == cli.EXIT_DIVERGENCE
