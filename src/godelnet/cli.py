@@ -20,7 +20,7 @@ from .checks import DIVERGENCE_SUITES, run_checks, suite_names
 from .config import load_config
 from .errors import DivergenceError, GodelnetError, InternalConsistencyError
 from .harness import report_text, run_experiment, write_report
-from .patterns import interval_partition, orbit, square_partition, write_class_map
+from .patterns import class_map_csv, class_map_svg, interval_partition, orbit, square_partition
 from .shift import compile_cfg_topdown, initial_state, load_grammar, trace_csv, vs_run
 
 EXIT_OK = 0
@@ -49,12 +49,14 @@ def _build_parser():
     p.add_argument("--start", default=None, help="start symbol (default: first production head)")
     p.add_argument("--max-steps", type=int, default=100)
     p.add_argument("--csv", default=None, help="also write the trace as CSV")
+    p.set_defaults(handler=cmd_parse)
 
     p = sub.add_parser("orbit", help="list all recodings of a word")
     p.add_argument("word", help="symbols as characters, e.g. aaabcabc (all-digit words are read as digits)")
     p.add_argument("--m", type=int, default=None, help="alphabet size (default: distinct symbols)")
     p.add_argument("--pinned", action="store_true", help="only permute non-blank symbols")
     p.add_argument("--universe", default=None, help="space-separated symbol universe")
+    p.set_defaults(handler=cmd_orbit)
 
     p = sub.add_parser("partition",
                        help="pattern-class partition of the interval or the square")
@@ -67,17 +69,19 @@ def _build_parser():
     p.add_argument("--pinned", action="store_true")
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
-    p.set_defaults(usage_error=p.error)
+    p.set_defaults(handler=cmd_partition, usage_error=p.error)
 
     p = sub.add_parser("run", help="run a configured experiment")
     p.add_argument("config", help="experiment configuration file")
     p.add_argument("--out", default=None,
                    help="artifact directory (default: <config dir>/out_<run id>)")
+    p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("check", help="run the self-verification suites")
     p.add_argument("--suites", default=None,
                    help="comma-separated subset of: %s" % ", ".join(suite_names()))
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(handler=cmd_check)
     return parser
 
 
@@ -122,7 +126,10 @@ def cmd_partition(args):
                                 blank_pinned=args.pinned, m_right=args.m_right)
         print("square partition (%s): %d x %d cells, %d classes"
               % (cmap.mode, cmap.x_cells, cmap.y_cells, cmap.class_count))
-    write_class_map(cmap, csv_path=args.csv, svg_path=args.svg)
+    if args.csv is not None:
+        Path(args.csv).write_text(class_map_csv(cmap), encoding="utf-8", newline="")
+    if args.svg is not None:
+        Path(args.svg).write_text(class_map_svg(cmap), encoding="utf-8")
     for path in (args.csv, args.svg):
         if path:
             print("written %s" % path)
@@ -160,20 +167,11 @@ def cmd_check(args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "parse": cmd_parse,
-    "orbit": cmd_orbit,
-    "partition": cmd_partition,
-    "run": cmd_run,
-    "check": cmd_check,
-}
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (DivergenceError, InternalConsistencyError) as err:
         print("divergence: %s" % err, file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -26,9 +26,11 @@ seed, and one section pair per named encoding mapping symbols to digits:
 
 Every run records all four observables and judges the networks and the step
 series by fixed criteria, so no key selects observables or sets a tolerance.
-Symbol keys are case-sensitive.  The blank row is optional; a missing blank
-is pinned to digit 0 automatically, a present one must carry digit 0.  Any
-other section, and any key a fixed section does not read, is a ConfigError.
+A relative grammar path is read from the config file's directory.  Symbol
+keys are case-sensitive.  The blank row is optional; a missing blank is pinned to
+digit 0 automatically, a present one must carry digit 0.  An encoding NAME
+is part of the artifact file names, so it cannot contain '/'.  Any other
+section, and any key a fixed section does not read, is a ConfigError.
 """
 
 import configparser
@@ -38,11 +40,31 @@ from pathlib import Path
 from .errors import ConfigError
 from .symbols import BLANK
 
-#: The keys each fixed section reads; an encoding section's keys are its symbols.
+
+def _as_int(key, raw):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError("%s: integer expected, got %r" % (key, raw)) from None
+
+
+def _window(key, raw):
+    parts = raw.split()
+    if len(parts) != 2:
+        raise ConfigError("[observables] %s needs two lengths, got %r" % (key, raw))
+    return _as_int(key, parts[0]), _as_int(key, parts[1])
+
+
+#: Each fixed section's keys, each with the ExperimentConfig field it sets and
+#: its parser; an encoding section's keys are its symbols.  Both [grammar]
+#: keys are required, the others default to the ExperimentConfig defaults.
 _SECTION_KEYS = {
-    "grammar": ("path", "sentence"),
-    "run": ("id", "macro_steps"),
-    "observables": ("window", "seed"),
+    "grammar": {"path": ("grammar_path", lambda key, raw: Path(raw)),
+                "sentence": ("sentence", lambda key, raw: tuple(raw.split()))},
+    "run": {"id": ("run_id", lambda key, raw: raw.strip()),
+            "macro_steps": ("macro_steps", _as_int)},
+    "observables": {"window": ("window", _window),
+                    "seed": ("seed", _as_int)},
 }
 
 
@@ -110,24 +132,13 @@ def load_config(path):
     _check_names(parser)
     if "grammar" not in parser:
         raise ConfigError("missing [grammar] section")
-    grammar_sec = parser["grammar"]
-    if "path" not in grammar_sec or "sentence" not in grammar_sec:
+    if not all(key in parser["grammar"] for key in _SECTION_KEYS["grammar"]):
         raise ConfigError("[grammar] needs 'path' and 'sentence'")
-    grammar_path = Path(grammar_sec["path"])
-    if not grammar_path.is_absolute():
-        grammar_path = path.parent / grammar_path
-    sentence = tuple(grammar_sec["sentence"].split())
-
     # only the keys the file sets; ExperimentConfig supplies the rest
-    values = {}
-    for section, key, name, parse in (
-        ("run", "id", "run_id", lambda key, raw: raw.strip()),
-        ("run", "macro_steps", "macro_steps", _as_int),
-        ("observables", "window", "window", _window),
-        ("observables", "seed", "seed", _as_int),
-    ):
-        if parser.has_option(section, key):
-            values[name] = parse(key, parser[section][key])
+    values = {field: parse(key, parser[section][key])
+              for section, keys in _SECTION_KEYS.items()
+              for key, (field, parse) in keys.items() if parser.has_option(section, key)}
+    values["grammar_path"] = path.parent / values["grammar_path"]  # an absolute path stays as it is
 
     encodings = {}
     for section in parser.sections():
@@ -137,6 +148,9 @@ def load_config(path):
         if len(parts) != 3 or parts[2] not in ("input", "stack"):
             raise ConfigError("bad encoding section [%s]; expected [encoding:NAME:input|stack]" % section)
         _, name, side = parts
+        if "/" in name:  # the name is part of the artifact file names
+            raise ConfigError("bad encoding section [%s]; NAME is part of artifact file names, "
+                              "so it cannot contain '/'" % section)
         encodings.setdefault(name, {})[side] = _table(parser, section)
     pairs = []
     for name in sorted(encodings):
@@ -145,7 +159,7 @@ def load_config(path):
             raise ConfigError("encoding %r needs both an input and a stack section" % name)
         pairs.append(EncodingTables(name, sides["input"], sides["stack"]))
 
-    return ExperimentConfig(grammar_path, sentence, encodings=tuple(pairs), **values)
+    return ExperimentConfig(encodings=tuple(pairs), **values)
 
 
 def _check_names(parser):
@@ -163,16 +177,3 @@ def _check_names(parser):
                 raise ConfigError("[%s] unknown key %r; expected one of %s"
                                   % (section, key, ", ".join(_SECTION_KEYS[section])))
 
-
-def _as_int(key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("%s: integer expected, got %r" % (key, raw)) from None
-
-
-def _window(key, raw):
-    parts = raw.split()
-    if len(parts) != 2:
-        raise ConfigError("[observables] %s needs two lengths, got %r" % (key, raw))
-    return _as_int(key, parts[0]), _as_int(key, parts[1])

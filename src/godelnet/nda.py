@@ -140,9 +140,6 @@ class Nda:
             raise DomainError("no cell (%d, %d) in a %d x %d table" % (i, j, self.x_cells, self.y_cells))
         return self.cells[i * self.y_cells + j]
 
-    def locate(self, point):
-        return self.cell_at(grid_index(point.y1, self.x_cells), grid_index(point.y2, self.y_cells))
-
 
 def nda_step(nda, point):
     """Apply the located cell's affine map; the image must stay in the square."""

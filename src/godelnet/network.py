@@ -488,7 +488,7 @@ def na_run(spec, state, macro_steps, *, reference, point, tol=SOUNDNESS):
             state = na_micro_step(spec, state)
             states.append(state)
         exact = nda_step(reference, exact)
-        err = max(abs(state.x[0] - float(exact.y1)), abs(state.x[1] - float(exact.y2)))
+        err = max(abs(state.x[MCL[0]] - float(exact.y1)), abs(state.x[MCL[1]] - float(exact.y2)))
         max_div = max(max_div, err)
         if err > SOUNDNESS and div_step < 0:
             div_step = k + 1

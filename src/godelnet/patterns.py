@@ -261,12 +261,3 @@ def class_map_svg(cmap):
     nx, ny = cmap.x_cells, cmap.y_cells
     return grid_svg(nx, ny, cmap.assignment,
                     title="square pattern classes (%s) %d x %d" % (cmap.mode, nx, ny))
-
-
-def write_class_map(cmap, csv_path=None, svg_path=None):
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(class_map_csv(cmap))
-    if svg_path is not None:
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(class_map_svg(cmap))

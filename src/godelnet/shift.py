@@ -75,23 +75,22 @@ class VersatileShift:
     top-first on the stack side and padded with blanks, to
     ``(rule, r_st, r_in)``: its rule and the words the rule writes in the
     window's place, trailing blanks kept, since a word's length is how far
-    the tail beneath it moves.
+    the tail beneath it moves.  The machine's blank is the one blank both
+    alphabets declare.
     """
 
     stack_alphabet: Alphabet
     input_alphabet: Alphabet
     dod: DoD
     rules: tuple
-    blank: object = BLANK
     table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        for alpha in (self.stack_alphabet, self.input_alphabet):
-            if alpha.blank != self.blank:
-                raise MachineBuildError(
-                    "alphabet %r must declare the machine blank %r" % (alpha.symbols, self.blank)
-                )
+        blanks = self.stack_alphabet.blank, self.input_alphabet.blank
+        if blanks[0] is None or blanks[0] != blanks[1]:
+            raise MachineBuildError("the stack and input alphabets must declare one blank, got %r and %r"
+                                    % blanks)
         for rule in self.rules:
             if len(rule.match_stack) > self.dod.l or len(rule.match_input) > self.dod.r:
                 raise MachineBuildError(
@@ -133,6 +132,10 @@ class VersatileShift:
             )
         object.__setattr__(self, "table", {window: (hits[0],) + _rewrite(hits[0], *window)
                                            for window, hits in claims.items()})
+
+    @property
+    def blank(self):
+        return self.stack_alphabet.blank
 
 
 def _rewrite(rule, w_st, w_in):

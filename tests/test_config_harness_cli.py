@@ -433,6 +433,25 @@ def test_cli_partition_stdout_keeps_its_bytes(argv, want, tmp_path, capsys):
     assert capsys.readouterr().out == want + "written %s\nwritten %s\n" % (csv_path, svg_path)
 
 
+#: sha256 of the CSV and SVG files ``partition`` writes, recorded from the
+#: build that wrote them through ``patterns.write_class_map``.
+PARTITION_FILE_DIGESTS = [
+    ("--m 3 --l 2 --r 3", "79a00993c280756839799281e1c3bfdbb576668c3ab8f1ed825432877b6bc998",
+     "c8396bbc75443d7f448fabe3683ad79f89e20b5076dab980d1666c43540731d2"),
+    ("--m 3 --l 4 --pinned", "85a7275758d7e829144a3d9f88a86c36d9a8d1a187bb9d5231ec832e7729c47d",
+     "d8793995caca2ff6d0dba0cbcfd33770aba69835666d711316f15cab05479307"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_digest, svg_digest", PARTITION_FILE_DIGESTS,
+                         ids=[argv for argv, _, _ in PARTITION_FILE_DIGESTS])
+def test_cli_partition_files_keep_their_bytes(argv, csv_digest, svg_digest, tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "cells.csv", tmp_path / "cells.svg"
+    assert cli.main(["partition"] + argv.split() + ["--csv", str(csv_path), "--svg", str(svg_path)]) == cli.EXIT_OK
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
+
+
 @pytest.mark.parametrize("argv, flag", [
     ("--m 3 --l 2 --m-right 4", "--m-right"),
     ("--m 3 --l 2 --mode product", "--mode"),
@@ -494,6 +513,20 @@ def test_cli_run_with_one_encoding_exits_4(tmp_path, capsys):
     path = _shipped_config_with(tmp_path, text[text.index("[encoding:delta:input]"):], "")
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     message = "at least two [encoding:NAME:input/stack] pairs are required, got 1"
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["zz/top", "de/lta"])
+def test_cli_run_refuses_an_encoding_name_with_a_slash_before_running(name, tmp_path, capsys):
+    # the name is part of the artifact file names, so a '/' would fail halfway through writing
+    text = (CONFIG_DIR / "experiment.ini").read_text(encoding="utf-8")
+    path = tmp_path / "experiment.ini"
+    path.write_text(text.replace("[encoding:delta:", "[encoding:%s:" % name), encoding="utf-8")
+    shutil.copy(CONFIG_DIR / "parser.grammar", tmp_path)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    message = ("bad encoding section [encoding:%s:input]; NAME is part of artifact file names, "
+               "so it cannot contain '/'" % name)
     assert capsys.readouterr() == ("", "error: %s\n" % message)
     assert not (tmp_path / "out").exists()
 

@@ -30,7 +30,7 @@ from godelnet import (
 )
 from godelnet.errors import DomainError, InternalConsistencyError, MachineBuildError, ResourceLimitError
 from godelnet.nda import HALT, nda_csv
-from godelnet.symbols import index_to_digits
+from godelnet.symbols import grid_index, index_to_digits
 
 
 def test_encoding_pair_requires_pinned_blank(machine):
@@ -133,7 +133,7 @@ def test_halt_cells_are_identity(plain_nda):
 def test_locate_and_decode(plain_nda):
     point = PhasePoint(Fraction(16, 27), Fraction(4, 5))
     i, j = 1, 4
-    assert plain_nda.locate(point) is plain_nda.cell_at(i, j)
+    assert (grid_index(point.y1, plain_nda.x_cells), grid_index(point.y2, plain_nda.y_cells)) == (i, j)
     # the cell's index digits are the window's: input NP, stack S
     assert index_to_digits(i, 3, plain_nda.r) == (1,)
     assert index_to_digits(j, 5, plain_nda.l) == (4,)
@@ -245,7 +245,7 @@ def test_cells_map_representatives_to_base_m_successors(machine, chain_machine):
                     for tail_in, tail_st in tails:
                         tape = DottedSequence(w_st + tail_st, w_in + tail_in, mach.blank)
                         successor, _ = vs_step(mach, tape)
-                        assert nda.locate(point(tape)).apply(point(tape)) == point(successor)
+                        assert nda_step(nda, point(tape)) == point(successor)
 
 
 #: sha256 of ``nda_csv`` for G_k under ``_random_pair(G_k, random.Random(seed))``,

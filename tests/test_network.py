@@ -630,6 +630,39 @@ def test_every_clean_network_of_the_grammar_families_is_certified(name, grammar)
             assert all(abs(margin) < 2 * EPS_B for margin in bound.margins)
 
 
+def _known_defect(defect, what):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason="defect %s: %s (ROADMAP items 1, 8, 9 and 17)" % (defect, what))
+
+
+#: The float network leaves the exact orbit on these runs today.
+DEFECT_3A = _known_defect("3a", "the hi comparator reads a point less than EPS_B below an upper "
+                                "cell edge as the next cell, so no branch unit fires")
+DEFECT_3B = _known_defect("3b", "each attach multiplies y1's float error by m_in, until a point on "
+                                "a lower cell edge reads as the cell below it")
+
+
+@pytest.mark.parametrize("case, sentence, macro_steps", [
+    pytest.param("plain", ("V",) * 26, 6, marks=DEFECT_3A, id="V*26-plain"),  # top edge 1, step 1
+    pytest.param("plain", ("NP",) + ("V",) * 26, 6, marks=DEFECT_3A, id="NP-V*26-plain"),  # step 2
+    pytest.param((4, 3), ["t%d" % i for i in range(5)], 9, marks=DEFECT_3B, id="G_4-seed3"),  # step 9
+    pytest.param((7, 1), ["t%d" % i for i in range(8)], 15, marks=DEFECT_3B, id="G_7-seed1"),
+])
+def test_a_float_run_follows_the_exact_orbit(case, sentence, macro_steps, machine, plain, chain_machine):
+    # the oracle is na_run's exact orbit: nda_step from the exactly encoded start
+    if case == "plain":
+        mach, enc = machine, plain
+    else:
+        k, seed = case
+        mach = chain_machine(k)
+        enc = random_encoding(mach, random.Random(seed))
+    nda = from_versatile_shift(mach, enc)
+    spec = synthesize(nda)
+    start = encode_tape(initial_state(mach, sentence, "S"), enc)
+    run = na_run(spec, embed(spec, start), macro_steps, reference=nda, point=start)
+    assert not run.diverged
+
+
 @pytest.mark.parametrize("case", ["plain", "G7"])
 def test_synthesis_runs_no_simulation(case, plain_nda, monkeypatch):
     nda = plain_nda if case == "plain" else _seeded_nda(chain_grammar(7), 1)

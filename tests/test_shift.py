@@ -160,6 +160,30 @@ def test_step_limit_verdict():
         vs_run(machine, DottedSequence(("x",), ()), max_steps=-1)
 
 
+def test_the_machine_blank_is_the_blank_its_alphabets_share():
+    alpha = Alphabet(("_", "x"), blank="_")
+    machine = VersatileShift(alpha, alpha, DoD(1, 1), (VsRule("cancel", ("x",), ("x",), (), ()),))
+    assert machine.blank == "_"
+    trace = vs_run(machine, initial_state(machine, ("x",), "x"))
+    assert [(st.time, st.operation) for st in trace.steps] == [(0, "cancel"), (1, ACCEPT)]
+    assert trace.steps[-1].state == DottedSequence((), (), "_")
+    assert vs_run(machine, DottedSequence(("x",), ("_", "x"), "_")).verdict == REJECT
+
+
+@pytest.mark.parametrize("stack, inp, message", [
+    (Alphabet((BLANK, "x"), blank=BLANK), Alphabet(("_", "x"), blank="_"),
+     "the stack and input alphabets must declare one blank, got '⊔' and '_'"),
+    (Alphabet((BLANK, "x")), Alphabet((BLANK, "x"), blank=BLANK),
+     "the stack and input alphabets must declare one blank, got None and '⊔'"),
+    (Alphabet((BLANK, "x")), Alphabet((BLANK, "x")),
+     "the stack and input alphabets must declare one blank, got None and None"),
+], ids=["different", "stack-none", "both-none"])
+def test_alphabets_without_one_shared_blank_build_no_machine(stack, inp, message):
+    with pytest.raises(MachineBuildError) as err:
+        VersatileShift(stack, inp, DoD(1, 1), ())
+    assert str(err.value) == message
+
+
 def test_determinism_check_catches_overlap():
     alpha = Alphabet((BLANK, "x", "y"), blank=BLANK)
     a = VsRule("broad", (), (), ("x",), ())  # claims every window
