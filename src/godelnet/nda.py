@@ -9,7 +9,10 @@ linear part: the window's rule writes fixed words (r_st, r_in) in the
 window's place while both tape tails ride along, so the input side maps as
 enc(w_in + t) -> enc(r_in + t), which for a blank-pinned encoding is
 a1 + lambda1 * y1 with lambda1 = m_in**(r - |r_in|) and
-a1 = enc(r_in) - lambda1 * enc(w_in), and the stack side likewise.  This is
+a1 = enc(r_in) - lambda1 * enc(w_in), and the stack side likewise.  In
+integers, with i and k_R the grid indices of w_in and r_in (their digits
+read as base-m_in integers), enc(w_in) = i / m_in**r and
+enc(r_in) = k_R / m_in**|r_in|, so a1 = (k_R - i) / m_in**|r_in|.  This is
 the closed form of the NDA maps in Carmantini, beim Graben, Desroches &
 Rodrigues, "A modular architecture for transparent computation in recurrent
 neural networks" (2017).  Windows matching no rule become identity (halt)
@@ -43,11 +46,10 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import DomainError, InternalConsistencyError, MachineBuildError
 from .patterns import _budget_cells
-from .symbols import Ordering, digits_to_index, godel_encode, grid_index
+from .symbols import Ordering, godel_encode, grid_index
 
 HALT = "halt"
 
@@ -177,25 +179,50 @@ def from_versatile_shift(machine, enc):
     which is lambda1 = m_in**(r - |r_in|) and a1 = enc(r_in) - lambda1 * i/p;
     the stack side likewise with q = m_st**l and j.  This holds for every
     blank-pinned encoding, because enc(R+T) = enc(R) + m**-|R| enc(T).
+
+    The table is computed in integers: with k_R = m_in**|r_in| enc(r_in) the
+    grid index of r_in, a1 = (k_R - i) / m_in**|r_in|.  Each symbol's digit
+    is read once per table, and the Fractions (a1, lambda1) are made once per
+    distinct (k_R - i, |r_in|); most cells share them.
     """
     if enc.input.alphabet != machine.input_alphabet or enc.stack.alphabet != machine.stack_alphabet:
         raise MachineBuildError("encoding alphabets must match the machine alphabets")
     l, r = machine.dod.l, machine.dod.r
-    cells = [None] * _budget_cells("cell table", (enc.m_in, r), (enc.m_st, l))
-    p, q = enc.m_in**r, enc.m_st**l
-    table = machine.table
-    for w_in in product(machine.input_alphabet.symbols, repeat=r):
-        i = digits_to_index(enc.input.digits(w_in), enc.m_in)
-        for w_st in product(machine.stack_alphabet.symbols, repeat=l):
-            j = digits_to_index(enc.stack.digits(w_st), enc.m_st)
-            rule, r_st, r_in = table.get((w_st, w_in), (None, w_st, w_in))
-            label = HALT if rule is None else rule.label
-            lam1 = Fraction(enc.m_in) ** (r - len(r_in))
-            lam2 = Fraction(enc.m_st) ** (l - len(r_st))
-            a1 = godel_encode(r_in, enc.input) - lam1 * Fraction(i, p)
-            a2 = godel_encode(r_st, enc.stack) - lam2 * Fraction(j, q)
-            cells[i * q + j] = NdaCell(a1, a2, lam1, lam2, label)
+    count = _budget_cells("cell table", (enc.m_in, r), (enc.m_st, l))
+    # each window no rule claims is the identity halt cell, one object shared
+    cells = [NdaCell(Fraction(0), Fraction(0), Fraction(1), Fraction(1))] * count
+    act_in, act_st = _side_action(enc.input, r), _side_action(enc.stack, l)
+    q = enc.m_st**l
+    for (w_st, w_in), (rule, r_st, r_in) in machine.table.items():
+        i, (a1, lam1) = act_in(w_in, r_in)
+        j, (a2, lam2) = act_st(w_st, r_st)
+        cells[i * q + j] = NdaCell(a1, a2, lam1, lam2, rule.label)
     return Nda(enc, l, r, tuple(cells))
+
+
+def _side_action(ordering, n):
+    """One tape side's action: (window, written word R) -> (window index i, (a, lambda)).
+
+    ``n`` is the window length.  Words are indexed in integers from one digit
+    dict, and each distinct (k_R - i, |R|) makes its pair of Fractions once.
+    """
+    digit, m, actions = dict(ordering.table), ordering.m, {}
+
+    def index(word):
+        k = 0
+        for sym in word:
+            k = k * m + digit[sym]
+        return k
+
+    def act(window, word):
+        i = index(window)
+        key = (index(word) - i, len(word))
+        action = actions.get(key)
+        if action is None:
+            action = actions[key] = (Fraction(key[0], m ** key[1]), Fraction(m) ** (n - key[1]))
+        return i, action
+
+    return act
 
 
 def nda_csv(nda):

@@ -229,12 +229,13 @@ def synthesize(nda):
     comparators[1::2, 1] = np.concatenate([np.arange(1, p + 1) / p, np.arange(1, q + 1) / q]) - EPS_B
 
     # affine units of cell k: lambda*y + a, held below 0 by a gating offset
-    # larger than any |lambda*y + a| until the branch unit adds it back
-    slab = max(float(abs(c.lam1) + abs(c.a1)) for c in nda.cells)
-    slab = max(slab, max(float(abs(c.lam2) + abs(c.a2)) for c in nda.cells))
-    big = float(int(slab) + 2)
-    lam = np.array([(float(c.lam1), float(c.lam2)) for c in nda.cells]).ravel()
-    offset = np.array([(float(c.a1), float(c.a2)) for c in nda.cells]).ravel()
+    # larger than any |lambda*y + a| until the branch unit adds it back; the
+    # cells repeat a few distinct maps, so each is worked out once
+    distinct = {}
+    which = [distinct.setdefault(c, len(distinct)) for c in nda.cells]
+    maps = [((c.lam1, c.a1), (c.lam2, c.a2)) for c in distinct]
+    big = float(int(max(float(abs(lam) + abs(a)) for pair in maps for lam, a in pair)) + 2)
+    lam, offset = np.array(maps, dtype=np.float64)[which].reshape(-1, 2).T
     affine = np.stack([lam, offset - big, np.full_like(lam, big)], 1)
 
     # axis and branch units are ANDs of their two inputs; the MCL sums its affine units

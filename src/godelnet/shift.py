@@ -173,13 +173,17 @@ def vs_step(machine, state):
     A claimed window is replaced by its rule's words while both tails ride
     along; with no rule, the empty tape is the accept fixed point and any
     other tape halts as reject.  Both terminal labels return the state
-    unchanged.
+    unchanged.  A tape whose blank is not the machine's is a DomainError:
+    its window would be padded with a symbol no table entry holds.
     """
+    blank = machine.blank
+    if state.blank != blank:
+        raise DomainError("the tape's blank %r is not the machine's blank %r" % (state.blank, blank))
     l, r = machine.dod.l, machine.dod.r
     entry = machine.table.get(state.window(l, r))
     if entry is not None:
         rule, r_st, r_in = entry
-        return DottedSequence(r_st + state.stack[l:], r_in + state.input[r:], machine.blank), rule.label
+        return DottedSequence(r_st + state.stack[l:], r_in + state.input[r:], blank), rule.label
     if state.is_empty:
         return state, ACCEPT
     return state, REJECT

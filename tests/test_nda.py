@@ -20,14 +20,17 @@ from godelnet import (
     PhasePoint,
     VersatileShift,
     VsRule,
+    compile_cfg_topdown,
     encode_tape,
     from_versatile_shift,
     identity_ordering,
     nda_run,
     nda_step,
+    parse_grammar,
     vs_run,
     vs_step,
 )
+from godelnet.checks import fan_grammar, random_encoding, random_machine
 from godelnet.errors import DomainError, InternalConsistencyError, MachineBuildError, ResourceLimitError
 from godelnet.nda import HALT, nda_csv
 from godelnet.symbols import grid_index, index_to_digits
@@ -230,6 +233,18 @@ def test_cells_map_representatives_to_base_m_successors(machine, chain_machine):
          (((), ()), (("V",), ("S",)), (("NP", BLANK, "V"), ("VP", BLANK, "NP")))),
     ]
     assert len(cases[1][1]) == 48
+    # seeded random machines, two encodings each
+    for _ in range(12):
+        mach = random_machine(rng)
+        cases.append((mach, [random_encoding(mach, rng) for _ in range(2)],
+                      (((), ()), (("x",), ("x",)), ((BLANK, "x"), ("x", BLANK, "x")))))
+    # between them, the written words are shorter than, as long as and longer
+    # than their windows, on both sides
+    lengths = {(side, (len(word) > n) - (len(word) < n))
+               for mach, _, _ in cases[2:] for (rule, r_st, r_in) in mach.table.values()
+               for side, word, n in (("stack", r_st, mach.dod.l), ("input", r_in, mach.dod.r))}
+    assert lengths == {(side, sign) for side in ("stack", "input") for sign in (-1, 0, 1)}
+    assert {mach.dod.l for mach, _, _ in cases[2:]} == {mach.dod.r for mach, _, _ in cases[2:]} == {1, 2}
     for mach, pairs, tails in cases:
         m_in, m_st = mach.input_alphabet.size, mach.stack_alphabet.size
         for enc in pairs:
@@ -268,6 +283,31 @@ CHAIN_TABLE_DIGESTS = [
 def test_chain_tables_keep_their_bytes(chain_machine, k, seed, digest):
     machine = chain_machine(k)
     table = from_versatile_shift(machine, _random_pair(machine, random.Random(seed)))
+    assert hashlib.sha256(nda_csv(table).encode()).hexdigest() == digest
+
+
+#: sha256 of ``nda_csv`` for F_k^c under ``_random_pair(F_k^c, random.Random(seed))``,
+#: recorded from the build that took each cell from two Godel encodings of its words.
+#: F_k^c writes k + 1 stack symbols in one predict, so lambda2 = m_st**-k.
+FAN_TABLE_DIGESTS = [
+    (4, 1, 0, "e89b56bb396c98e72a1759379d24dabd73b0cc3e1cb6cb8f322e84b9e12e81e1"),
+    (4, 1, 1, "519abe3984d33f14a660b29390dd9df8586cce0bcb8d1ec316f5e1afd54e9787"),
+    (4, 1, 2, "25e48d8372d55a6bc805d5ba74af6ef88dbda5f9f3784a8f9137774894a49034"),
+    (8, 1, 0, "224ebd5e4bb8e4518e77710a879b728543b29ea0499d4853a07fa51957e3b40f"),
+    (8, 1, 1, "af789d389fe69ade0e52c3db933554159526b52f2f0f9369bafc30d1f0726ffc"),
+    (8, 1, 2, "b0d625ac15f7beca10cb7dbb9207433ee1af72f1cd2f037ca687a98dde76959c"),
+    (6, 3, 0, "ca357ca458a5f177fff0785f29accb5a4849a8cfc098857cc10409687e2c0ccf"),
+    (6, 3, 1, "761c74bbbc2804aefa564e9b95640da4322db109a5ade30241f98ecde3dd8e59"),
+    (6, 3, 2, "4412b8fb53be35143eda5aa3d3902b64c03201cd70fec7797580d57bc0025dfc"),
+]
+
+
+@pytest.mark.parametrize("k, c, seed, digest", FAN_TABLE_DIGESTS,
+                         ids=["F%d_%d-seed%d" % (c, k, seed) for k, c, seed, _ in FAN_TABLE_DIGESTS])
+def test_fan_tables_keep_their_bytes(k, c, seed, digest):
+    machine = compile_cfg_topdown(parse_grammar(fan_grammar(k, c)))
+    table = from_versatile_shift(machine, _random_pair(machine, random.Random(seed)))
+    assert min(cell.lam2 for cell in table.cells) == Fraction(1, machine.stack_alphabet.size**k)
     assert hashlib.sha256(nda_csv(table).encode()).hexdigest() == digest
 
 

@@ -170,6 +170,22 @@ def test_the_machine_blank_is_the_blank_its_alphabets_share():
     assert vs_run(machine, DottedSequence(("x",), ("_", "x"), "_")).verdict == REJECT
 
 
+def test_a_tape_with_another_blank_does_not_run():
+    # padded with the default blank, the window (x, ⊔) is claimed by no rule,
+    # so the tape used to halt as reject instead of accepting
+    alpha = Alphabet(("_", "x"), blank="_")
+    machine = VersatileShift(alpha, alpha, DoD(1, 1), (VsRule("eat", ("x",), (), (), ()),))
+    trace = vs_run(machine, DottedSequence(("x",), (), "_"))
+    assert [(st.time, st.operation) for st in trace.steps] == [(0, "eat"), (1, ACCEPT)]
+    message = "the tape's blank '⊔' is not the machine's blank '_'"
+    with pytest.raises(DomainError) as err:
+        vs_step(machine, DottedSequence(("x",), ()))
+    assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        vs_run(machine, DottedSequence(("x",), ()))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("stack, inp, message", [
     (Alphabet((BLANK, "x"), blank=BLANK), Alphabet(("_", "x"), blank="_"),
      "the stack and input alphabets must declare one blank, got '⊔' and '_'"),
