@@ -46,6 +46,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainError, InternalConsistencyError, MachineBuildError
 from .patterns import _budget_cells
@@ -182,8 +183,8 @@ def from_versatile_shift(machine, enc):
 
     The table is computed in integers: with k_R = m_in**|r_in| enc(r_in) the
     grid index of r_in, a1 = (k_R - i) / m_in**|r_in|.  Each symbol's digit
-    is read once per table, and the Fractions (a1, lambda1) are made once per
-    distinct (k_R - i, |r_in|); most cells share them.
+    is read once per table; lambda1 is made once per distinct |r_in| and a1
+    once per distinct (k_R - i, |r_in|), so most cells share them.
     """
     if enc.input.alphabet != machine.input_alphabet or enc.stack.alphabet != machine.stack_alphabet:
         raise MachineBuildError("encoding alphabets must match the machine alphabets")
@@ -204,9 +205,11 @@ def _side_action(ordering, n):
     """One tape side's action: (window, written word R) -> (window index i, (a, lambda)).
 
     ``n`` is the window length.  Words are indexed in integers from one digit
-    dict, and each distinct (k_R - i, |R|) makes its pair of Fractions once.
+    dict; each distinct |R| makes its lambda once and each distinct
+    (k_R - i, |R|) its a once, so equal maps share their Fraction objects.
     """
     digit, m, actions = dict(ordering.table), ordering.m, {}
+    power = cache(lambda length: Fraction(m) ** (n - length))
 
     def index(word):
         k = 0
@@ -219,7 +222,7 @@ def _side_action(ordering, n):
         key = (index(word) - i, len(word))
         action = actions.get(key)
         if action is None:
-            action = actions[key] = (Fraction(key[0], m ** key[1]), Fraction(m) ** (n - key[1]))
+            action = actions[key] = (Fraction(key[0], m ** key[1]), power(key[1]))
         return i, action
 
     return act

@@ -73,15 +73,27 @@ Algorithms" (section 3.1): a dot product of k nonzero terms is off by at
 most gamma_k = k u / (1 - k u), u = 2**-53, times the sum of the terms'
 magnitudes, in any summation order, with or without fused multiply-adds,
 so the bounds hold under every BLAS kernel; zero weights add exact zeros.
-Any fault above is an InternalConsistencyError.  The numbers are kept on
-``NetworkSpec.certificate``, one CellBound (margins, gain, rounding) per cell.
+Any fault above is an InternalConsistencyError, naming the first faulting
+unit.  The numbers are kept on ``NetworkSpec.certificate``, one CellBound
+(margins, gain, rounding) per cell.
+
+Each fact is proved once, in integers wherever it can be: each comparator
+pair once per axis cell (its ends n/d against the edges t/count by
+cross-multiplication), each AND bank once per distinct row, the MCL in one
+vectorised test, and each affine row once per distinct (row, side map)
+pair.  Rows are told apart by their bytes and side maps (lambda, a) by the
+identities of their Fraction objects, which the cell table shares among
+equal maps; equal maps held in distinct objects are proved once each, to
+the same result.  A pair's bound is proved once when the row's gain is the
+exact lambda, else once per axis cell it is read on.  Nothing is cached past
+one call.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -230,12 +242,12 @@ def synthesize(nda):
 
     # affine units of cell k: lambda*y + a, held below 0 by a gating offset
     # larger than any |lambda*y + a| until the branch unit adds it back; the
-    # cells repeat a few distinct maps, so each is worked out once
-    distinct = {}
-    which = [distinct.setdefault(c, len(distinct)) for c in nda.cells]
-    maps = [((c.lam1, c.a1), (c.lam2, c.a2)) for c in distinct]
-    big = float(int(max(float(abs(lam) + abs(a)) for pair in maps for lam, a in pair)) + 2)
-    lam, offset = np.array(maps, dtype=np.float64)[which].reshape(-1, 2).T
+    # cells share a few side maps, so each is converted once (an integer true
+    # division rounds as float() of the Fraction does)
+    maps, which = side_maps = _side_maps(nda)
+    big = float(int(max((abs(lam.numerator) * a.denominator + abs(a.numerator) * lam.denominator)
+                        / (lam.denominator * a.denominator) for lam, a in maps)) + 2)
+    lam, offset = np.array(maps, dtype=np.float64)[which].T
     affine = np.stack([lam, offset - big, np.full_like(lam, big)], 1)
 
     # axis and branch units are ANDs of their two inputs; the MCL sums its affine units
@@ -243,7 +255,7 @@ def synthesize(nda):
               "ltl": affine}
     banks = {name: np.broadcast_to(values[name], bank.inputs.shape) for name, bank in table.items()}
     spec = NetworkSpec(banks, p, q)
-    spec.certificate = _certify(spec, nda)
+    spec.certificate = _certify(spec, nda, side_maps)
     return spec
 
 
@@ -288,22 +300,42 @@ class CellBound(NamedTuple):
     rounding: tuple
 
 
+def _distinct(keys):
+    """(first, inverse): the first position of each distinct key, and each position's key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _row_keys(values):
+    """One key per row of a 2-d array: the row's bytes, so -0.0 and 0.0 differ."""
+    values = np.ascontiguousarray(values)
+    return values.view(np.dtype((np.void, values.shape[1] * values.itemsize))).ravel()
+
+
+def _side_maps(nda):
+    """The table's distinct side maps (lambda, a), told apart by the identities
+    of their Fraction objects, and per affine unit (two per cell) its map."""
+    objects = [x for cell in nda.cells for x in (cell.lam1, cell.a1, cell.lam2, cell.a2)]
+    ids = np.array(list(map(id, objects)), dtype=np.uint64).reshape(-1, 2)
+    first, which = _distinct(_row_keys(ids))
+    return [tuple(objects[2 * u:2 * u + 2]) for u in first.tolist()], which
+
+
 def _check_and_bank(spec, units, weights):
     """Each unit theta(wa*xa + wb*xb + w1) must fire on xa = xb = 1 and on no
     other pair in {0, 1}, every sum beyond its rounding bound.  The products
     are exact, so only the two additions round: gamma_2.  The pair (0, 0)
-    needs no test: its sum w1 is the two silent sums less the firing one."""
-    seen = {}
-    for unit, triple in zip(units, map(tuple, weights.tolist())):
-        if triple not in seen:
-            wa, wb, w1 = map(Fraction, triple)
-            seen[triple] = all((s - _GAMMA2 * r >= 0) if fires else (s + _GAMMA2 * r < 0)
-                               for s, r, fires in ((wb + w1, abs(wb) + abs(w1), False),
-                                                   (wa + w1, abs(wa) + abs(w1), False),
-                                                   (wa + wb + w1, abs(wa) + abs(wb) + abs(w1), True)))
-        if not seen[triple]:
-            raise _fault(spec, unit, "weights %r do not make an AND of its two inputs beyond their "
-                         "rounding, so the branch bank is not one-hot", triple)
+    needs no test: its sum w1 is the two silent sums less the firing one.
+    Each distinct row is tested once, at its first unit, in unit order."""
+    first = np.sort(_distinct(_row_keys(weights))[0])
+    for unit, triple in zip(first.tolist(), weights[first].tolist()):
+        wa, wb, w1 = map(Fraction, triple)
+        if not all((s - _GAMMA2 * r >= 0) if fires else (s + _GAMMA2 * r < 0)
+                   for s, r, fires in ((wb + w1, abs(wb) + abs(w1), False),
+                                       (wa + w1, abs(wa) + abs(w1), False),
+                                       (wa + wb + w1, abs(wa) + abs(wb) + abs(w1), True))):
+            raise _fault(spec, units[unit], "weights %r do not make an AND of its two inputs beyond their "
+                         "rounding, so the branch bank is not one-hot", tuple(triple))
 
 
 def _certify_comparators(spec, units, weights):
@@ -312,66 +344,98 @@ def _certify_comparators(spec, units, weights):
     A lo comparator fires iff y + w >= 0 and a hi comparator iff w - y >= 0:
     the sum of two floats rounds to a float of the same sign, and to 0 only
     when it is 0, so the interval [-w_lo, w_hi] is exact.  The comparators
-    must read each cell's lower edge as that cell's alone.  Returns per
-    axis cell the margins (lo, hi) and the interval of coordinates, true
-    cell and certified part together, that the affine rows are bounded on.
+    must read each cell's lower edge as that cell's alone.  Each end n/d is
+    compared with the edges t/count by cross-multiplying integers.  Returns
+    per axis cell the margins (lo, hi) as Fractions, and the interval of
+    coordinates, true cell and certified part together, that the affine rows
+    are bounded on, as two (numerator, denominator) pairs.
     """
-    gains, biases = weights[:, 0], weights[:, 1]
-    for unit, gain, want in zip(units, gains.tolist(), [1.0, -1.0] * (len(units) // 2)):
-        if gain != want:
-            raise _fault(spec, unit, "reads its coordinate with weight %r, not %r", gain, want)
-    lo = [-Fraction(b) for b in biases[0::2].tolist()]
-    hi = [Fraction(b) for b in biases[1::2].tolist()]
+    gains, want = weights[:, 0], np.tile((1.0, -1.0), len(units) // 2)
+    wrong = np.flatnonzero(gains != want)
+    if len(wrong):
+        t = wrong[0]
+        raise _fault(spec, units[t], "reads its coordinate with weight %r, not %r",
+                     gains[t].item(), want[t].item())
+    # 0.0 - w and w + 0.0 are exact and turn -0.0 into 0.0
+    lo, hi = (0.0 - weights[0::2, 1]).tolist(), (weights[1::2, 1] + 0.0).tolist()
     margins, domains = [], []
     for first, count in ((0, spec.x_cells), (spec.x_cells, spec.y_cells)):
-        edges = [Fraction(t, count) for t in range(count + 1)]
         for t in range(count):
             a = first + t
-            edge, top = edges[t], edges[t + 1]
-            below = lo[a] > edges[t - 1] if t else True
-            above = hi[a] < top if t + 1 < count else True
-            if not (below and lo[a] < edge < hi[a] and above):
+            (ln, ld), (hn, hd) = lo[a].as_integer_ratio(), hi[a].as_integer_ratio()
+            below = ln * count > (t - 1) * ld if t else True
+            above = hn * count < (t + 1) * hd if t + 1 < count else True
+            if not (below and ln * count < t * ld and t * hd < hn * count and above):
                 raise _fault(spec, units[2 * a], "its detection interval [%r, %r] does not hold the "
                              "cell's lower edge %s alone, so the branch bank is not one-hot there",
-                             float(lo[a]), float(hi[a]), edge)
-            lo_margin = edge - (max(lo[a], hi[a - 1]) if t else lo[a])
-            hi_margin = (min(hi[a], lo[a + 1]) if t + 1 < count else hi[a]) - top
-            margins.append((lo_margin, hi_margin))
-            domains.append((max(edge - lo_margin, 0), min(max(top, top + hi_margin), 1)))
+                             lo[a], hi[a], Fraction(t, count))
+            # the cell reads from the higher of its lo end and the hi end below,
+            # up to the lower of its hi end and the lo end above
+            gn, gd = max(lo[a], hi[a - 1]).as_integer_ratio() if t else (ln, ld)
+            sn, sd = min(hi[a], lo[a + 1]).as_integer_ratio() if t + 1 < count else (hn, hd)
+            margins.append((Fraction(t * gd - gn * count, count * gd),
+                            Fraction(sn * count - (t + 1) * sd, count * sd)))
+            top = (sn, sd) if sn * count > (t + 1) * sd else (t + 1, count)
+            domains.append(((gn, gd) if gn > 0 else (0, 1), top if top[0] < top[1] else (1, 1)))
     return margins, domains
 
 
 def _affine_row(lam_w, off_w, gate_w, lam, a):
-    """(d_lam, d_a, rounding) of an affine row against y -> lam*y + a, or None
-    when the row does not clamp to exactly 0 while its branch unit is off.
+    """(d_lam, d_a, rounding, den) of an affine row against y -> lam*y + a, as
+    integer numerators over one denominator, or None when the row does not
+    clamp to exactly 0 while its branch unit is off.
 
-    Off, the row sums lam_w*y + off_w (gamma_2; one product may underflow) and
-    must stay <= 0 for every y in [0, 1].  On, it sums lam_w*y + off_w + gate_w
-    (gamma_3, bounded here for every y in [0, 1]; the caller adds the
-    underflow), whose exact value departs from lam*y + a by d_lam*y + d_a.
-    The ramp's clamp to [0, 1] never moves it further from the clamped image.
+    Off, the row sums lam_w*y + off_w (gamma_2; one product may underflow)
+    and must stay <= 0 for every y in [0, 1].  On, it sums
+    lam_w*y + off_w + gate_w (gamma_3, bounded here for every y in [0, 1];
+    the caller adds the underflow), whose exact value departs from
+    lam*y + a by d_lam*y + d_a.  The ramp's clamp to [0, 1] never moves it
+    further from the clamped image.  Both run in integers: the weights are
+    numerators over their common denominator den, and the clamp test is
+    scaled by 2**1074 * (2**52 - 1), which makes _TINY and gamma_2 integers.
     """
-    lw, ow, gw = Fraction(lam_w), Fraction(off_w), Fraction(gate_w)
+    ratios = [w.as_integer_ratio() for w in (lam_w, off_w, gate_w)]
+    den = max(d for _, d in ratios)  # a power of two, as every float's is
+    lw, ow, gw = (n * (den // d) for n, d in ratios)
+    g2, g3 = _GAMMA2.denominator, _GAMMA3.denominator
     size = abs(lw) + abs(ow)
-    if ow + max(lw, 0) + _GAMMA2 * size + _TINY > 0:
+    if ((ow + max(lw, 0)) * g2 + _GAMMA2.numerator * size) * (_TINY.denominator // den) + g2 > 0:
         return None
-    return lw - lam, ow + gw - a, _GAMMA3 * (size + abs(gw))
+    ln, ld, an, ad = lam.numerator, lam.denominator, a.numerator, a.denominator
+    return ((lw * ld - ln * den) * ad * g3, ((ow + gw) * ad - an * den) * ld * g3,
+            _GAMMA3.numerator * (size + abs(gw)) * ld * ad, den * ld * ad * g3)
 
 
-def _round_up(x):
-    """One float64 step above the least float64 >= x, as a Fraction: an upper
-    bound on x plus one product that underflows, short enough to print."""
-    f = float(x)
-    return Fraction(math.nextafter(f if f >= x else math.nextafter(f, math.inf), math.inf))
+def _bound(part, domain):
+    """The rounded-up largest |d_lam*y + d_a| + rounding of an affine row
+    over ``domain`` (two (numerator, denominator) ends), or over any y when
+    d_lam is 0, as a float."""
+    d_lam, d_a, r, den = part
+    if not d_lam:
+        return _round_up(abs(d_a) + r, den)
+    (n0, y0), (n1, y1) = domain
+    e0, e1 = abs(d_lam * n0 + d_a * y0), abs(d_lam * n1 + d_a * y1)
+    e, y = (e0, y0) if e0 * y1 >= e1 * y0 else (e1, y1)
+    return _round_up(e + r * y, den * y)
 
 
-def _certify(spec, nda):
+def _round_up(num, den):
+    """One float64 step above the least float64 >= num/den (den > 0): an
+    upper bound on it plus one product that underflows, short enough to
+    print.  Integer true division rounds correctly."""
+    f = num / den
+    n, d = f.as_integer_ratio()
+    return math.nextafter(f if n * den >= num * d else math.nextafter(f, math.inf), math.inf)
+
+
+def _certify(spec, nda, side_maps=None):
     """Certify one macro step of ``spec`` over every whole cell of ``nda``.
 
     Reads the banks back, without running the network, and checks them in
     exact arithmetic (see the module docstring).  Returns one CellBound per
     cell in the table's order; raises InternalConsistencyError on a
-    structural fault.
+    structural fault, naming the first faulting unit.  ``side_maps`` is
+    ``_side_maps(nda)``, passed by a caller that has it.
     """
     p, q = spec.x_cells, spec.y_cells
     table, banks = _bank_table(p, q), spec.banks
@@ -381,45 +445,42 @@ def _certify(spec, nda):
     margins, domains = _certify_comparators(spec, table["cmp"].units, banks["cmp"])
     _check_and_bank(spec, table["ax"].units, banks["ax"])
     _check_and_bank(spec, table["bsl"].units, banks["bsl"])
-    for unit, values, inputs in zip(table["mcl"].units, banks["mcl"].tolist(), table["mcl"].inputs.tolist()):
-        for value, col in zip(values, inputs):
-            if value != 1.0:
-                raise _fault(spec, unit, "reads %s with weight %r, not 1", _role(spec, col), value)
+    wrong = np.argwhere(banks["mcl"] != 1.0)
+    if len(wrong):
+        row, col = wrong[0].tolist()
+        raise _fault(spec, table["mcl"].units[row], "reads %s with weight %r, not 1",
+                     _role(spec, int(table["mcl"].inputs[row, col])), banks["mcl"][row, col].item())
 
-    # affine rows: distinct (weights, exact map) pairs are few, so each is
-    # worked out once; its error depends on the cell's position only when
-    # the row's gain is not the exact lambda
-    ltl = table["ltl"].units.start
-    rows = banks["ltl"].tolist()
-    soundness = Fraction(SOUNDNESS)
-    parts, bounds, cells = {}, {}, []
-    for k, cell in enumerate(nda.cells):
-        i, j = divmod(k, q)
-        gains, rounding = [], []
-        for c, lam, a, axis in ((0, cell.lam1, cell.a1, i), (1, cell.lam2, cell.a2, p + j)):
-            unit, row = ltl + 2 * k + c, rows[2 * k + c]
-            key = (*row, lam.numerator, lam.denominator, a.numerator, a.denominator)
-            part = parts.get(key)
-            if part is None:
-                part = _affine_row(*row, lam, a)
-                if part is None:
-                    raise _fault(spec, unit, "does not clamp to 0 while its branch unit is off")
-                part = parts[key] = part + (abs(lam),)
-            d_lam, d_a, r, gain = part
-            where = (key, axis if d_lam else None)
-            bound = bounds.get(where)
-            if bound is None:
-                y_lo, y_hi = domains[axis]
-                bound = _round_up((max(abs(d_lam * y_lo + d_a), abs(d_lam * y_hi + d_a)) if d_lam
-                                   else abs(d_a)) + r)
-                if bound > soundness:
-                    raise _fault(spec, unit, "off by %g from the exact image over cell (%d, %d), "
-                                 "more than SOUNDNESS", bound, i, j)
-                bounds[where] = bound
-            gains.append(gain)
-            rounding.append(bound)
-        cells.append(CellBound(margins[i] + margins[p + j], tuple(gains), tuple(rounding)))
-    return tuple(cells)
+    # affine rows: each distinct (row, side map) pair is worked out once, and
+    # bounded once per axis cell when the row's gain is not the exact lambda
+    # (its error then depends on the cell's position), else once
+    maps, which = side_maps or _side_maps(nda)
+    rows = banks["ltl"]
+    keys = np.concatenate([rows.view(np.uint64), which.astype(np.uint64)[:, None]], 1)
+    pair_first, pair_of = _distinct(_row_keys(keys))
+    parts = [_affine_row(*row, *maps[which[u]])
+             for u, row in zip(pair_first.tolist(), rows[pair_first].tolist())]
+    clamped = np.array([part is not None for part in parts])
+    moving = np.array([part is not None and part[0] != 0 for part in parts])
+    k, c = np.divmod(np.arange(len(rows)), 2)
+    axis = np.where(c, p + k % q, k // q)  # y1 of cell (i, j) reads axis cell i, y2 axis cell p + j
+    bound_first, bound_of = _distinct(pair_of * (p + q + 1) + np.where(moving[pair_of], axis, p + q))
+    bounds = [_bound(parts[pair_of[u]], domains[axis[u]]) if clamped[pair_of[u]] else 0.0
+              for u in bound_first.tolist()]
+    faults = ~clamped[pair_of] | (np.array(bounds) > SOUNDNESS)[bound_of]
+    if faults.any():
+        t = int(np.argmax(faults))  # the first faulting unit
+        unit = table["ltl"].units[t]
+        if not clamped[pair_of[t]]:
+            raise _fault(spec, unit, "does not clamp to 0 while its branch unit is off")
+        raise _fault(spec, unit, "off by %g from the exact image over cell (%d, %d), more than SOUNDNESS",
+                     bounds[bound_of[t]], *divmod(t // 2, q))
+
+    gains = [abs(maps[which[u]][0]) for u in bound_first.tolist()]
+    rounding = [Fraction(bound) for bound in bounds]
+    cells = zip(product(margins[:p], margins[p:]), bound_of.reshape(-1, 2).tolist())
+    return tuple(CellBound(x + y, (gains[b1], gains[b2]), (rounding[b1], rounding[b2]))
+                 for (x, y), (b1, b2) in cells)
 
 
 def embed(spec, point):

@@ -12,6 +12,7 @@ import pytest
 
 from godelnet import (
     EncodingPair,
+    Nda,
     Ordering,
     PhasePoint,
     compile_cfg_topdown,
@@ -22,11 +23,13 @@ from godelnet import (
     na_micro_step,
     na_run,
     parse_grammar,
+    recode_ordering,
     synthesize,
 )
 from godelnet import network
 from godelnet.checks import chain_grammar, fan_grammar, random_encoding
 from godelnet.errors import DomainError, InternalConsistencyError, ResourceLimitError
+from godelnet.nda import NdaCell
 from godelnet.network import (
     EPS_B,
     RAMP,
@@ -40,6 +43,7 @@ from godelnet.network import (
     network_csv,
     trajectory_csv,
 )
+from godelnet.symbols import zero_fixing_permutations
 
 
 @pytest.fixture(scope="module")
@@ -431,6 +435,9 @@ def _rewired(spec, role, column, value):
     (lambda spec: _rewired(spec, "ltl:1:2:y1", "one", float("nan")), r"^the network has a weight that is not finite$"),
     # the unit adds its image to the MCL from every cell
     (lambda spec: _ungated(spec, "ltl:1:2:y1"), r"^ltl:1:2:y1 \(unit 56\): does not clamp to 0 while its branch"),
+    # an all-zero gain and offset: the allowance for an underflowing product refuses it
+    (lambda spec: _rewired(_rewired(spec, "ltl:1:2:y1", "mcl:y1", 0.0), "ltl:1:2:y1", "one", 0.0),
+     r"^ltl:1:2:y1 \(unit 56\): does not clamp to 0 while its branch"),
 ])
 def test_certificate_refuses_structural_faults_the_sweep_cannot_make(build, message, plain_nda, plain_net):
     with pytest.raises(InternalConsistencyError, match=message):
@@ -454,6 +461,111 @@ def test_certificate_records_a_thin_comparator_overlap_as_a_margin(plain_nda, pl
     for _ in range(3):
         state = na_micro_step(spec, state)
     assert [key for key, value in _bsl_bank(spec, state).items() if value == 1.0] == [(0, 0), (1, 0)]
+
+
+def _fault_message(spec, nda):
+    with pytest.raises(InternalConsistencyError) as raised:
+        _certify(spec, nda)
+    return str(raised.value)
+
+
+#: Each affine fault's message on its own: a clamp fault (the gate folded into
+#: the offset) or an "off by" fault (the offset moved by 1e-6).
+AFFINE_FAULTS = {
+    ("clamp", "ltl:0:1:y2"): "ltl:0:1:y2 (unit 45): does not clamp to 0 while its branch unit is off",
+    ("off", "ltl:0:1:y2"): "ltl:0:1:y2 (unit 45): off by 1e-06 from the exact image over cell (0, 1), "
+                           "more than SOUNDNESS",
+    ("clamp", "ltl:2:3:y1"): "ltl:2:3:y1 (unit 68): does not clamp to 0 while its branch unit is off",
+    ("off", "ltl:2:3:y1"): "ltl:2:3:y1 (unit 68): off by 1e-06 from the exact image over cell (2, 3), "
+                           "more than SOUNDNESS",
+}
+
+
+def _affine_fault(spec, kind, role):
+    if kind == "clamp":
+        return _ungated(spec, role)
+    return _corrupted(spec, _unit_of(spec)[role], spec.always_on, 1e-6)
+
+
+@pytest.mark.parametrize("kinds", [("clamp", "off"), ("off", "clamp")])
+def test_two_affine_faults_name_the_earlier_unit(kinds, plain_nda, plain_net):
+    roles = ("ltl:0:1:y2", "ltl:2:3:y1")
+    spec = plain_net
+    for kind, role in zip(kinds, roles):
+        assert _fault_message(_affine_fault(plain_net, kind, role), plain_nda) == AFFINE_FAULTS[kind, role]
+        spec = _affine_fault(spec, kind, role)
+    assert _fault_message(spec, plain_nda) == AFFINE_FAULTS[kinds[0], roles[0]]
+
+
+def _interval(lo, hi, edge):
+    return ("its detection interval [%s, %s] does not hold the cell's lower edge %s alone, so the branch "
+            "bank is not one-hot there" % (lo, hi, edge))
+
+
+#: Each comparator fault's message on its own: a detection end moved 0.5 up
+#: (an interval fault, named on the axis cell's lo comparator), or a gain
+#: that is not +-1.
+COMPARATOR_FAULTS = {
+    ("x:1:lo", "end", 0.5):
+        "cmp:x:1:lo (unit 5): " + _interval("0.8333333333323334", "0.6666666666656667", "1/3"),
+    ("x:1:hi", "end", 0.5):
+        "cmp:x:1:lo (unit 5): " + _interval("0.33333333333233334", "1.1666666666656667", "1/3"),
+    ("y:3:lo", "end", 0.5):
+        "cmp:y:3:lo (unit 15): " + _interval("1.099999999999", "0.7999999999990001", "3/5"),
+    ("y:3:hi", "end", 0.5):
+        "cmp:y:3:lo (unit 15): " + _interval("0.599999999999", "1.2999999999990002", "3/5"),
+    ("x:2:hi", "gain", -2.0): "cmp:x:2:hi (unit 8): reads its coordinate with weight -2.0, not -1.0",
+    ("y:1:lo", "gain", 0.5): "cmp:y:1:lo (unit 11): reads its coordinate with weight 0.5, not 1.0",
+}
+
+
+def _comparator_fault(spec, role, kind, value):
+    """Comparator ``role`` with its detection end moved ``value`` up, or its gain set to ``value``."""
+    unit = _unit_of(spec)["cmp:" + role]
+    if kind == "gain":
+        return _with_weight(spec, unit, spec.mcl["xy".index(role[0])], value)
+    # a lo comparator's bias is minus its end, a hi comparator's is its end
+    return _corrupted(spec, unit, spec.always_on, -value if role.endswith(":lo") else value)
+
+
+@pytest.mark.parametrize("faults, named", [
+    ((("x:1:lo", "end", 0.5), ("y:3:hi", "end", 0.5)), 0),
+    ((("x:1:hi", "end", 0.5), ("y:3:lo", "end", 0.5)), 0),
+    ((("x:2:hi", "gain", -2.0), ("y:1:lo", "gain", 0.5)), 0),
+    # every gain is checked before any interval, so the later unit's gain is named
+    ((("x:1:lo", "end", 0.5), ("y:1:lo", "gain", 0.5)), 1),
+], ids=["lo-hi", "hi-lo", "gains", "interval-gain"])
+def test_two_bad_comparators_name_the_earlier_fault(faults, named, plain_nda, plain_net):
+    spec = plain_net
+    for fault in faults:
+        assert _fault_message(_comparator_fault(plain_net, *fault), plain_nda) == COMPARATOR_FAULTS[fault]
+        spec = _comparator_fault(spec, *fault)
+    assert _fault_message(spec, plain_nda) == COMPARATOR_FAULTS[faults[named]]
+
+
+@pytest.mark.parametrize("shifts", [(-1.0, 1.0), (1.0, -1.0)])
+def test_two_bad_branch_units_name_the_earlier_unit(shifts, plain_nda, plain_net):
+    # thresholds moved to -2.5 (never fires) and -0.5 (fires on one input)
+    units = _unit_of(plain_net)
+    spec = plain_net
+    for role, shift in zip(("bsl:0:1", "bsl:2:3"), shifts):
+        spec = _corrupted(spec, units[role], spec.always_on, shift)
+    assert _fault_message(spec, plain_nda) == (
+        "bsl:0:1 (unit 28): weights (1.0, 1.0, %r) do not make an AND of its two inputs beyond their "
+        "rounding, so the branch bank is not one-hot" % (-1.5 + shifts[0]))
+
+
+@pytest.mark.parametrize("case", ["plain", "G4:1"])
+def test_a_top_detection_end_above_1_bounds_the_rows_up_to_1_only(case, plain_nda):
+    # moving the last stack-axis cell's hi end from 1 - EPS_B to 2 - EPS_B
+    # widens its margin, but states stay in [0, 1], so every bound is as before
+    nda = plain_nda if case == "plain" else _seeded_nda(chain_grammar(4), 1)
+    clean = synthesize(nda)
+    spec = _rewired(clean, "cmp:y:%d:hi" % (nda.y_cells - 1), "one", 2 - EPS_B)
+    certificate = _certify(spec, nda)
+    assert [bound.rounding for bound in certificate] == [bound.rounding for bound in clean.certificate]
+    top = [bound.margins[3] for k, bound in enumerate(certificate) if k % nda.y_cells == nda.y_cells - 1]
+    assert top == [Fraction(2 - EPS_B) - 1] * nda.x_cells
 
 
 #: sha256 of the weight-corruption sweep's outcomes below, one line per
@@ -552,6 +664,70 @@ def test_network_csv_keeps_its_bytes(name, grammar, seed, units, digest):
     spec = synthesize(_seeded_nda(grammar, seed))
     assert spec.n == units
     assert hashlib.sha256(network_csv(spec).encode()).hexdigest() == digest
+
+
+def _synthesis_digest(ndas):
+    """sha256 of each table's certificate repr and weight bytes, in turn."""
+    digest = hashlib.sha256()
+    for nda in ndas:
+        spec = synthesize(nda)
+        digest.update(repr(spec.certificate).encode())
+        digest.update(spec.weights.tobytes())
+    return digest.hexdigest()
+
+
+#: sha256 of ``_synthesis_digest`` over each grammar's tables under
+#: ``_seeded_nda(grammar, seed)``, recorded from the build that certified
+#: every distinct (weights, exact map) key with Fractions of the weights.
+SYNTHESIS_DIGESTS = [
+    ("G_3", chain_grammar(3), 5, "ed67899fe2566912a008051a954b644def50d4d2819fe175f7785ca5ce19caf0"),
+    ("G_4", chain_grammar(4), 5, "c2bf9ef25c57d82f12effc0e4226ef0589ee3d12339fb2286386f2f07964a98c"),
+    ("G_7", chain_grammar(7), 5, "1699453c9f59f01e0ea693fa5f5f36a698a7fffcddd124223b848dba51fe248b"),
+    ("G_10", chain_grammar(10), 5, "cdaad7566372c02e68a48ec9beb85c8767bcd55c194e045578c4117d80a769dc"),
+    ("F^1_4", fan_grammar(4, 1), 3, "37cf5a7081ff42dd804d6598baff60cf73e01544587bf57066f5b26179c72b86"),
+    ("F^1_8", fan_grammar(8, 1), 3, "abeb2fe037967e674c201b9e785c112ed54f5b58a13b5f38bccbccf3977a0a71"),
+    ("F^3_6", fan_grammar(6, 3), 3, "9ce88a2170eb27f7690a8abb2af3220ca687f10f5cceb8ba00a16d4a6e6fa741"),
+]
+
+
+@pytest.mark.parametrize("name, grammar, seeds, digest", SYNTHESIS_DIGESTS,
+                         ids=[name for name, _, _, _ in SYNTHESIS_DIGESTS])
+def test_synthesis_keeps_its_weights_and_certificates(name, grammar, seeds, digest):
+    assert _synthesis_digest(_seeded_nda(grammar, seed) for seed in range(seeds)) == digest
+
+
+#: The same digest over the demo machine under all 2! * 4! of its blank-pinned
+#: recodings, the input permutation outermost, both in lexicographic order.
+DEMO_RECODINGS_SYNTHESIS_SHA256 = "1b1fe191854625f46910943f59528f977aaad248ae6eb9b13c026a7127edf854"
+
+
+def test_synthesis_keeps_its_bytes_under_every_demo_recoding(machine, plain):
+    pairs = [EncodingPair(input=recode_ordering(plain.input, pi), stack=recode_ordering(plain.stack, ps))
+             for pi in zero_fixing_permutations(plain.m_in) for ps in zero_fixing_permutations(plain.m_st)]
+    assert len(pairs) == len({(pair.input.table, pair.stack.table) for pair in pairs}) == 48
+    ndas = (from_versatile_shift(machine, pair) for pair in pairs)
+    assert _synthesis_digest(ndas) == DEMO_RECODINGS_SYNTHESIS_SHA256
+
+
+def _with_own_fractions(nda):
+    """``nda`` with each coefficient of each cell held in a Fraction object of its own."""
+    def own(x):
+        return Fraction(x.numerator, x.denominator)
+
+    return Nda(nda.enc, nda.l, nda.r, [NdaCell(own(c.a1), own(c.a2), own(c.lam1), own(c.lam2), c.label)
+                                       for c in nda.cells])
+
+
+@pytest.mark.parametrize("case", ["plain", "G7:1"])
+def test_equal_maps_in_distinct_fractions_synthesize_the_same_network(case, plain_nda):
+    # synthesis tells maps apart by their Fraction objects; equal maps held
+    # apart are worked out once each, to the same banks and certificate
+    nda = plain_nda if case == "plain" else _seeded_nda(chain_grammar(7), 1)
+    apart = _with_own_fractions(nda)
+    assert len(network._side_maps(nda)[0]) < len(network._side_maps(apart)[0]) == 2 * len(nda.cells)
+    spec, copy = synthesize(nda), synthesize(apart)
+    assert all(_same_bits(spec.banks[name], copy.banks[name]) for name in spec.banks)
+    assert copy.certificate == spec.certificate and repr(copy.certificate) == repr(spec.certificate)
 
 
 def _clamp(y):
