@@ -40,12 +40,28 @@ matrix is derived from them, so no weight lies outside a bank.
 
 where axis cell a < p is input-axis cell a, axis cell p + j is stack-axis
 cell j, and k = i*q + j is the row-major index of cell (i, j).  Each phase
-is one contiguous range with a single activation, so a micro step computes
-only the phase's row slice of W x and activates it in one vectorised call.
-The BLAS matrix-vector product sums each row in the same order whether or
-not the other rows are computed, so the slice update is bit-identical to a
-full W x followed by a per-unit update of the phase; tests/test_network.py
-holds it to that.
+is one contiguous range with a single activation, and but for the MCL its
+units read only units laid out before them.  So the spec keeps per phase one
+block W[lo:hi, :width] of the weights, width being one past the last column
+the phase reads, rounded up to BLOCK_ALIGN = 64 and capped at n; a micro
+step computes block @ x[:width] and activates it in one vectorised call.
+The dense n x n matrix is built only when something reads it.
+
+The blocks give the dense W x its bits.  The BLAS matrix-vector product
+(OpenBLAS dgemv_t) sums each row on its own, so leaving rows out changes
+nothing.  Leaving columns out can: a kernel spreads a row over SIMD lanes
+and unrolled groups counted from column 0, and sums a short tail apart.
+Each block starts at column 0 and its width is a multiple of the column
+unroll of every dgemv_t kernel (64 is checked under the default, Prescott,
+Sandybridge, Haswell, Zen and SkylakeX kernels), so each weight keeps its
+lane and group, and only whole groups of zero weights drop out, which add
+exact zeros (and 0.0 and -0.0 activate alike).  A width cut at the last
+column read moves the last weights into the tail and changes the bits of
+some runs.  This holds for states of finite values, which every state from
+``embed`` or from the activations is: a hand-built state with NaN or an
+infinity in a column at or past a block's width no longer turns that
+phase's sums into NaN.  tests/test_network.py holds the engine to the dense
+update, bit for bit.
 
 ``synthesize`` certifies its network without running it: ``_certify`` reads
 the banks back and checks, in exact arithmetic (a float64 converts to a
@@ -92,7 +108,7 @@ one call.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -115,6 +131,11 @@ EPS_B = 1e-12
 UNIT_BUDGET = 4096
 #: Largest MCL deviation from the exact image allowed at a macro boundary.
 SOUNDNESS = 1e-9
+#: Column alignment of the phase blocks.  Load-bearing: a width that is a
+#: multiple of every OpenBLAS dgemv_t column unroll keeps each row's
+#: summation order, so the blocks give the dense product's bits (see the
+#: module docstring); a width cut at the last column read does not.
+BLOCK_ALIGN = 64
 
 
 class Bank(NamedTuple):
@@ -169,9 +190,11 @@ class NetworkSpec:
     """Synthesized network: one weight per entry of each bank's inputs grid.
 
     ``banks`` maps each bank of ``_bank_table(x_cells, y_cells)`` to an array
-    of its inputs grid's shape.  ``weights`` is the dense n x n matrix built
-    from them.  Both are read-only copies, so the engine runs the weights
-    the certificate read.  Treat instances as immutable.
+    of its inputs grid's shape.  ``phase_blocks`` holds per phase the block
+    W[lo:hi, :width] of the weight matrix that the engine multiplies, built
+    from the banks; ``weights``, the dense n x n matrix, is built from the
+    blocks when first read.  All are read-only copies, so the engine runs
+    the weights the certificate read.  Treat instances as immutable.
     """
 
     banks: dict
@@ -180,34 +203,50 @@ class NetworkSpec:
     mcl = MCL
     always_on = ALWAYS_ON
     micro_steps_per_macro = MICRO_STEPS_PER_MACRO
-    weights: np.ndarray = field(init=False, repr=False)
+    n: int = field(init=False, repr=False)
     # phase_ranges[k] = (lo, hi, activation) of the units updated in phase k + 1
     phase_ranges: tuple = field(init=False, repr=False)
+    # phase_blocks[k] = W[lo:hi, :width] of phase k + 1: width is one past the
+    # last column the phase reads, rounded up to BLOCK_ALIGN and capped at n
+    phase_blocks: tuple = field(init=False, repr=False)
     # per-cell CellBound table; only synthesize sets it, so a spec built or
     # replaced with other banks carries none
     certificate: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         table = _bank_table(self.x_cells, self.y_cells)
-        n = sum(len(bank.units) for bank in table.values())
-        banks, weights, ranges = {}, np.zeros((n, n), dtype=np.float64), {}
+        self.n = n = sum(len(bank.units) for bank in table.values())
+        banks, phases = {}, {}
         for name, bank in table.items():
             values = banks[name] = np.array(self.banks[name], dtype=np.float64)
             if values.shape != bank.inputs.shape:
                 raise InternalConsistencyError("bank %s of a %d x %d table needs %r weights, got %r" % (
                     name, self.x_cells, self.y_cells, bank.inputs.shape, values.shape))
             values.flags.writeable = False
-            np.put_along_axis(weights[bank.units.start:bank.units.stop], bank.inputs, values, 1)
+            phases.setdefault(bank.phase, []).append((bank, values))
+        ranges, blocks = [], []
+        for phase in sorted(phases):
             # the banks of one phase are adjacent and share its activation
-            lo = ranges.get(bank.phase, (bank.units.start,))[0]
-            ranges[bank.phase] = (lo, bank.units.stop, bank.activation)
-        weights.flags.writeable = False
-        self.banks, self.weights = MappingProxyType(banks), weights
-        self.phase_ranges = tuple(ranges[phase] for phase in sorted(ranges))
+            members = phases[phase]
+            lo, hi = members[0][0].units.start, members[-1][0].units.stop
+            reads = max(int(bank.inputs.max(initial=-1)) + 1 for bank, _ in members)
+            block = np.zeros((hi - lo, min(-(-reads // BLOCK_ALIGN) * BLOCK_ALIGN, n)), dtype=np.float64)
+            for bank, values in members:
+                np.put_along_axis(block[bank.units.start - lo:bank.units.stop - lo], bank.inputs, values, 1)
+            block.flags.writeable = False
+            ranges.append((lo, hi, members[0][0].activation))
+            blocks.append(block)
+        self.banks = MappingProxyType(banks)
+        self.phase_ranges, self.phase_blocks = tuple(ranges), tuple(blocks)
 
-    @property
-    def n(self):
-        return len(self.weights)
+    @cached_property
+    def weights(self):
+        """The dense n x n weight matrix, read-only, built on first read."""
+        weights = np.zeros((self.n, self.n), dtype=np.float64)
+        for (lo, hi, _), block in zip(self.phase_ranges, self.phase_blocks):
+            weights[lo:hi, :block.shape[1]] = block
+        weights.flags.writeable = False
+        return weights
 
 
 @dataclass(frozen=True)
@@ -385,8 +424,8 @@ def _affine_row(lam_w, off_w, gate_w, lam, a):
     integer numerators over one denominator, or None when the row does not
     clamp to exactly 0 while its branch unit is off.
 
-    Off, the row sums lam_w*y + off_w (gamma_2; one product may underflow)
-    and must stay <= 0 for every y in [0, 1].  On, it sums
+    Off, the row sums lam_w*y + off_w (gamma_2; lam_w*y may underflow
+    unless lam_w is 0) and must stay <= 0 for every y in [0, 1].  On, it sums
     lam_w*y + off_w + gate_w (gamma_3, bounded here for every y in [0, 1];
     the caller adds the underflow), whose exact value departs from
     lam*y + a by d_lam*y + d_a.  The ramp's clamp to [0, 1] never moves it
@@ -399,7 +438,8 @@ def _affine_row(lam_w, off_w, gate_w, lam, a):
     lw, ow, gw = (n * (den // d) for n, d in ratios)
     g2, g3 = _GAMMA2.denominator, _GAMMA3.denominator
     size = abs(lw) + abs(ow)
-    if ((ow + max(lw, 0)) * g2 + _GAMMA2.numerator * size) * (_TINY.denominator // den) + g2 > 0:
+    underflow = g2 if lw else 0  # _TINY, scaled; 0*y is exact
+    if ((ow + max(lw, 0)) * g2 + _GAMMA2.numerator * size) * (_TINY.denominator // den) + underflow > 0:
         return None
     ln, ld, an, ad = lam.numerator, lam.denominator, a.numerator, a.denominator
     return ((lw * ld - ln * den) * ad * g3, ((ow + gw) * ad - an * den) * ld * g3,
@@ -504,8 +544,9 @@ def activate(kind, net):
 def na_micro_step(spec, state):
     """Advance one micro step: units of the next phase update, others hold."""
     lo, hi, kind = spec.phase_ranges[state.micro]
+    block = spec.phase_blocks[state.micro]
     x = state.x.copy()
-    x[lo:hi] = activate(kind, spec.weights[lo:hi] @ state.x)
+    x[lo:hi] = activate(kind, block @ state.x[:block.shape[1]])
     micro = state.micro + 1
     macro = state.macro
     if micro == spec.micro_steps_per_macro:

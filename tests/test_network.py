@@ -322,12 +322,36 @@ def test_csv_exports_match_a_csv_writer_reference_byte_for_byte():
     assert "-0.0" in trajectory_csv(run) and "nan" in network_csv(spec)
 
 
-@pytest.mark.parametrize("case", ["plain", "chain"])
+def _fan_case(k, c, seed):
+    """F_k^c under ``random_encoding`` seeded with ``seed``, run on its sentence."""
+    machine = compile_cfg_topdown(parse_grammar(fan_grammar(k, c)))
+    enc = random_encoding(machine, random.Random(seed))
+    nda = from_versatile_shift(machine, enc)
+    start = encode_tape(initial_state(machine, ["t0"] + ["u%d" % (j % c) for j in range(k)], "S"), enc)
+    return synthesize(nda), start, nda, 2 * k + 3
+
+
+#: Fan networks whose phase blocks, cut at the last column each phase reads
+#: instead of aligned, change micro states under the Haswell dgemv_t kernel.
+FAN_CASES = {"F^1_4:5": (4, 1, 5), "F^3_4:3": (4, 3, 3)}
+
+
+@pytest.mark.parametrize("case", ["plain", "chain", *FAN_CASES])
 def test_micro_states_match_dense_reference_bit_for_bit(case, plain_nda, plain_net, plain_start, chain_case):
     spec, start, nda, macro_steps = plain_net, plain_start, plain_nda, 6
     if case == "chain":
         spec, start, nda = chain_case
         macro_steps = 2 * CHAIN_K + 3
+    elif case in FAN_CASES:
+        spec, start, nda, macro_steps = _fan_case(*FAN_CASES[case])
+    # each phase's block is a column prefix aligned to 64 (or all n columns)
+    # that holds every column the phase's units read
+    table = network._bank_table(spec.x_cells, spec.y_cells).values()
+    for (lo, hi, _), block in zip(spec.phase_ranges, spec.phase_blocks):
+        width = block.shape[1]
+        assert block.shape[0] == hi - lo and (width % 64 == 0 or width == spec.n) and width <= spec.n
+        last = max(int(bank.inputs.max(initial=-1)) for bank in table if lo <= bank.units.start < hi)
+        assert last < width
     run = na_run(spec, embed(spec, start), macro_steps, reference=nda, point=start)
     assert len(run.states) == 1 + macro_steps * spec.micro_steps_per_macro
     schedule = _schedule(spec)
@@ -435,13 +459,21 @@ def _rewired(spec, role, column, value):
     (lambda spec: _rewired(spec, "ltl:1:2:y1", "one", float("nan")), r"^the network has a weight that is not finite$"),
     # the unit adds its image to the MCL from every cell
     (lambda spec: _ungated(spec, "ltl:1:2:y1"), r"^ltl:1:2:y1 \(unit 56\): does not clamp to 0 while its branch"),
-    # an all-zero gain and offset: the allowance for an underflowing product refuses it
+    # an all-zero gain and offset clamps to 0, but on, the row sums its gate
     (lambda spec: _rewired(_rewired(spec, "ltl:1:2:y1", "mcl:y1", 0.0), "ltl:1:2:y1", "one", 0.0),
-     r"^ltl:1:2:y1 \(unit 56\): does not clamp to 0 while its branch"),
+     r"^ltl:1:2:y1 \(unit 56\): off by 8\.66667 from the exact image over cell \(1, 2\), more than SOUNDNESS$"),
 ])
 def test_certificate_refuses_structural_faults_the_sweep_cannot_make(build, message, plain_nda, plain_net):
     with pytest.raises(InternalConsistencyError, match=message):
         _certify(build(plain_net), plain_nda)
+
+
+@pytest.mark.parametrize("gate", [0.5, 1.0, 3.0, 5e-324])
+def test_a_row_with_zero_gain_and_offset_is_its_gate(gate):
+    # off, the row sums 0*y + 0 + 0, exactly 0: it clamps with no allowance
+    # for an underflowing product; on, it sums exactly the gate
+    part = network._affine_row(0.0, 0.0, gate, Fraction(0), Fraction(gate))
+    assert part is not None and part[:2] == (0, 0)
 
 
 def test_certificate_records_a_thin_comparator_overlap_as_a_margin(plain_nda, plain_net):
@@ -848,6 +880,25 @@ def test_synthesis_runs_no_simulation(case, plain_nda, monkeypatch):
         monkeypatch.setattr(network, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
     synthesize(nda)
     assert calls == []
+
+
+def test_a_run_leaves_the_dense_matrix_unbuilt():
+    # the engine multiplies the phase blocks; the dense matrix is built from
+    # them on first read and equals the banks laid out at their input columns
+    nda = _seeded_nda(chain_grammar(10), 1)
+    machine = compile_cfg_topdown(parse_grammar(chain_grammar(10)))
+    start = encode_tape(initial_state(machine, ["t%d" % i for i in range(11)], "S"), nda.enc)
+    spec = synthesize(nda)
+    na_run(spec, embed(spec, start), 3, reference=nda, point=start)
+    assert "weights" not in vars(spec)
+    want = np.zeros((spec.n, spec.n))
+    for name, bank in network._bank_table(nda.x_cells, nda.y_cells).items():
+        for row, (cols, values) in enumerate(zip(bank.inputs.tolist(), spec.banks[name].tolist())):
+            want[bank.units[row], cols] = values
+    assert spec.n == 897 and _same_bits(spec.weights, want)
+    assert spec.weights is spec.weights
+    with pytest.raises(ValueError, match="read-only"):
+        spec.weights[0, 0] = 1.0
 
 
 def test_only_synthesis_carries_a_certificate(plain_nda, plain_net):
