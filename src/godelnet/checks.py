@@ -6,6 +6,11 @@ grid-index cell lookups for the metric/cylinder correspondence, symbolic
 machine steps for the affine cell maps, and the exact cell table for the
 network.  Suites return a CheckResult with a counterexample on failure
 instead of raising, so a run reports every broken law at once.
+
+Each suite works out each distinct fact once per call: a word's pattern
+key, a side word's minimal image, a pair's distance.  It keeps them in
+local tables that are gone when it returns, and checks every pair, cell
+and triple it would check without them, in the same order.
 """
 
 import random
@@ -17,7 +22,7 @@ from .errors import ConfigError, DomainError
 from .nda import EncodingPair, PhasePoint, encode_tape, from_versatile_shift, nda_step
 from .network import embed, na_run, synthesize
 from .observables import PermutationPair, build_step_observable, rho_pi, step_observable
-from .patterns import interval_partition, same_orbit, square_partition
+from .patterns import interval_partition, pattern_of, same_orbit, square_partition
 from .shift import DoD, VersatileShift, VsRule, compile_cfg_topdown, initial_state, parse_grammar, vs_step
 from .symbols import (
     BLANK,
@@ -114,14 +119,22 @@ def _words(m, max_len, min_len=0):
 # suite: ultrametric
 
 def check_ultrametric(seed=0):
-    """Identity, symmetry, strong triangle inequality, value range."""
+    """Identity, symmetry, strong triangle inequality, value range.
+
+    Each pair's distance is taken once; the sampled triples read theirs
+    from the pairs' table.
+    """
     m = 3
     words = _words(m, 3)
     valid = {Fraction(0)} | {Fraction(1, m**k) for k in range(0, 4 + 1)}
     checked = 0
+    dist = []  # dist[i][j]: distance of words i and j, which the triples read again
     for p in words:
+        row = []
+        dist.append(row)
         for q in words:
             d = ultrametric(p, q, m, tail=0)
+            row.append(d)
             checked += 1
             if d != ultrametric(q, p, m, tail=0):
                 return CheckResult("ultrametric", False, "asymmetric distance", (p, q))
@@ -130,15 +143,18 @@ def check_ultrametric(seed=0):
                 return CheckResult("ultrametric", False, "identity of indiscernibles fails", (p, q, d))
             if d not in valid:
                 return CheckResult("ultrametric", False, "distance %s is not a power of 1/m" % d, (p, q))
+    # every distance is now one of the valid values; the triples compare their ranks
+    rank = {v: n for n, v in enumerate(sorted(valid))}
+    dist = [[rank[d] for d in row] for row in dist]
     rng = random.Random(seed)
+    choice = rng.choice
     triples = 20000
+    indices = range(len(words))  # rng.choice draws the same index from it as from words
     for _ in range(triples):
-        p, q, s = (rng.choice(words) for _ in range(3))
-        dpq = ultrametric(p, q, m, tail=0)
-        dqs = ultrametric(q, s, m, tail=0)
-        dps = ultrametric(p, s, m, tail=0)
-        if dps > max(dpq, dqs):
-            return CheckResult("ultrametric", False, "strong triangle inequality fails", (p, q, s))
+        i, j, k = choice(indices), choice(indices), choice(indices)
+        if dist[i][k] > max(dist[i][j], dist[j][k]):
+            return CheckResult("ultrametric", False, "strong triangle inequality fails",
+                               (words[i], words[j], words[k]))
     return CheckResult("ultrametric", True,
                        "%d pairs (identity, symmetry, range) and %d sampled triples" % (checked, triples))
 
@@ -199,7 +215,12 @@ def check_cylinders(seed=0):
 # suite: orbits
 
 def check_orbits(seed=0):
-    """Pattern criterion against brute-force permutation search."""
+    """Pattern criterion against brute-force permutation search.
+
+    On same-length pairs the criterion is same_orbit's own comparison of
+    pattern keys, each word's key taken once per mode; the cross-length
+    sample calls same_orbit.
+    """
     checked = 0
     for m, max_len in ((2, 5), (3, 5)):
         words = _words(m, max_len)
@@ -209,11 +230,12 @@ def check_orbits(seed=0):
         for pinned in (False, True):
             perms = zero_fixing_permutations(m) if pinned else all_permutations(m)
             for group in by_len.values():
-                for w in group:
+                keys = [pattern_of(w, m, pinned) for w in group]
+                for w, key_w in zip(group, keys):
                     orbit = {recode(w, perm) for perm in perms}  # brute force over the group
-                    for u in group:
+                    for u, key_u in zip(group, keys):
                         want = u in orbit
-                        got = same_orbit(w, u, m, blank_pinned=pinned)
+                        got = key_w == key_u
                         checked += 1
                         if want != got:
                             return CheckResult(
@@ -295,11 +317,17 @@ def _square_case(m, m_right, l, r, mode, pinned):
     """Square map, its cells and the brute-force orbit key of a cell."""
     perms_x, perms_y = _perms(m, pinned), _perms(m_right, pinned)
 
-    def key(cell):
-        left, right = index_to_digits(cell[0], m, l), index_to_digits(cell[1], m_right, r)
-        if mode == "joint":
-            return _min_image(left + right, perms_x)
-        return (_min_image(left, perms_x), _min_image(right, perms_y))
+    lefts = [index_to_digits(i, m, l) for i in range(m**l)]
+    rights = [index_to_digits(j, m_right, r) for j in range(m_right**r)]
+    if mode == "joint":
+        def key(cell):
+            return _min_image(lefts[cell[0]] + rights[cell[1]], perms_x)
+    else:  # a product cell's key pairs its side words' minimal images, each taken once
+        left_keys = [_min_image(w, perms_x) for w in lefts]
+        right_keys = [_min_image(w, perms_y) for w in rights]
+
+        def key(cell):
+            return left_keys[cell[0]], right_keys[cell[1]]
 
     cells = [(i, j) for i in range(m**l) for j in range(m_right**r)]
     return square_partition(m, l, r, mode=mode, blank_pinned=pinned, m_right=m_right), cells, key
@@ -308,7 +336,8 @@ def _square_case(m, m_right, l, r, mode, pinned):
 def check_partitions(seed=0):
     """Partition builders against brute-force orbit grouping: every map's
     class ids first occur in row-major order as 0, 1, 2, ..., and its
-    classes are the brute-force orbits."""
+    classes are the brute-force orbits.  A product map's brute-force key
+    takes each side word's minimal image once, not once per cell."""
     cases = [("interval", _interval_case, (m, l, pinned))
              for m in (2, 3) for l in range(5) for pinned in (False, True)]
     cases += [("square", _square_case, geometry + (pinned,))

@@ -17,8 +17,8 @@ from godelnet import (
     PhasePoint,
     interval_partition,
     nda_step,
+    pattern_of,
     rho_pi,
-    same_orbit,
     square_partition,
     ultrametric,
 )
@@ -87,14 +87,39 @@ def test_cylinder_suite_catches_scaled_metric(monkeypatch):
     assert result.counterexample == ((), (1,), 1)
 
 
-def test_orbit_suite_catches_length_only_criterion(monkeypatch):
-    def sloppy(w, u, m, blank_pinned=False):
-        return len(w) == len(u)
+def test_ultrametric_suite_catches_a_fault_only_triples_show(monkeypatch):
+    # Hamming distance on zero-padded words, mapped onto the powers of 1/m:
+    # it keeps identity, symmetry and the value range, but (1, 1), (0, 2),
+    # (2, 2, 2) are at 1/9, 1/9 and 1/3
+    def hamming(p, q, m, tail=0):
+        n = max(len(p), len(q))
+        differ = sum(a != b for a, b in zip(p + (tail,) * (n - len(p)), q + (tail,) * (n - len(q))))
+        return Fraction(0) if differ == 0 else Fraction(1, m ** (4 - differ))
 
-    monkeypatch.setattr(checks, "same_orbit", sloppy)
+    monkeypatch.setattr(checks, "ultrametric", hamming)
+    result = check_ultrametric()
+    assert (result.ok, result.detail, result.counterexample) == (
+        False, "strong triangle inequality fails", ((1, 1), (0, 2), (2, 2, 2)))
+
+
+def test_orbit_suite_catches_length_only_criterion(monkeypatch):
+    def sloppy(w, m, blank_pinned=False):
+        return len(w)
+
+    monkeypatch.setattr(checks, "pattern_of", sloppy)
     result = check_orbits()
-    assert not result.ok
-    assert result.counterexample == ((0, 0), (0, 1))
+    assert (result.ok, result.detail, result.counterexample) == (
+        False, "pattern criterion disagrees with permutation search (m=2 pinned=False)",
+        ((0, 0), (0, 1)))
+
+
+def test_orbit_suite_catches_cross_length_equivalence(monkeypatch):
+    monkeypatch.setattr(checks, "same_orbit", lambda w, u, m, blank_pinned=False: True)
+    result = check_orbits()
+    # the first pair of unequal lengths that random.Random(0) draws from the
+    # 63 binary words of length <= 5
+    assert (result.ok, result.detail, result.counterexample) == (
+        False, "words of different length reported equivalent", ((1, 0, 1, 1, 1), (1, 0, 0, 1)))
 
 
 def _late_shrunk(p, q, m, tail=0):
@@ -103,12 +128,12 @@ def _late_shrunk(p, q, m, tail=0):
     return d / m if len(p) == 7 else d
 
 
-def _unpinned_criterion(w, u, m, blank_pinned=False):
-    return same_orbit(w, u, m, blank_pinned=False)
+def _unpinned_key(w, m, blank_pinned=False):
+    return pattern_of(w, m, blank_pinned=False)
 
 
 @pytest.mark.parametrize("suite, name, fake, detail, counterexample", [
-    (check_orbits, "same_orbit", _unpinned_criterion,
+    (check_orbits, "pattern_of", _unpinned_key,
      "pattern criterion disagrees with permutation search (m=2 pinned=True)", ((0,), (1,))),
     (check_cylinders, "ultrametric", _late_shrunk,
      "metric/cell disagreement at resolution 1", ((0, 2, 0, 2, 0, 2, 1), (1,), 1)),
@@ -151,15 +176,19 @@ def _merge_last_two_classes(cmap):
     return replace(cmap, assignment=tuple(last - 1 if c == last else c for c in cmap.assignment))
 
 
-@pytest.mark.parametrize("name, build, detail, counterexample", [
-    ("interval_partition", interval_partition,
+@pytest.mark.parametrize("name, build, mode, detail, counterexample", [
+    ("interval_partition", interval_partition, None,
      "interval classes differ from brute-force orbits", (2, 1, True)),
-    ("square_partition", square_partition,
+    ("square_partition", square_partition, None,
      "square classes differ from brute-force orbits", (3, 3, 1, 1, "joint", False)),
-], ids=["interval", "square"])
-def test_partition_suite_catches_merged_classes(monkeypatch, name, build, detail, counterexample):
+    ("square_partition", square_partition, "product",
+     "square classes differ from brute-force orbits", (3, 3, 2, 2, "product", False)),
+], ids=["interval", "square", "product"])
+def test_partition_suite_catches_merged_classes(monkeypatch, name, build, mode, detail, counterexample):
     def merged(*args, **kwargs):
-        cmap = _merge_last_two_classes(build(*args, **kwargs))
+        cmap = build(*args, **kwargs)
+        if mode is None or kwargs.get("mode") == mode:  # given a mode, only its maps are merged
+            cmap = _merge_last_two_classes(cmap)
         # every planted map keeps the numbering law, so only the orbit law can fail
         assert list(dict.fromkeys(cmap.assignment)) == list(range(cmap.class_count))
         return cmap

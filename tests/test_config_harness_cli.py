@@ -1,5 +1,6 @@
 """Configuration loading, the experiment driver, and the CLI."""
 
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -8,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy
 import pytest
 
 from godelnet import BLANK, DottedSequence, ExperimentConfig, PhasePoint, cli, harness, load_config
@@ -235,11 +237,23 @@ def test_write_report_is_deterministic(report, tmp_path):
         assert names_a[name] == names_b[name]
 
 
+def blas_kernel():
+    """The kernel OpenBLAS picked for this CPU, as numpy's bundled library names it."""
+    for path in (Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def test_shipped_experiment_artifacts_keep_their_bytes(report, tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in write_report(report, tmp_path)}
-    # only the digested names are compared, so a new artifact file does not fail this
-    assert {name: written.get(name) for name in DEMO_DIGESTS} == DEMO_DIGESTS
+    # only the digested names are compared, so a new artifact file does not fail this;
+    # the digests are the bytes under OpenBLAS's SkylakeX kernel
+    assert {name: written.get(name) for name in DEMO_DIGESTS} == DEMO_DIGESTS, (
+        "artifact bytes differ under OpenBLAS kernel %s" % blas_kernel())
 
 
 @pytest.mark.parametrize("step", [0, 3])
