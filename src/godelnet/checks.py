@@ -16,11 +16,11 @@ and triple it would check without them, in the same order.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .errors import ConfigError, DomainError
 from .nda import EncodingPair, PhasePoint, encode_tape, from_versatile_shift, nda_step
-from .network import embed, na_run, synthesize
+from .network import _bank_table, embed, na_run, synthesize
 from .observables import PermutationPair, build_step_observable, rho_pi, step_observable
 from .patterns import interval_partition, pattern_of, same_orbit, square_partition
 from .shift import DoD, VersatileShift, VsRule, compile_cfg_topdown, initial_state, parse_grammar, vs_step
@@ -177,35 +177,28 @@ def _radii_within(d, radii, count):
 
 
 def check_cylinders(seed=0):
-    """Distance at most m**-n coincides with sharing the n-th grid cell."""
+    """Distance at most m**-n coincides with sharing the n-th grid cell, for
+    every pair of words of length <= 4 (n <= 4), then 10,000 sampled pairs
+    (n <= 6): one law, at as many resolutions as a pair's grid cells list."""
     m = 3
-    words = _words(m, 4)
     radii = [Fraction(1, m**n) for n in range(0, 7)]
-    # grid cell of each word at resolutions 0..4
-    cells = [_grid_cells(w, m, 5) for w in words]
+    # each word of length <= 4 with its grid cells at resolutions 0..4
+    words = [(w, _grid_cells(w, m, 5)) for w in _words(m, 4)]
+
+    def sampled():
+        rng = random.Random(seed)
+        for _ in range(10000):
+            length = rng.randrange(0, 9)
+            p = tuple(rng.randrange(m) for _ in range(length))
+            q = tuple(rng.randrange(m) for _ in range(rng.randrange(0, 9)))
+            yield (p, _grid_cells(p, m, 7)), (q, _grid_cells(q, m, 7))
+
     checked = 0
-    for p, cells_p in zip(words, cells):
-        for q, cells_q in zip(words, cells):
-            within = _radii_within(ultrametric(p, q, m, tail=0), radii, 5)
-            for n in range(0, 5):
-                close = n < within
-                same_cell = cells_p[n] == cells_q[n]
-                checked += 1
-                if close != same_cell:
-                    return CheckResult("cylinders", False,
-                                       "metric/cell disagreement at resolution %d" % n, (p, q, n))
-    rng = random.Random(seed)
-    for _ in range(10000):
-        length = rng.randrange(0, 9)
-        p = tuple(rng.randrange(m) for _ in range(length))
-        q = tuple(rng.randrange(m) for _ in range(rng.randrange(0, 9)))
-        cells_p, cells_q = _grid_cells(p, m, 7), _grid_cells(q, m, 7)
-        within = _radii_within(ultrametric(p, q, m, tail=0), radii, 7)
-        for n in range(0, 7):
-            close = n < within
-            same_cell = cells_p[n] == cells_q[n]
+    for (p, cells_p), (q, cells_q) in chain(product(words, repeat=2), sampled()):
+        within = _radii_within(ultrametric(p, q, m, tail=0), radii, len(cells_p))
+        for n in range(len(cells_p)):
             checked += 1
-            if close != same_cell:
+            if (n < within) != (cells_p[n] == cells_q[n]):
                 return CheckResult("cylinders", False,
                                    "metric/cell disagreement at resolution %d" % n, (p, q, n))
     return CheckResult("cylinders", True, "%d word pairs x resolutions" % checked)
@@ -515,7 +508,7 @@ def check_network(seed=0):
     for name, pair in demo_encodings(machine).items():
         nda = from_versatile_shift(machine, pair)
         spec = synthesize(nda)
-        bsl_lo, bsl_hi, _ = spec.phase_ranges[2]  # the branch bank
+        branch = _bank_table(nda.x_cells, nda.y_cells)["bsl"]  # tested once its phase has run
         want_units = 3 + 3 * (nda.x_cells + nda.y_cells) + 3 * nda.x_cells * nda.y_cells
         if spec.n != want_units:
             return CheckResult("network", False,
@@ -546,8 +539,8 @@ def check_network(seed=0):
                 checked += 1
                 if st.x.min() < 0.0 or st.x.max() > 1.0:
                     return CheckResult("network", False, "unit left [0, 1]", (name, st.macro, st.micro))
-                if st.micro == 3:
-                    bank = st.x[bsl_lo:bsl_hi].tolist()
+                if st.micro == branch.phase:
+                    bank = st.x[branch.units.start:branch.units.stop].tolist()
                     if sum(1 for v in bank if v == 1.0) != 1 or any(v not in (0.0, 1.0) for v in bank):
                         return CheckResult("network", False, "branch bank not one-hot",
                                            (name, st.macro))

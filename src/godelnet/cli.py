@@ -175,10 +175,7 @@ def main(argv=None):
     except (DivergenceError, InternalConsistencyError) as err:
         print("divergence: %s" % err, file=sys.stderr)
         return EXIT_DIVERGENCE
-    except GodelnetError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+    except (GodelnetError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,10 +10,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .errors import ConfigError, DivergenceError, DomainError, InternalConsistencyError
+from .errors import ConfigError, DivergenceError, DomainError
 from .nda import (
     EncodingPair,
     encode_tape,
@@ -166,23 +167,17 @@ def run_experiment(config):
                                 network=network, na=na, series=series))
 
     verdicts = []
-    for i in range(len(runs)):
-        for j in range(i + 1, len(runs)):
-            a, b = runs[i], runs[j]
-            for obs in config.observables:
-                sa, sb = a.series[obs], b.series[obs]
-                if len(sa) != len(sb):
-                    raise InternalConsistencyError(
-                        "series length mismatch for %s" % obs)
-                deltas = [abs(float(va) - float(vb))
-                          for (_, va), (_, vb) in zip(sa, sb)]
-                # max() passes over a NaN that follows a number; a NaN
-                # anywhere leaves the comparison undecided, so not invariant
-                delta = (math.nan if any(map(math.isnan, deltas))
-                         else max(deltas, default=0.0))
-                verdicts.append(Verdict(
-                    observable=obs, enc_a=a.name, enc_b=b.name,
-                    max_abs_delta=delta, invariant=delta == 0))
+    for a, b in combinations(runs, 2):
+        for obs in config.observables:
+            deltas = [abs(float(va) - float(vb))
+                      for (_, va), (_, vb) in zip(a.series[obs], b.series[obs], strict=True)]
+            # max() passes over a NaN that follows a number; a NaN
+            # anywhere leaves the comparison undecided, so not invariant
+            delta = (math.nan if any(map(math.isnan, deltas))
+                     else max(deltas, default=0.0))
+            verdicts.append(Verdict(
+                observable=obs, enc_a=a.name, enc_b=b.name,
+                max_abs_delta=delta, invariant=delta == 0))
 
     return ExperimentReport(config=config, runs=tuple(runs), verdicts=tuple(verdicts))
 

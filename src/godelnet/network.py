@@ -26,9 +26,9 @@ comparators 2(p+q), axis units p+q, branch units C, affine units 2C.
 
 Units are index grids laid out bank by bank, so a unit's role follows from
 its index and (p, q) alone.  ``_bank_table`` is that layout, built once per
-(p, q): each bank's units, inputs grid, role names, phase and activation.
-A network is one weight per entry of each bank's inputs grid; its dense
-matrix is derived from them, so no weight lies outside a bank.
+(p, q): each bank's units, inputs grid, tuple of role names, phase and
+activation.  A network is one weight per entry of each bank's inputs grid;
+its dense matrix is derived from them, so no weight lies outside a bank.
 
   units                 bank                               phase
   0, 1                  MCL y1, y2                         5, ramp
@@ -41,10 +41,11 @@ matrix is derived from them, so no weight lies outside a bank.
 where axis cell a < p is input-axis cell a, axis cell p + j is stack-axis
 cell j, and k = i*q + j is the row-major index of cell (i, j).  Each phase
 is one contiguous range with a single activation, and but for the MCL its
-units read only units laid out before them.  So the spec keeps per phase one
-block W[lo:hi, :width] of the weights, width being one past the last column
-the phase reads, rounded up to BLOCK_ALIGN = 64 and capped at n; a micro
-step computes block @ x[:width] and activates it in one vectorised call.
+units read only units laid out before them.  So the spec keeps for phase
+k + 1 one entry phases[k] = (lo, hi, activation, block), block being
+W[lo:hi, :width] of the weights, width one past the last column the phase
+reads, rounded up to BLOCK_ALIGN = 64 and capped at n; a micro step
+computes block @ x[:width] and activates it in one vectorised call.
 The dense n x n matrix is built only when something reads it.
 
 The blocks give the dense W x its bits.  The BLAS matrix-vector product
@@ -111,7 +112,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,7 +146,7 @@ class Bank(NamedTuple):
     inputs: np.ndarray  # read-only, one row per unit
     phase: int
     activation: str
-    roles: Callable  # () -> the role name of each unit, formatted when called
+    roles: tuple  # the role name of each unit
 
 
 @lru_cache(maxsize=32)
@@ -168,16 +169,16 @@ def _bank_table(p, q):
     coord = np.repeat((a >= p).astype(np.intp), 2)
     axes = [("x", t) for t in range(p)] + [("y", t) for t in range(q)]
     banks = {
-        "mcl": (ltl + np.arange(2 * p * q).reshape(p * q, 2).T, 5, RAMP, lambda: ["mcl:y1", "mcl:y2"]),
-        "one": (np.empty((1, 0), np.intp), 1, STEP, lambda: ["one"]),  # recomputes theta(0) = 1
+        "mcl": (ltl + np.arange(2 * p * q).reshape(p * q, 2).T, 5, RAMP, ("mcl:y1", "mcl:y2")),
+        "one": (np.empty((1, 0), np.intp), 1, STEP, ("one",)),  # recomputes theta(0) = 1
         "cmp": (np.stack([coord, np.full_like(coord, one)], 1), 1, STEP,
-                lambda: ["cmp:%s:%d:%s" % (*axis, side) for axis in axes for side in ("lo", "hi")]),
+                tuple("cmp:%s:%d:%s" % (*axis, side) for axis in axes for side in ("lo", "hi"))),
         "ax": (np.stack([cmp + 2 * a, cmp + 2 * a + 1, np.full_like(a, one)], 1), 2, STEP,
-               lambda: ["ax:%s:%d" % axis for axis in axes]),
+               tuple("ax:%s:%d" % axis for axis in axes)),
         "bsl": (np.stack([ax + i, ax + p + j, np.full_like(i, one)], 1), 3, STEP,
-                lambda: ["bsl:%d:%d" % divmod(t, q) for t in range(p * q)]),
+                tuple("bsl:%d:%d" % divmod(t, q) for t in range(p * q))),
         "ltl": (np.stack([c, np.full_like(c, one), bsl + k], 1), 4, RAMP,
-                lambda: ["ltl:%d:%d:y%d" % (*divmod(t // 2, q), t % 2 + 1) for t in range(2 * p * q)]),
+                tuple("ltl:%d:%d:y%d" % (*divmod(t // 2, q), t % 2 + 1) for t in range(2 * p * q))),
     }
     for name, (inputs, *_) in banks.items():
         inputs.flags.writeable = False
@@ -190,7 +191,8 @@ class NetworkSpec:
     """Synthesized network: one weight per entry of each bank's inputs grid.
 
     ``banks`` maps each bank of ``_bank_table(x_cells, y_cells)`` to an array
-    of its inputs grid's shape.  ``phase_blocks`` holds per phase the block
+    of its inputs grid's shape.  ``phases[k] = (lo, hi, activation, block)``
+    is phase k + 1: its units lo..hi - 1, their activation, and the block
     W[lo:hi, :width] of the weight matrix that the engine multiplies, built
     from the banks; ``weights``, the dense n x n matrix, is built from the
     blocks when first read.  All are read-only copies, so the engine runs
@@ -204,11 +206,7 @@ class NetworkSpec:
     always_on = ALWAYS_ON
     micro_steps_per_macro = MICRO_STEPS_PER_MACRO
     n: int = field(init=False, repr=False)
-    # phase_ranges[k] = (lo, hi, activation) of the units updated in phase k + 1
-    phase_ranges: tuple = field(init=False, repr=False)
-    # phase_blocks[k] = W[lo:hi, :width] of phase k + 1: width is one past the
-    # last column the phase reads, rounded up to BLOCK_ALIGN and capped at n
-    phase_blocks: tuple = field(init=False, repr=False)
+    phases: tuple = field(init=False, repr=False)
     # per-cell CellBound table; only synthesize sets it, so a spec built or
     # replaced with other banks carries none
     certificate: tuple = field(init=False, default=None, repr=False)
@@ -216,34 +214,32 @@ class NetworkSpec:
     def __post_init__(self):
         table = _bank_table(self.x_cells, self.y_cells)
         self.n = n = sum(len(bank.units) for bank in table.values())
-        banks, phases = {}, {}
+        banks, by_phase = {}, {}
         for name, bank in table.items():
             values = banks[name] = np.array(self.banks[name], dtype=np.float64)
             if values.shape != bank.inputs.shape:
                 raise InternalConsistencyError("bank %s of a %d x %d table needs %r weights, got %r" % (
                     name, self.x_cells, self.y_cells, bank.inputs.shape, values.shape))
             values.flags.writeable = False
-            phases.setdefault(bank.phase, []).append((bank, values))
-        ranges, blocks = [], []
-        for phase in sorted(phases):
+            by_phase.setdefault(bank.phase, []).append((bank, values))
+        phases = []
+        for phase in sorted(by_phase):
             # the banks of one phase are adjacent and share its activation
-            members = phases[phase]
+            members = by_phase[phase]
             lo, hi = members[0][0].units.start, members[-1][0].units.stop
             reads = max(int(bank.inputs.max(initial=-1)) + 1 for bank, _ in members)
             block = np.zeros((hi - lo, min(-(-reads // BLOCK_ALIGN) * BLOCK_ALIGN, n)), dtype=np.float64)
             for bank, values in members:
                 np.put_along_axis(block[bank.units.start - lo:bank.units.stop - lo], bank.inputs, values, 1)
             block.flags.writeable = False
-            ranges.append((lo, hi, members[0][0].activation))
-            blocks.append(block)
-        self.banks = MappingProxyType(banks)
-        self.phase_ranges, self.phase_blocks = tuple(ranges), tuple(blocks)
+            phases.append((lo, hi, members[0][0].activation, block))
+        self.banks, self.phases = MappingProxyType(banks), tuple(phases)
 
     @cached_property
     def weights(self):
         """The dense n x n weight matrix, read-only, built on first read."""
         weights = np.zeros((self.n, self.n), dtype=np.float64)
-        for (lo, hi, _), block in zip(self.phase_ranges, self.phase_blocks):
+        for lo, hi, _, block in self.phases:
             weights[lo:hi, :block.shape[1]] = block
         weights.flags.writeable = False
         return weights
@@ -294,13 +290,13 @@ def synthesize(nda):
               "ltl": affine}
     banks = {name: np.broadcast_to(values[name], bank.inputs.shape) for name, bank in table.items()}
     spec = NetworkSpec(banks, p, q)
-    spec.certificate = _certify(spec, nda, side_maps)
+    spec.certificate = _certify(spec, side_maps)
     return spec
 
 
 def _role(spec, unit):
     bank = next(bank for bank in _bank_table(spec.x_cells, spec.y_cells).values() if unit in bank.units)
-    return bank.roles()[unit - bank.units.start]
+    return bank.roles[unit - bank.units.start]
 
 
 def _fault(spec, unit, message, *args):
@@ -468,14 +464,14 @@ def _round_up(num, den):
     return math.nextafter(f if n * den >= num * d else math.nextafter(f, math.inf), math.inf)
 
 
-def _certify(spec, nda, side_maps=None):
-    """Certify one macro step of ``spec`` over every whole cell of ``nda``.
+def _certify(spec, side_maps):
+    """Certify one macro step of ``spec`` over every whole cell of the table
+    whose ``_side_maps`` are ``side_maps``.
 
     Reads the banks back, without running the network, and checks them in
     exact arithmetic (see the module docstring).  Returns one CellBound per
     cell in the table's order; raises InternalConsistencyError on a
-    structural fault, naming the first faulting unit.  ``side_maps`` is
-    ``_side_maps(nda)``, passed by a caller that has it.
+    structural fault, naming the first faulting unit.
     """
     p, q = spec.x_cells, spec.y_cells
     table, banks = _bank_table(p, q), spec.banks
@@ -494,7 +490,7 @@ def _certify(spec, nda, side_maps=None):
     # affine rows: each distinct (row, side map) pair is worked out once, and
     # bounded once per axis cell when the row's gain is not the exact lambda
     # (its error then depends on the cell's position), else once
-    maps, which = side_maps or _side_maps(nda)
+    maps, which = side_maps
     rows = banks["ltl"]
     keys = np.concatenate([rows.view(np.uint64), which.astype(np.uint64)[:, None]], 1)
     pair_first, pair_of = _distinct(_row_keys(keys))
@@ -543,8 +539,7 @@ def activate(kind, net):
 
 def na_micro_step(spec, state):
     """Advance one micro step: units of the next phase update, others hold."""
-    lo, hi, kind = spec.phase_ranges[state.micro]
-    block = spec.phase_blocks[state.micro]
+    lo, hi, kind, block = spec.phases[state.micro]
     x = state.x.copy()
     x[lo:hi] = activate(kind, block @ state.x[:block.shape[1]])
     micro = state.micro + 1
@@ -607,7 +602,7 @@ def network_csv(spec):
     lines = ["record,a,b,c,d"]
     for bank in _bank_table(spec.x_cells, spec.y_cells).values():
         kind = "%s,%d" % (bank.activation, bank.phase)
-        lines += ["unit,%d,%s,%s" % (unit, role, kind) for unit, role in zip(bank.units, bank.roles())]
+        lines += ["unit,%d,%s,%s" % (unit, role, kind) for unit, role in zip(bank.units, bank.roles)]
     rows, cols = np.nonzero(spec.weights)
     values = spec.weights[rows, cols].tolist()
     lines += ["weight,%d,%d,%r," % entry for entry in zip(rows.tolist(), cols.tolist(), values)]

@@ -40,9 +40,6 @@ class StepObservableSpec:
         cmap = self.class_map
         return grid_index(point.y1, cmap.x_cells), grid_index(point.y2, cmap.y_cells)
 
-    def class_of(self, point):
-        return self.class_map.class_of(self.cell_of(point))
-
 
 def build_step_observable(l, r, m_in, m_st, seed):
     """Construct the seeded pattern-class observable for a window (l, r).
@@ -60,7 +57,7 @@ def build_step_observable(l, r, m_in, m_st, seed):
 
 def step_observable(spec, point):
     """Coefficient of the pattern class of the point's window rectangle."""
-    return spec.coefficients[spec.class_of(point)]
+    return spec.coefficients[spec.class_map.class_of(spec.cell_of(point))]
 
 
 # amari and dissimilarity sum plainly, left to right, in explicit loops:

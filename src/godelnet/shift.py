@@ -214,15 +214,13 @@ def vs_run(machine, state, max_steps=100):
     steps = []
     for t in range(max_steps + 1):
         nxt, label = vs_step(machine, state)
-        if label in (ACCEPT, REJECT):
-            steps.append(TraceStep(t, state, label))
-            return RunTrace(tuple(steps), label)
-        if t == max_steps:
-            steps.append(TraceStep(t, state, STEP_LIMIT))
-            return RunTrace(tuple(steps), STEP_LIMIT)
+        if label not in (ACCEPT, REJECT) and t == max_steps:
+            label = STEP_LIMIT
         steps.append(TraceStep(t, state, label))
+        if label in (ACCEPT, REJECT, STEP_LIMIT):
+            break
         state = nxt
-    raise AssertionError("unreachable")
+    return RunTrace(tuple(steps), label)
 
 
 def trace_csv(trace):

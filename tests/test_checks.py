@@ -3,8 +3,10 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import godelnet.checks as checks
@@ -36,6 +38,7 @@ from godelnet.checks import (
     suite_names,
 )
 from godelnet.errors import ConfigError
+from godelnet.network import NeuralState, _bank_table
 from godelnet.symbols import encode_digits
 
 
@@ -126,6 +129,23 @@ def _late_shrunk(p, q, m, tail=0):
     """Wrong only for 7-symbol words, which only the sampled pairs have."""
     d = ultrametric(p, q, m, tail=tail)
     return d / m if len(p) == 7 else d
+
+
+def _long_shrunk(p, q, m, tail=0):
+    """Wrong only when both words are longer than 4, which only the sampled pairs are."""
+    d = ultrametric(p, q, m, tail=tail)
+    return d / m if len(p) > 4 and len(q) > 4 else d
+
+
+@pytest.mark.parametrize("seed, detail, counterexample", [
+    (0, "metric/cell disagreement at resolution 2", ((2, 2, 0, 2, 1), (2, 1, 0, 2, 0, 0, 2), 2)),
+    (3, "metric/cell disagreement at resolution 1", ((1, 1, 2, 0, 0, 2, 0, 2), (2, 0, 2, 0, 0, 2), 1)),
+], ids=["seed0", "seed3"])
+def test_cylinder_suite_catches_a_fault_only_sampled_pairs_show(monkeypatch, seed, detail, counterexample):
+    # the pairs of words of length <= 4 all pass, so the sampled pairs must run
+    monkeypatch.setattr(checks, "ultrametric", _long_shrunk)
+    result = check_cylinders(seed=seed)
+    assert (result.ok, result.detail, result.counterexample) == (False, detail, counterexample)
 
 
 def _unpinned_key(w, m, blank_pinned=False):
@@ -283,3 +303,49 @@ def test_invariance_suite_catches_non_rigid_motion(monkeypatch):
 def test_network_suite_passes():
     result = check_network(seed=1)
     assert result.ok, result.detail
+
+
+def _edit_runs(monkeypatch, edit):
+    """Wrap ``checks.na_run`` so that each micro state of each run it returns
+    is ``edit(call, spec, state)``, call counting the runs from 1."""
+    real, calls = checks.na_run, count(1)
+
+    def edited(spec, state, macro_steps, **kwargs):
+        run, call = real(spec, state, macro_steps, **kwargs), next(calls)
+        return replace(run, states=tuple(edit(call, spec, st) for st in run.states))
+
+    monkeypatch.setattr(checks, "na_run", edited)
+
+
+def _set_units(state, units, value):
+    x = state.x.copy()
+    x[units] = value
+    return NeuralState(x, state.macro, state.micro)
+
+
+def _two_branch_units_on(call, spec, state):
+    if state.micro != 3:
+        return state
+    bsl = _bank_table(spec.x_cells, spec.y_cells)["bsl"].units
+    return _set_units(state, [bsl[0], bsl[1]], 1.0)
+
+
+def _always_on_above_1(call, spec, state):
+    return _set_units(state, [spec.always_on], 1.5) if state.micro == 1 else state
+
+
+def _second_run_one_ulp_off(call, spec, state):
+    if call != 2 or state.micro != 2:
+        return state
+    return _set_units(state, [spec.always_on], np.nextafter(state.x[spec.always_on], 0.0))
+
+
+@pytest.mark.parametrize("edit, detail, counterexample", [
+    (_two_branch_units_on, "branch bank not one-hot", ("plain", 0)),
+    (_always_on_above_1, "unit left [0, 1]", ("plain", 0, 1)),
+    (_second_run_one_ulp_off, "identical runs differ (nondeterminism)", "plain"),
+], ids=["one-hot", "bounds", "determinism"])
+def test_network_suite_catches_planted_run_faults(monkeypatch, edit, detail, counterexample):
+    _edit_runs(monkeypatch, edit)
+    result = check_network()
+    assert (result.ok, result.detail, result.counterexample) == (False, detail, counterexample)

@@ -128,6 +128,25 @@ def test_config_rejects_keys_and_sections_it_would_ignore(tmp_path, capsys, old,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("macro_steps = 6\n", "macro_steps = six\n", "error: macro_steps: integer expected, got 'six'\n"),
+    ("window = 2 3\n", "window = 2\n", "error: [observables] window needs two lengths, got '2'\n"),
+    ("macro_steps = 6\n", "macro_steps = 0\n", "error: macro_steps must be >= 1, got 0\n"),
+    ("[observables]\n", "[run]\nid = again\n\n[observables]\n", "error: malformed config "),
+    ("[grammar]\npath = parser.grammar\nsentence = NP V NP\n", "", "error: missing [grammar] section\n"),
+    ("[encoding:gamma:input]\n", "[encoding:gamma]\n",
+     "error: bad encoding section [encoding:gamma]; expected [encoding:NAME:input|stack]\n"),
+], ids=["integer", "window", "macro-steps", "duplicate-section", "no-grammar", "encoding-section"])
+def test_cli_run_exits_4_on_a_config_error(tmp_path, capsys, old, new, message):
+    path = _shipped_config_with(tmp_path, old, new)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    # a configparser message goes on to name the file and the line, so only its start is pinned
+    assert err == message if message.endswith("\n") else err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 #: The settings that could loosen or void the verdict; the loader refuses each.
 REMOVED_SETTINGS = [
     ("[observables]\n", "[tolerances]\nsoundness = 1\n\n[observables]\n",
@@ -385,6 +404,15 @@ def test_cli_parse(capsys):
 def test_cli_parse_stdout_keeps_its_bytes(argv, want, capsys):
     assert cli.main(["parse", str(CONFIG_DIR / "parser.grammar")] + argv) == cli.EXIT_OK
     assert capsys.readouterr().out == want
+
+
+def test_cli_parse_writes_the_demo_trace_csv(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    argv = ["parse", str(CONFIG_DIR / "parser.grammar"), "NP", "V", "NP", "--csv", str(path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith("verdict: accept\ntrace written to %s\n" % path)
+    # the trace is symbolic, so the shipped run writes the same bytes under every encoding
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEMO_DIGESTS["trace_gamma.csv"]
 
 
 def test_cli_parse_missing_grammar(capsys):

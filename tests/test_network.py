@@ -39,6 +39,7 @@ from godelnet.network import (
     NetworkSpec,
     NeuralState,
     _certify,
+    _side_maps,
     activate,
     network_csv,
     trajectory_csv,
@@ -347,7 +348,7 @@ def test_micro_states_match_dense_reference_bit_for_bit(case, plain_nda, plain_n
     # each phase's block is a column prefix aligned to 64 (or all n columns)
     # that holds every column the phase's units read
     table = network._bank_table(spec.x_cells, spec.y_cells).values()
-    for (lo, hi, _), block in zip(spec.phase_ranges, spec.phase_blocks):
+    for lo, hi, _, block in spec.phases:
         width = block.shape[1]
         assert block.shape[0] == hi - lo and (width % 64 == 0 or width == spec.n) and width <= spec.n
         last = max(int(bank.inputs.max(initial=-1)) for bank in table if lo <= bank.units.start < hi)
@@ -376,9 +377,9 @@ def test_phase_ranges_tile_all_units(case, plain_net, chain_case):
     spec = plain_net if case == "plain" else chain_case[0]
     schedule = _schedule(spec)
     assert [(phase, kind) for _, _, kind, phase in _unit_rows(spec)] == schedule
-    assert len(spec.phase_ranges) == spec.micro_steps_per_macro
+    assert len(spec.phases) == spec.micro_steps_per_macro
     covered = []
-    for k, (lo, hi, kind) in enumerate(spec.phase_ranges):
+    for k, (lo, hi, kind, _) in enumerate(spec.phases):
         assert lo < hi
         assert all(schedule[u] == (k + 1, kind) for u in range(lo, hi))
         covered.extend(range(lo, hi))
@@ -427,7 +428,7 @@ def test_validation_catches_a_corrupted_branch_weight(plain_nda, plain_net):
     # raising the threshold of one branch unit silences it on its own cell
     unit = _unit_of(plain_net)["bsl:1:2"]
     with pytest.raises(InternalConsistencyError, match="one-hot"):
-        _certify(_corrupted(plain_net, unit, plain_net.always_on, -1.0), plain_nda)
+        _certify(_corrupted(plain_net, unit, plain_net.always_on, -1.0), _side_maps(plain_nda))
 
 
 @pytest.mark.parametrize("delta", [-0.05, 1e-6])
@@ -437,7 +438,7 @@ def test_validation_catches_a_corrupted_affine_weight(plain_nda, plain_net, delt
                 if 0.1 < float(c.apply(PhasePoint(Fraction(k // 5, 3), Fraction(k % 5, 5))).y1) < 0.9)
     unit = _unit_of(plain_net)["ltl:%d:%d:y1" % (i, j)]
     with pytest.raises(InternalConsistencyError, match="off by"):
-        _certify(_corrupted(plain_net, unit, plain_net.always_on, delta), plain_nda)
+        _certify(_corrupted(plain_net, unit, plain_net.always_on, delta), _side_maps(plain_nda))
 
 
 def _ungated(spec, role):
@@ -465,7 +466,7 @@ def _rewired(spec, role, column, value):
 ])
 def test_certificate_refuses_structural_faults_the_sweep_cannot_make(build, message, plain_nda, plain_net):
     with pytest.raises(InternalConsistencyError, match=message):
-        _certify(build(plain_net), plain_nda)
+        _certify(build(plain_net), _side_maps(plain_nda))
 
 
 @pytest.mark.parametrize("gate", [0.5, 1.0, 3.0, 5e-324])
@@ -482,7 +483,7 @@ def test_certificate_records_a_thin_comparator_overlap_as_a_margin(plain_nda, pl
     units = _unit_of(plain_net)
     lo_bias = plain_net.weights[units["cmp:x:1:lo"], plain_net.always_on]
     spec = _rewired(plain_net, "cmp:x:1:lo", "one", lo_bias + 1e-6)
-    certificate = _certify(spec, plain_nda)
+    certificate = _certify(spec, _side_maps(plain_nda))
     below_edge = Fraction(1, 3) - Fraction(5, 10**7)
     for k, bound in enumerate(certificate):
         if k // 5 == 0:
@@ -497,7 +498,7 @@ def test_certificate_records_a_thin_comparator_overlap_as_a_margin(plain_nda, pl
 
 def _fault_message(spec, nda):
     with pytest.raises(InternalConsistencyError) as raised:
-        _certify(spec, nda)
+        _certify(spec, _side_maps(nda))
     return str(raised.value)
 
 
@@ -594,7 +595,7 @@ def test_a_top_detection_end_above_1_bounds_the_rows_up_to_1_only(case, plain_nd
     nda = plain_nda if case == "plain" else _seeded_nda(chain_grammar(4), 1)
     clean = synthesize(nda)
     spec = _rewired(clean, "cmp:y:%d:hi" % (nda.y_cells - 1), "one", 2 - EPS_B)
-    certificate = _certify(spec, nda)
+    certificate = _certify(spec, _side_maps(nda))
     assert [bound.rounding for bound in certificate] == [bound.rounding for bound in clean.certificate]
     top = [bound.margins[3] for k, bound in enumerate(certificate) if k % nda.y_cells == nda.y_cells - 1]
     assert top == [Fraction(2 - EPS_B) - 1] * nda.x_cells
@@ -656,7 +657,7 @@ def test_validation_outcomes_under_every_unit_weight_corruption(plain_nda, mixed
         for unit, column in zip(rows.tolist(), cols.tolist()):
             for delta in (1, -1):
                 try:
-                    _certify(_corrupted(spec, unit, column, float(delta)), nda)
+                    _certify(_corrupted(spec, unit, column, float(delta)), _side_maps(nda))
                     outcomes.append("passed")
                 except InternalConsistencyError as err:
                     outcomes.append("rejected: %s" % err)
@@ -790,7 +791,7 @@ def test_certificate_bounds_one_macro_step_from_points_in_every_cell(case, plain
         nda = _seeded_nda(chain_grammar(int(k)), int(seed))
     spec = synthesize(nda)
     p, q = nda.x_cells, nda.y_cells
-    bsl = spec.phase_ranges[2][0]
+    bsl = network._bank_table(p, q)["bsl"].units.start
     held = missed = 0
     for k, (cell, bound) in enumerate(zip(nda.cells, spec.certificate)):
         i, j = divmod(k, q)
