@@ -8,9 +8,10 @@ network.  Suites return a CheckResult with a counterexample on failure
 instead of raising, so a run reports every broken law at once.
 
 Each suite works out each distinct fact once per call: a word's pattern
-key, a side word's minimal image, a pair's distance.  It keeps them in
-local tables that are gone when it returns, and checks every pair, cell
-and triple it would check without them, in the same order.
+key, a side word's minimal image, a pair's distance, how many radii a
+distance is within.  It keeps them in local tables that are gone when it
+returns, and checks every pair, cell and triple it would check without
+them, in the same order, through the same calls of the layers it tests.
 """
 
 import random
@@ -168,20 +169,18 @@ def _grid_cells(word, m, resolutions):
     return [k * m**n // m ** len(word) for n in range(resolutions)]
 
 
-def _radii_within(d, radii, count):
-    """How many of the first ``count`` radii (decreasing) the distance d is within: d <= radii[n] iff n < it."""
-    within = 0
-    while within < count and d <= radii[within]:
-        within += 1
-    return within
-
-
 def check_cylinders(seed=0):
     """Distance at most m**-n coincides with sharing the n-th grid cell, for
     every pair of words of length <= 4 (n <= 4), then 10,000 sampled pairs
-    (n <= 6): one law, at as many resolutions as a pair's grid cells list."""
+    (n <= 6): one law, at as many resolutions as a pair's grid cells list.
+
+    A pair's cells are nested and its radii decrease, so the law holds at
+    resolutions below both the pair's count of radii its distance is
+    within and its run of shared cells, and fails at the lesser of the two
+    when they differ.  The radii count is taken in integers, d <= m**-n
+    iff num * m**n <= den for d = num / den, once per distinct distance.
+    """
     m = 3
-    radii = [Fraction(1, m**n) for n in range(0, 7)]
     # each word of length <= 4 with its grid cells at resolutions 0..4
     words = [(w, _grid_cells(w, m, 5)) for w in _words(m, 4)]
 
@@ -194,13 +193,28 @@ def check_cylinders(seed=0):
             yield (p, _grid_cells(p, m, 7)), (q, _grid_cells(q, m, 7))
 
     checked = 0
+    radii_within = {}  # (num, den, resolutions) -> how many of the radii 1, 1/m, ... the distance is within
     for (p, cells_p), (q, cells_q) in chain(product(words, repeat=2), sampled()):
-        within = _radii_within(ultrametric(p, q, m, tail=0), radii, len(cells_p))
-        for n in range(len(cells_p)):
-            checked += 1
-            if (n < within) != (cells_p[n] == cells_q[n]):
-                return CheckResult("cylinders", False,
-                                   "metric/cell disagreement at resolution %d" % n, (p, q, n))
+        count = len(cells_p)
+        d = ultrametric(p, q, m, tail=0)
+        try:
+            num, den = d.as_integer_ratio()
+        except (OverflowError, ValueError):  # an infinite or NaN float is within every radius or none
+            num, den = (-1, 1) if d < 0 else (1, 0)
+        within = radii_within.get((num, den, count))
+        if within is None:
+            within = 0
+            while within < count and num * m**within <= den:
+                within += 1
+            radii_within[num, den, count] = within
+        shared = 0
+        while shared < count and cells_p[shared] == cells_q[shared]:
+            shared += 1
+        if within != shared:
+            n = min(within, shared)
+            return CheckResult("cylinders", False,
+                               "metric/cell disagreement at resolution %d" % n, (p, q, n))
+        checked += count
     return CheckResult("cylinders", True, "%d word pairs x resolutions" % checked)
 
 
@@ -459,19 +473,19 @@ def check_invariance(seed=0):
             for j in range(m_st**l):
                 corner = PhasePoint(Fraction(i, m_in**r), Fraction(j, m_st**l))
                 interior = PhasePoint(corner.y1 + dx, corner.y2 + dy)
+                points = corner, interior
                 base_val = step_observable(spec, corner)
                 if step_observable(spec, interior) != base_val:
                     return CheckResult("invariance", False,
                                        "observable not constant on a rectangle", (i, j))
                 for pair in pairs:
-                    for point in (corner, interior):
-                        moved = rho_pi(point, pair, window, bases)
-                        checked += 1
-                        if step_observable(spec, moved) != base_val:
+                    for point in points:
+                        if step_observable(spec, rho_pi(point, pair, window, bases)) != base_val:
                             return CheckResult(
                                 "invariance", False,
                                 "recoding changed the observable on cell (%d, %d)" % (i, j),
                                 (pair, point))
+                checked += len(pairs) * len(points)
     # group laws of the square motion
     rng = random.Random(seed)
     m_in, m_st, l, r = 3, 5, 2, 3

@@ -57,7 +57,9 @@ def build_step_observable(l, r, m_in, m_st, seed):
 
 def step_observable(spec, point):
     """Coefficient of the pattern class of the point's window rectangle."""
-    return spec.coefficients[spec.class_map.class_of(spec.cell_of(point))]
+    i, j = spec.cell_of(point)  # a PhasePoint lies in [0, 1)**2, so the cell is on the grid
+    cmap = spec.class_map
+    return spec.coefficients[cmap.assignment[i * cmap.y_cells + j]]
 
 
 # amari and dissimilarity sum plainly, left to right, in explicit loops:
@@ -105,12 +107,14 @@ class PermutationPair:
 
 def _rigid_move(y, perm, m, window):
     """Translate y by (sigma(k) - k) / m**window, sigma permuting the digits of its cell index k."""
-    num, den, cells = y.numerator, y.denominator, m**window
+    num, den = y.as_integer_ratio()
+    cells = m**window
     k = num * cells // den  # grid_index(y, cells), inline on the check suites' hot path
     k_new, rest, place = 0, k, 1
     for _ in range(window):
-        rest, d = divmod(rest, m)
-        k_new, place = k_new + perm[d] * place, place * m
+        k_new += perm[rest % m] * place
+        rest //= m
+        place *= m
     # y + (k_new - k) / cells, normalised once
     return y if k_new == k else Fraction(num * cells + (k_new - k) * den, den * cells)
 

@@ -148,6 +148,32 @@ def test_cylinder_suite_catches_a_fault_only_sampled_pairs_show(monkeypatch, see
     assert (result.ok, result.detail, result.counterexample) == (False, detail, counterexample)
 
 
+def _grown(p, q, m, tail=0):
+    """Each distance m times larger: the law now fails from above."""
+    return min(ultrametric(p, q, m, tail=tail) * m, 1)
+
+
+def _four_fifths(p, q, m, tail=0):
+    """Not a power of 1/m, yet within exactly the radii the true distance is within."""
+    return ultrametric(p, q, m, tail=tail) * Fraction(4, 5)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("fake, ok, detail, counterexample", [
+    (_grown, False, "metric/cell disagreement at resolution 1", ((), (0, 1), 1)),
+    (_four_fifths, True, "143205 word pairs x resolutions", None),
+    (lambda p, q, m, tail=0: float("nan"), False, "metric/cell disagreement at resolution 0", ((), (), 0)),
+    (lambda p, q, m, tail=0: float("-inf"), False, "metric/cell disagreement at resolution 1", ((), (1,), 1)),
+], ids=["grown", "four-fifths", "nan", "minus-infinity"])
+def test_cylinder_suite_reads_radii_from_both_sides(monkeypatch, seed, fake, ok, detail, counterexample):
+    # the other planted faults shrink distances; these grow one, move one
+    # off the powers of 1/m without crossing a radius, and give floats
+    # that have no integer ratio: NaN is within no radius, -inf within all
+    monkeypatch.setattr(checks, "ultrametric", fake)
+    result = check_cylinders(seed=seed)
+    assert (result.ok, result.detail, result.counterexample) == (ok, detail, counterexample)
+
+
 def _unpinned_key(w, m, blank_pinned=False):
     return pattern_of(w, m, blank_pinned=False)
 
@@ -298,6 +324,25 @@ def test_invariance_suite_catches_non_rigid_motion(monkeypatch):
     result = check_invariance()
     assert (result.ok, result.detail) == (False, "recoding changed the observable on cell (0, 0)")
     assert result.counterexample == (PermutationPair((0, 1, 2), (0, 1, 2)), PhasePoint(0, 0))
+
+
+def _half_turned_stack(point, pair, window, bases):
+    """Moves y2 by a further 1/2 where y2 has an even denominator and the
+    stack permutation is not the identity: only interior points show it."""
+    moved = rho_pi(point, pair, window, bases)
+    if point.y2.denominator % 2 or pair.stack_perm == tuple(range(len(pair.stack_perm))):
+        return moved
+    return PhasePoint(moved.y1, (moved.y2 + Fraction(1, 2)) % 1)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_invariance_suite_reports_the_first_interior_point_a_stack_recoding_moves(monkeypatch, seed):
+    # every corner passes, so the suite must move each cell's interior point under each pair
+    monkeypatch.setattr(checks, "rho_pi", _half_turned_stack)
+    result = check_invariance(seed=seed)
+    assert (result.ok, result.detail) == (False, "recoding changed the observable on cell (0, 0)")
+    assert result.counterexample == (PermutationPair((0, 1, 2), (0, 2, 1)),
+                                     PhasePoint(Fraction(1, 54), Fraction(1, 18)))
 
 
 def test_network_suite_passes():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from godelnet import (
     build_step_observable,
     dissimilarity,
     harmony,
+    load_config,
     rho_pi,
     step_observable,
 )
@@ -168,6 +170,33 @@ def test_cell_of_reads_both_ends_of_every_cell(bases, window):
         for j in range(m_st**l):
             for x, y in zip(ends(i, m_in, r), ends(j, m_st, l)):
                 assert spec.cell_of(PhasePoint(x, y)) == (i, j)
+
+
+def _shipped_geometry():
+    """Bases, window and seed of the observable the shipped experiment builds."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "experiment.ini")
+    tables = config.encodings[0]
+    return (len(tables.input_table), len(tables.stack_table)), config.window, config.seed
+
+
+@pytest.mark.parametrize("geometry", [lambda: INVARIANCE_GEOMETRIES[0] + (17,),
+                                      lambda: INVARIANCE_GEOMETRIES[1] + (17,),
+                                      _shipped_geometry],
+                         ids=["invariance-3-3", "invariance-3-5", "shipped"])
+def test_step_observable_reads_the_class_map_as_class_of_does(geometry):
+    (m_in, m_st), (l, r), seed = geometry()
+    spec = build_step_observable(l, r, m_in, m_st, seed=seed)
+
+    def points(k, m, w):  # cell k's left end, its midpoint and a point m**-5 cell widths below its right end
+        return (Fraction(k, m**w), Fraction(2 * k + 1, 2 * m**w),
+                Fraction(k + 1, m**w) - Fraction(1, m ** (w + 5)))
+
+    for i in range(m_in**r):
+        for j in range(m_st**l):
+            for x, y in zip(points(i, m_in, r), points(j, m_st, l)):
+                point = PhasePoint(x, y)
+                want = spec.coefficients[spec.class_map.class_of(spec.cell_of(point))]
+                assert step_observable(spec, point) == want
 
 
 @pytest.mark.parametrize("perm", [(0, 1), (0, 2, 1, 3)])
