@@ -10,8 +10,10 @@ instead of raising, so a run reports every broken law at once.
 Each suite works out each distinct fact once per call: a word's pattern
 key, a side word's minimal image, a pair's distance, how many radii a
 distance is within.  It keeps them in local tables that are gone when it
-returns, and checks every pair, cell and triple it would check without
-them, in the same order, through the same calls of the layers it tests.
+returns, and makes its checks through the same calls of the layers it
+tests.  The invariance suite moves each window cell by the identity, a
+generating set of the recoding pairs and one drawn other pair, not by every
+pair, and tests that the motions compose (see check_invariance).
 """
 
 import random
@@ -455,18 +457,40 @@ def check_commutation(seed=0):
 # ---------------------------------------------------------------------------
 # suite: invariance
 
+#: A generating set of the zero-fixing permutations of 0..m-1 for each base
+#: the invariance suite moves: the transposition of 1 and 2 for m = 3, and
+#: with it the 4-cycle 1 -> 2 -> 3 -> 4 -> 1 for m = 5.
+_ZERO_FIXING_GENERATORS = {3: ((0, 2, 1),), 5: ((0, 2, 1, 3, 4), (0, 2, 3, 4, 1))}
+
+
 def check_invariance(seed=0):
-    """Class observables are constant on recoding orbits; aggregates need not be."""
+    """Class observables are constant on recoding orbits; aggregates need not be.
+
+    rho_pi translates each window cell onto a cell, so it moves a cell's
+    corner and interior point onto another cell's, and it is an action of
+    the group of recoding pairs, as the sampled composition law below
+    tests.  An observable constant on each cell and unchanged by the
+    generators is then unchanged by every pair.  So each cell's two points
+    are moved by the identity pair, by each side's generators with the
+    other side at the identity, stack side first, and by one other pair
+    drawn per cell, which shows a motion wrong only off the generators.
+    """
     checked = 0
+    draw = random.Random(seed)  # the non-generator pairs; the composition law keeps its own draws
     for m_in, m_st, l, r in ((3, 3, 2, 3), (3, 5, 2, 3)):
         spec = build_step_observable(l, r, m_in, m_st, seed=seed + 17)
         if len(set(spec.coefficients)) != spec.class_map.class_count:
             return CheckResult("invariance", False, "class coefficients are not distinct",
                                (m_in, m_st))
         window, bases = (l, r), (m_in, m_st)
-        pairs = [PermutationPair(pi, ps)
-                 for pi in zero_fixing_permutations(m_in)
-                 for ps in zero_fixing_permutations(m_st)]
+        id_in, id_st = tuple(range(m_in)), tuple(range(m_st))
+        moves = [PermutationPair(id_in, id_st)]
+        moves += [PermutationPair(id_in, g) for g in _ZERO_FIXING_GENERATORS[m_st]]
+        moves += [PermutationPair(g, id_st) for g in _ZERO_FIXING_GENERATORS[m_in]]
+        others = [pair for pair in (PermutationPair(pi, ps)
+                                    for pi in zero_fixing_permutations(m_in)
+                                    for ps in zero_fixing_permutations(m_st))
+                  if pair not in moves]
         dx = Fraction(1, 2 * m_in**r)
         dy = Fraction(1, 2 * m_st**l)
         for i in range(m_in**r):
@@ -478,14 +502,14 @@ def check_invariance(seed=0):
                 if step_observable(spec, interior) != base_val:
                     return CheckResult("invariance", False,
                                        "observable not constant on a rectangle", (i, j))
-                for pair in pairs:
+                for pair in chain(moves, (draw.choice(others),)):
                     for point in points:
                         if step_observable(spec, rho_pi(point, pair, window, bases)) != base_val:
                             return CheckResult(
                                 "invariance", False,
                                 "recoding changed the observable on cell (%d, %d)" % (i, j),
                                 (pair, point))
-                checked += len(pairs) * len(points)
+                checked += (len(moves) + 1) * len(points)
     # group laws of the square motion
     rng = random.Random(seed)
     m_in, m_st, l, r = 3, 5, 2, 3

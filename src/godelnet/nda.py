@@ -84,12 +84,16 @@ class PhasePoint:
     y2: Fraction
 
     def __post_init__(self):
-        if type(self.y1) is not Fraction:
-            object.__setattr__(self, "y1", Fraction(self.y1))
-        if type(self.y2) is not Fraction:
-            object.__setattr__(self, "y2", Fraction(self.y2))
-        for y in (self.y1, self.y2):
-            if not 0 <= y.numerator < y.denominator:
+        y1, y2 = self.y1, self.y2
+        if type(y1) is not Fraction:
+            y1 = Fraction(y1)
+            object.__setattr__(self, "y1", y1)
+        if type(y2) is not Fraction:
+            y2 = Fraction(y2)
+            object.__setattr__(self, "y2", y2)
+        for y in (y1, y2):
+            num, den = y.as_integer_ratio()
+            if not 0 <= num < den:
                 raise DomainError("phase coordinates must lie in [0, 1), got %s" % y)
 
     def as_floats(self):

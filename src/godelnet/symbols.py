@@ -134,7 +134,8 @@ def encode_digits(digits, m):
 
 def grid_index(y, cells):
     """Index of the cell holding an exact y in [0, 1) on the grid of ``cells`` equal cells."""
-    return y.numerator * cells // y.denominator
+    num, den = y.as_integer_ratio()
+    return num * cells // den
 
 
 def digits_to_index(digits, m):

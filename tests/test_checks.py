@@ -1,6 +1,7 @@
 """The check suites must pass on the real code and catch planted faults."""
 
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import count
@@ -39,7 +40,7 @@ from godelnet.checks import (
 )
 from godelnet.errors import ConfigError
 from godelnet.network import NeuralState, _bank_table
-from godelnet.symbols import encode_digits
+from godelnet.symbols import compose_perms, encode_digits, zero_fixing_permutations
 
 
 def test_every_suite_has_a_callable():
@@ -245,7 +246,10 @@ def test_partition_suite_catches_merged_classes(monkeypatch, name, build, mode, 
 
 
 #: ``godelnet check --seed 0`` details; their counts pin how much each suite
-#: checks, so a faster suite must still check as much.
+#: checks, so a faster suite must still check as much.  Invariance moves
+#: each cell by the identity, the generators and one drawn pair, not by all
+#: of its geometry's 4 or 48 pairs: 243 * 4 * 2 + 675 * 5 * 2 points, then
+#: 300 composition laws.
 SEED0_DETAILS = {
     "ultrametric": "1600 pairs (identity, symmetry, range) and 20000 sampled triples",
     "cylinders": "143205 word pairs x resolutions",
@@ -253,7 +257,7 @@ SEED0_DETAILS = {
     "recoding": "1460 composition triples plus inverse/identity laws",
     "partitions": "2122 cells across interval and square grids",
     "commutation": "1216 tape steps across the demo machine and 10 random machines",
-    "invariance": "67044 moved points across two window geometries",
+    "invariance": "8994 moved points across two window geometries",
     "network": "462 micro states checked for bounds, one-hot branching, determinism, soundness",
 }
 
@@ -271,7 +275,7 @@ ok   orbits       136774 word pairs, m in {2, 3}, lengths <= 5, both modes
 ok   recoding     1460 composition triples plus inverse/identity laws
 ok   partitions   2122 cells across interval and square grids
 ok   commutation  1216 tape steps across the demo machine and 10 random machines
-ok   invariance   67044 moved points across two window geometries
+ok   invariance   8994 moved points across two window geometries
 ok   network      462 micro states checked for bounds, one-hot branching, determinism, soundness
 8/8 suites passed
 """
@@ -343,6 +347,43 @@ def test_invariance_suite_reports_the_first_interior_point_a_stack_recoding_move
     assert (result.ok, result.detail) == (False, "recoding changed the observable on cell (0, 0)")
     assert result.counterexample == (PermutationPair((0, 1, 2), (0, 2, 1)),
                                      PhasePoint(Fraction(1, 54), Fraction(1, 18)))
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_invariance_generators_generate_every_zero_fixing_permutation(m):
+    # breadth-first closure of the generators under composition, from the identity
+    generators = checks._ZERO_FIXING_GENERATORS[m]
+    reached, queue = {tuple(range(m))}, deque([tuple(range(m))])
+    while queue:
+        p = queue.popleft()
+        for q in (compose_perms(g, p) for g in generators):
+            if q not in reached:
+                reached.add(q)
+                queue.append(q)
+    assert reached == set(zero_fixing_permutations(m))
+
+
+def _reversed_stack_shifted(point, pair, window, bases):
+    """Moves y2 one stack cell further under the stack permutation
+    (0, 4, 3, 2, 1) only, which is neither the identity nor a generator."""
+    moved = rho_pi(point, pair, window, bases)
+    if pair.stack_perm != (0, 4, 3, 2, 1):
+        return moved
+    return PhasePoint(moved.y1, (moved.y2 + Fraction(1, 25)) % 1)
+
+
+@pytest.mark.parametrize("seed, cell, pair, point", [
+    (0, (2, 11), ((0, 2, 1), (0, 4, 3, 2, 1)), (Fraction(2, 27), Fraction(11, 25))),
+    (3, (0, 0), ((0, 1, 2), (0, 4, 3, 2, 1)), (Fraction(0), Fraction(0))),
+], ids=["seed0", "seed3"])
+def test_invariance_suite_catches_a_motion_wrong_only_off_the_generators(monkeypatch, seed, cell, pair,
+                                                                         point):
+    # the identity and generator pairs all pass, so only a drawn pair can show it
+    assert (0, 4, 3, 2, 1) not in checks._ZERO_FIXING_GENERATORS[5]
+    monkeypatch.setattr(checks, "rho_pi", _reversed_stack_shifted)
+    result = check_invariance(seed=seed)
+    assert (result.ok, result.detail) == (False, "recoding changed the observable on cell (%d, %d)" % cell)
+    assert result.counterexample == (PermutationPair(*pair), PhasePoint(*point))
 
 
 def test_network_suite_passes():

@@ -211,6 +211,21 @@ def test_rho_refuses_a_permutation_of_another_size(swap_pair, perm, y1):
         rho_pi(point, PermutationPair(swap_pair.input_perm, perm), WINDOW, BASES)
 
 
+@pytest.mark.parametrize("window", [(2, -1), (-1, 3), (2.5, 3), (2, 2.5), (2, Fraction(3))],
+                         ids=["negative-input", "negative-stack", "float-stack", "float-input", "fraction"])
+def test_rho_refuses_a_window_length_that_is_not_a_non_negative_int(window):
+    # a negative length would leave its side unmoved, and range() refuses a non-int
+    point = PhasePoint(Fraction(5, 27), Fraction(7, 25))
+    with pytest.raises(DomainError) as err:
+        rho_pi(point, PermutationPair((0, 2, 1), (0, 3, 1, 4, 2)), window, BASES)
+    assert str(err.value) == "window lengths must be non-negative integers, got %r" % (window,)
+
+
+def test_rho_with_empty_windows_moves_nothing(swap_pair):
+    point = PhasePoint(Fraction(5, 27), Fraction(7, 25))
+    assert rho_pi(point, swap_pair, (0, 0), BASES) == point
+
+
 def test_rho_translates_beyond_the_window_decimals(swap_pair):
     # digits past the window ride along unchanged
     y = Fraction(16, 27) + Fraction(1, 3**5)
