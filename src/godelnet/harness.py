@@ -81,11 +81,11 @@ class ExperimentReport:
                    if v.expected_invariant)
 
 
-def _ordering(alphabet, table, where):
+def _ordering(alphabet, table, name, side):
     try:
         return Ordering(alphabet, table)
     except DomainError as err:
-        raise ConfigError("%s: %s" % (where, err)) from None
+        raise ConfigError("encoding %s (%s side): %s" % (name, side, err)) from None
 
 
 def _check_trace_commutes(machine, nda, pair, trace, where):
@@ -121,19 +121,13 @@ def run_experiment(config):
     machine = compile_cfg_topdown(grammar)
     l, r = config.window
 
-    pairs = []
-    for tables in config.encodings:
-        pair = EncodingPair(
-            input=_ordering(machine.input_alphabet, tables.input_table,
-                            "encoding %s (input side)" % tables.name),
-            stack=_ordering(machine.stack_alphabet, tables.stack_table,
-                            "encoding %s (stack side)" % tables.name),
-        )
-        pairs.append((tables.name, pair))
+    pairs = [(tables.name, EncodingPair(
+        input=_ordering(machine.input_alphabet, tables.input_table, tables.name, "input"),
+        stack=_ordering(machine.stack_alphabet, tables.stack_table, tables.name, "stack"),
+    )) for tables in config.encodings]
 
-    m_in = pairs[0][1].m_in
-    m_st = pairs[0][1].m_st
-    obs_spec = build_step_observable(l, r, m_in, m_st, seed=config.seed)
+    obs_spec = build_step_observable(l, r, machine.input_alphabet.size, machine.stack_alphabet.size,
+                                     seed=config.seed)
 
     # the symbolic run does not depend on the encoding
     state0 = initial_state(machine, config.sentence, grammar.start)

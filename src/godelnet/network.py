@@ -149,6 +149,16 @@ class Bank(NamedTuple):
     roles: tuple  # the role name of each unit
 
 
+def _bank_sizes(p, q):
+    """Units per bank of the network of a p x q table, in layout order; a network
+    past UNIT_BUDGET is refused here, before any layout of it is built or cached."""
+    sizes = {"mcl": 2, "one": 1, "cmp": 2 * (p + q), "ax": p + q, "bsl": p * q, "ltl": 2 * p * q}
+    n = sum(sizes.values())
+    if n > UNIT_BUDGET:
+        raise ResourceLimitError("network needs %d units, budget is %d" % (n, UNIT_BUDGET))
+    return sizes
+
+
 @lru_cache(maxsize=32)
 def _bank_table(p, q):
     """The banks of the network of a p x q table, by name, in unit order.
@@ -160,7 +170,7 @@ def _bank_table(p, q):
     affine units (coordinate, always-on, branch unit) and the two MCL units
     (every affine unit of their coordinate); the always-on unit reads nothing.
     """
-    sizes = {"mcl": 2, "one": 1, "cmp": 2 * (p + q), "ax": p + q, "bsl": p * q, "ltl": 2 * p * q}
+    sizes = _bank_sizes(p, q)
     start = dict(zip(sizes, accumulate(sizes.values(), initial=0)))
     cmp, ax, bsl, ltl, one = start["cmp"], start["ax"], start["bsl"], start["ltl"], ALWAYS_ON
     a = np.arange(p + q)
@@ -213,7 +223,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         table = _bank_table(self.x_cells, self.y_cells)
-        self.n = n = sum(len(bank.units) for bank in table.values())
+        self.n = n = table["ltl"].units.stop  # the LTL is laid out last
         banks, by_phase = {}, {}
         for name, bank in table.items():
             values = banks[name] = np.array(self.banks[name], dtype=np.float64)
@@ -257,17 +267,16 @@ class NeuralState:
 def synthesize(nda):
     """Build the network for an affine cell table.
 
-    Raises ResourceLimitError when the unit count would exceed UNIT_BUDGET.
+    Raises ResourceLimitError when the unit count would exceed UNIT_BUDGET;
+    the budget is checked from the table's size before the layout is built.
     Before returning, the weights are certified over every whole cell
     without running the network (``_certify``, see the module docstring):
     a structural fault raises InternalConsistencyError, and the per-cell
     bounds are kept on the spec's ``certificate``.
     """
     p, q = nda.x_cells, nda.y_cells
+    _bank_sizes(p, q)  # on every call: a cached layout must not skip the budget
     table = _bank_table(p, q)
-    n = sum(len(bank.units) for bank in table.values())
-    if n > UNIT_BUDGET:
-        raise ResourceLimitError("network needs %d units, budget is %d" % (n, UNIT_BUDGET))
 
     # comparators: lo fires iff y >= lo - EPS_B, hi iff y <= hi - EPS_B
     comparators = np.empty((2 * (p + q), 2))
@@ -580,13 +589,12 @@ def na_run(spec, state, macro_steps, *, reference, point, tol=SOUNDNESS):
         raise DomainError("na_run checks the orbit at SOUNDNESS = %r only, got tol = %r" % (SOUNDNESS, tol))
     states = [state]
     max_div, div_step = 0.0, -1
-    exact = point
     for k in range(macro_steps):
         for _ in range(spec.micro_steps_per_macro):
             state = na_micro_step(spec, state)
             states.append(state)
-        exact = nda_step(reference, exact)
-        err = max(abs(state.x[MCL[0]] - float(exact.y1)), abs(state.x[MCL[1]] - float(exact.y2)))
+        point = nda_step(reference, point)
+        err = max(abs(state.x[MCL[0]] - float(point.y1)), abs(state.x[MCL[1]] - float(point.y2)))
         max_div = max(max_div, err)
         if err > SOUNDNESS and div_step < 0:
             div_step = k + 1

@@ -22,13 +22,13 @@ from .errors import DomainError, InternalConsistencyError, ResourceLimitError
 from .svg import grid_svg, strip_svg
 from .symbols import BLANK, index_to_digits
 
-#: Enumeration guard: maximum number of cells a partition or cell-table build may enumerate.
+#: Enumeration guard: the most cells a partition or cell-table build, or images an orbit, may enumerate.
 DEFAULT_CELL_BUDGET = 1_000_000
 
 
-def _zero_token_for(word):
-    """The token playing the zero role: 0 in digit words, else the blank glyph."""
-    return 0 if all(isinstance(t, int) for t in word) else BLANK
+def _zero_token_for(tokens):
+    """The token playing the zero role: 0 when the distinct tokens are all ints, else the blank glyph."""
+    return 0 if all(isinstance(t, int) for t in tokens) else BLANK
 
 
 def pattern_of(word, m, blank_pinned=False):
@@ -43,29 +43,24 @@ def pattern_of(word, m, blank_pinned=False):
     word = tuple(word)
     blocks = {}  # token -> block number; each token is validated once, at its first occurrence
     key = []
-    ints = True  # whether the distinct tokens are all ints, as _zero_token_for asks of the word
     for tok in word:
         block = blocks.get(tok)
         if block is None:
-            if not isinstance(tok, int):
-                ints = False
-            elif not 0 <= tok < m:
+            if isinstance(tok, int) and not 0 <= tok < m:
                 raise DomainError("digit %r outside 0..%d" % (tok, m - 1))
             block = blocks[tok] = len(blocks)
         key.append(block)
     if len(blocks) > m:
         raise DomainError("word %r uses %d distinct symbols, more than m=%d" % (word, len(blocks), m))
     key = tuple(key)
-    return (key, blocks.get(0 if ints else BLANK)) if blank_pinned else key
+    return (key, blocks.get(_zero_token_for(blocks))) if blank_pinned else key
 
 
 def same_orbit(w, u, m, blank_pinned=False):
     """True when some digit permutation (fixing 0 if pinned) sends w to u.
 
-    Realizes the pattern criterion: equal lengths and equal patterns.  Works
-    on digit words and on symbol words alike; for digit words the digits are
-    validated against 0..m-1, for symbol words the number of distinct
-    symbols is validated against m.
+    Realizes the pattern criterion: equal lengths and equal patterns, of
+    digit and symbol words alike, each word validated as pattern_of does.
     """
     return pattern_of(w, m, blank_pinned) == pattern_of(u, m, blank_pinned)
 
@@ -79,11 +74,12 @@ def orbit(word, m, blank_pinned=False, universe=None):
     the non-blank symbols; the empty word takes its kind from the universe.
     """
     word = tuple(word)
+    tokens = dict.fromkeys(word)  # the distinct tokens, in order of first occurrence
     if universe is None:
-        if all(isinstance(t, int) for t in word):
+        if _zero_token_for(tokens) == 0:
             universe = tuple(range(m))
         else:
-            universe = tuple(sorted(set(word), key=str))
+            universe = tuple(sorted(tokens, key=str))
             if len(universe) != m:
                 raise DomainError(
                     "word %r uses %d distinct symbols; pass an explicit %d-symbol universe"
@@ -92,19 +88,24 @@ def orbit(word, m, blank_pinned=False, universe=None):
     universe = tuple(universe)
     if len(universe) != m or len(set(universe)) != m:
         raise DomainError("universe must hold exactly m=%d distinct symbols: %r" % (m, universe))
-    missing = set(word) - set(universe)
+    missing = set(tokens) - set(universe)
     if missing:
         raise DomainError("word symbols %r missing from universe %r" % (sorted(map(str, missing)), universe))
 
     fixed, targets = {}, universe
     if blank_pinned:
-        zero = _zero_token_for(word or universe)
+        zero = _zero_token_for(tokens or universe)
         if zero not in universe:
             raise DomainError("pinned orbit needs the blank %r in the universe %r" % (zero, universe))
         fixed, targets = {zero: zero}, [s for s in universe if s != zero]
-    # an image depends only on where the word's own symbols go: enumerate
-    # those injections, not the permutations of the whole universe
-    movable = [s for s in dict.fromkeys(word) if s not in fixed]
+    # an image depends only on where the word's own symbols go: count those injections (a falling
+    # factorial) against the budget, then enumerate them, not the permutations of the whole universe
+    movable = [s for s in tokens if s not in fixed]
+    images = 1
+    for taken in range(len(movable)):
+        images *= len(targets) - taken
+        if images > DEFAULT_CELL_BUDGET:
+            raise ResourceLimitError("orbit needs more than its budget of %d images" % DEFAULT_CELL_BUDGET)
     tables = ({**fixed, **dict(zip(movable, image))} for image in permutations(targets, len(movable)))
     return frozenset(tuple(table[t] for t in word) for table in tables)
 

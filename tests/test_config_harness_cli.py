@@ -6,6 +6,7 @@ import hashlib
 import math
 import shutil
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -444,6 +445,13 @@ def test_cli_orbit_digits(capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert "orbit size: 2" in out
+
+
+def test_cli_orbit_past_the_budget_exits_4(capsys):
+    start = time.perf_counter()
+    assert cli.main(["orbit", "0123456", "--m", "40"]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "error: orbit needs more than its budget of 1000000 images\n")
 
 
 def test_cli_partition(tmp_path, capsys):

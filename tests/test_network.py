@@ -44,7 +44,7 @@ from godelnet.network import (
     network_csv,
     trajectory_csv,
 )
-from godelnet.symbols import zero_fixing_permutations
+from godelnet.symbols import identity_ordering, zero_fixing_permutations
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,18 @@ def test_unit_budget(plain_nda, monkeypatch):
     monkeypatch.setattr("godelnet.network.UNIT_BUDGET", 10)
     with pytest.raises(ResourceLimitError, match="network needs 72 units, budget is 10"):
         synthesize(plain_nda)
+
+
+def test_an_over_budget_network_is_refused_before_its_layout_is_built():
+    # a hand-built 300 x 300 table of halt cells needs 271,803 units
+    digits = identity_ordering(300)
+    halt = NdaCell(Fraction(0), Fraction(0), Fraction(1), Fraction(1))
+    nda = Nda(EncodingPair(digits, digits), 1, 1, (halt,) * 300**2)
+    before = network._bank_table.cache_info()
+    with pytest.raises(ResourceLimitError, match="network needs 271803 units, budget is 4096"):
+        synthesize(nda)
+    # no hit, no miss: the layout was never asked for, so none was built or cached
+    assert network._bank_table.cache_info() == before
 
 
 def test_bias_free_construction(plain_net):

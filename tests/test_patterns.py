@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import time
 from itertools import product
 
 import pytest
@@ -123,6 +124,28 @@ def test_orbit_among_twelve_symbols_lists_only_the_images():
     assert len(orbit((0, 1, 0), 12, blank_pinned=True)) == 11
     assert len(orbit((3, 1, 4, 1), 12, blank_pinned=True)) == 11 * 10 * 9
     assert len(orbit((BLANK, "a"), 12, universe=(BLANK,) + tuple("abcdefghijk"), blank_pinned=True)) == 11
+
+
+@pytest.mark.parametrize("word, m, pinned", [
+    ((0, 1, 2, 3, 4, 5, 6), 40, False),  # P(40, 7) = 93,963,542,400 images
+    ((0, 1), 1001, False),  # 1001 * 1000 images, just past the budget
+    ((0, 1, 2), 1002, True),  # the blank stays put: 1001 * 1000 images
+], ids=["P(40,7)", "P(1001,2)", "pinned-P(1001,2)"])
+def test_orbit_past_the_budget_is_refused_before_enumerating(word, m, pinned):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="orbit needs more than its budget of 1000000 images"):
+        orbit(word, m, blank_pinned=pinned)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pinned_orbit_reads_the_zero_token_off_the_distinct_tokens():
+    # 0.0 is the token 0 already seen, so the word is a digit word and its
+    # zero is 0, as pattern_of (and with it same_orbit) reads it
+    word, universe = (0, 0.0, 1), (0, 1, 2)
+    images = orbit(word, 3, blank_pinned=True, universe=universe)
+    assert images == {(0, 0, 1), (0, 0, 2)}
+    words = list(product(universe, repeat=3))
+    assert [same_orbit(word, u, 3, blank_pinned=True) for u in words] == [u in images for u in words]
 
 
 def test_orbit_of_symbol_word_needs_universe_when_smaller():
