@@ -11,9 +11,11 @@ Each suite works out each distinct fact once per call: a word's pattern
 key, a side word's minimal image, a pair's distance, how many radii a
 distance is within.  It keeps them in local tables that are gone when it
 returns, and makes its checks through the same calls of the layers it
-tests.  The invariance suite moves each window cell by the identity, a
-generating set of the recoding pairs and one drawn other pair, not by every
-pair, and tests that the motions compose (see check_invariance).
+tests.  The triangle and orbit laws compare whole relations as arrays;
+draws come from the random module, not numpy.random.  The invariance suite
+moves each window cell by the identity, a generating set of the recoding
+pairs and one drawn other pair, not by every pair, and tests that the
+motions compose (see check_invariance).
 """
 
 import random
@@ -46,6 +48,10 @@ from .symbols import (
     ultrametric,
     zero_fixing_permutations,
 )
+
+# after the package's modules: imported before them, numpy is resident while they compile
+# from source, which raises a run's peak RSS by about 0.5 MB
+import numpy as np
 
 #: Two-production demo grammar; one deterministic parse per sentence.
 DEMO_GRAMMAR = """\
@@ -122,23 +128,18 @@ def _words(m, max_len, min_len=0):
 # suite: ultrametric
 
 def check_ultrametric(seed=0):
-    """Identity, symmetry, strong triangle inequality, value range.
-
-    Each pair's distance is taken once; the sampled triples read theirs
-    from the pairs' table.
+    """Identity, symmetry and value range on every pair, each pair's distance
+    taken once, then the strong triangle inequality on all triples, compared
+    at once on the distances' ranks; nothing is drawn, so ``seed`` is unused.
     """
     m = 3
     words = _words(m, 3)
     valid = {Fraction(0)} | {Fraction(1, m**k) for k in range(0, 4 + 1)}
-    checked = 0
-    dist = []  # dist[i][j]: distance of words i and j, which the triples read again
-    for p in words:
-        row = []
-        dist.append(row)
-        for q in words:
+    rank = {v: n for n, v in enumerate(sorted(valid))}
+    ranks = np.zeros((len(words), len(words)), dtype=np.uint8)  # ranks[i, j]: rank of d(words i, j)
+    for i, p in enumerate(words):
+        for j, q in enumerate(words):
             d = ultrametric(p, q, m, tail=0)
-            row.append(d)
-            checked += 1
             if d != ultrametric(q, p, m, tail=0):
                 return CheckResult("ultrametric", False, "asymmetric distance", (p, q))
             trimmed_eq = _trim(p, 0) == _trim(q, 0)
@@ -146,20 +147,15 @@ def check_ultrametric(seed=0):
                 return CheckResult("ultrametric", False, "identity of indiscernibles fails", (p, q, d))
             if d not in valid:
                 return CheckResult("ultrametric", False, "distance %s is not a power of 1/m" % d, (p, q))
-    # every distance is now one of the valid values; the triples compare their ranks
-    rank = {v: n for n, v in enumerate(sorted(valid))}
-    dist = [[rank[d] for d in row] for row in dist]
-    rng = random.Random(seed)
-    choice = rng.choice
-    triples = 20000
-    indices = range(len(words))  # rng.choice draws the same index from it as from words
-    for _ in range(triples):
-        i, j, k = choice(indices), choice(indices), choice(indices)
-        if dist[i][k] > max(dist[i][j], dist[j][k]):
-            return CheckResult("ultrametric", False, "strong triangle inequality fails",
-                               (words[i], words[j], words[k]))
+            ranks[i, j] = rank[d]
+    # broken[i, j, k]: d(i, k) > max(d(i, j), d(j, k)), in the ranks' order
+    broken = ranks[:, None, :] > np.maximum(ranks[:, :, None], ranks[None, :, :])
+    if broken.any():
+        i, j, k = np.unravel_index(broken.argmax(), broken.shape)  # the first in row-major order
+        return CheckResult("ultrametric", False, "strong triangle inequality fails",
+                           (words[i], words[j], words[k]))
     return CheckResult("ultrametric", True,
-                       "%d pairs (identity, symmetry, range) and %d sampled triples" % (checked, triples))
+                       "%d pairs (identity, symmetry, range) and %d triples" % (ranks.size, broken.size))
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +163,18 @@ def check_ultrametric(seed=0):
 
 def _grid_cells(word, m, resolutions):
     """Cell of the word's encoding k / m**len on the m**n grid, for n < resolutions."""
-    k = digits_to_index(word, m)
-    return [k * m**n // m ** len(word) for n in range(resolutions)]
+    k, den = digits_to_index(word, m), m ** len(word)
+    return [k * m**n // den for n in range(resolutions)]
 
 
 def check_cylinders(seed=0):
     """Distance at most m**-n coincides with sharing the n-th grid cell, for
     every pair of words of length <= 4 (n <= 4), then 10,000 sampled pairs
     (n <= 6): one law, at as many resolutions as a pair's grid cells list.
+
+    A sampled word's length, uniform on 0..8, then its digits are each
+    int(u * k) for a uniform u of random.Random(seed).random(), p before q;
+    each pair is drawn as it is checked, so no more than one is held.
 
     A pair's cells are nested and its radii decrease, so the law holds at
     resolutions below both the pair's count of radii its distance is
@@ -187,11 +187,10 @@ def check_cylinders(seed=0):
     words = [(w, _grid_cells(w, m, 5)) for w in _words(m, 4)]
 
     def sampled():
-        rng = random.Random(seed)
+        uniform = random.Random(seed).random
         for _ in range(10000):
-            length = rng.randrange(0, 9)
-            p = tuple(rng.randrange(m) for _ in range(length))
-            q = tuple(rng.randrange(m) for _ in range(rng.randrange(0, 9)))
+            p = tuple(int(uniform() * m) for _ in range(int(uniform() * 9)))
+            q = tuple(int(uniform() * m) for _ in range(int(uniform() * 9)))
             yield (p, _grid_cells(p, m, 7)), (q, _grid_cells(q, m, 7))
 
     checked = 0
@@ -227,30 +226,32 @@ def check_orbits(seed=0):
     """Pattern criterion against brute-force permutation search.
 
     On same-length pairs the criterion is same_orbit's own comparison of
-    pattern keys, each word's key taken once per mode; the cross-length
-    sample calls same_orbit.
+    pattern keys, each word's key taken once per mode, and each length's
+    pairs are compared as two relations over its words: the brute-force
+    one and equal keys.  The cross-length sample calls same_orbit.
     """
     checked = 0
     for m, max_len in ((2, 5), (3, 5)):
         words = _words(m, max_len)
-        by_len = {}
-        for w in words:
-            by_len.setdefault(len(w), []).append(w)
         for pinned in (False, True):
             perms = _perms(m, pinned)
-            for group in by_len.values():
+            for group in (_words(m, n, min_len=n) for n in range(max_len + 1)):
                 keys = [pattern_of(w, m, pinned) for w in group]
-                for w, key_w in zip(group, keys):
-                    orbit = {recode(w, perm) for perm in perms}  # brute force over the group
-                    for u, key_u in zip(group, keys):
-                        want = u in orbit
-                        got = key_w == key_u
-                        checked += 1
-                        if want != got:
-                            return CheckResult(
-                                "orbits", False,
-                                "pattern criterion disagrees with permutation search "
-                                "(m=%d pinned=%s)" % (m, pinned), (w, u))
+                classes = {}  # key -> the number of its first word's class
+                claimed = np.array([classes.setdefault(key, len(classes)) for key in keys])
+                claimed = claimed[:, None] == claimed[None, :]  # claimed[a, b]: words a and b have equal keys
+                position = {w: n for n, w in enumerate(group)}
+                found = np.zeros_like(claimed)  # found[a, b]: some permutation sends word a to word b
+                for a, w in enumerate(group):
+                    found[a, [position[recode(w, perm)] for perm in perms]] = True
+                wrong = found != claimed
+                if wrong.any():
+                    a, b = np.unravel_index(wrong.argmax(), wrong.shape)  # the first (w, u) in loop order
+                    return CheckResult(
+                        "orbits", False,
+                        "pattern criterion disagrees with permutation search "
+                        "(m=%d pinned=%s)" % (m, pinned), (group[a], group[b]))
+                checked += wrong.size
             # cross-length pairs must never be equivalent
             rng = random.Random(seed)
             for _ in range(500):

@@ -75,37 +75,42 @@ def orbit(word, m, blank_pinned=False, universe=None):
     """
     word = tuple(word)
     tokens = dict.fromkeys(word)  # the distinct tokens, in order of first occurrence
-    if universe is None:
-        if _zero_token_for(tokens) == 0:
-            universe = tuple(range(m))
-        else:
+    if universe is None and _zero_token_for(tokens) == 0:
+        # a digit word's universe 0..m-1 stays a range that nothing below builds, whatever m is
+        universe = members = range(m)
+        zero = 0
+    else:
+        if universe is None:
             universe = tuple(sorted(tokens, key=str))
             if len(universe) != m:
                 raise DomainError(
                     "word %r uses %d distinct symbols; pass an explicit %d-symbol universe"
                     % (word, len(universe), m)
                 )
-    universe = tuple(universe)
-    if len(universe) != m or len(set(universe)) != m:
-        raise DomainError("universe must hold exactly m=%d distinct symbols: %r" % (m, universe))
-    missing = set(tokens) - set(universe)
+        universe = tuple(universe)
+        members = set(universe)
+        zero = _zero_token_for(tokens or universe)
+    if len(universe) != m or len(members) != m:
+        raise DomainError("universe must hold exactly m=%d distinct symbols: %r" % (m, tuple(universe)))
+    missing = {t for t in tokens if t not in members}
     if missing:
         raise DomainError("word symbols %r missing from universe %r" % (sorted(map(str, missing)), universe))
 
-    fixed, targets = {}, universe
+    fixed = {}
     if blank_pinned:
-        zero = _zero_token_for(tokens or universe)
-        if zero not in universe:
+        if zero not in members:
             raise DomainError("pinned orbit needs the blank %r in the universe %r" % (zero, universe))
-        fixed, targets = {zero: zero}, [s for s in universe if s != zero]
+        fixed = {zero: zero}
     # an image depends only on where the word's own symbols go: count those injections (a falling
     # factorial) against the budget, then enumerate them, not the permutations of the whole universe
     movable = [s for s in tokens if s not in fixed]
     images = 1
     for taken in range(len(movable)):
-        images *= len(targets) - taken
+        images *= m - len(fixed) - taken
         if images > DEFAULT_CELL_BUDGET:
             raise ResourceLimitError("orbit needs more than its budget of %d images" % DEFAULT_CELL_BUDGET)
+    # no more targets than images; none when nothing moves, as permutations() builds its whole pool
+    targets = [s for s in universe if s not in fixed] if movable else []
     tables = ({**fixed, **dict(zip(movable, image))} for image in permutations(targets, len(movable)))
     return frozenset(tuple(table[t] for t in word) for table in tables)
 

@@ -17,6 +17,7 @@ shift machines.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import DomainError
@@ -159,6 +160,15 @@ def index_to_digits(k, m, length):
     return tuple(reversed(digits))
 
 
+_ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=256)
+def _radius(m, k):
+    """The distance m**-k, one shared Fraction per (m, k): Fractions are immutable."""
+    return Fraction(1, m**k)
+
+
 def ultrametric(p, q, m, tail=BLANK):
     """Sequence distance m**-n where n is the shared prefix length.
 
@@ -175,8 +185,8 @@ def ultrametric(p, q, m, tail=BLANK):
         a = p[k] if k < p_len else tail
         b = q[k] if k < q_len else tail
         if a != b:
-            return Fraction(1, m**k)
-    return Fraction(0)
+            return _radius(m, k)
+    return _ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """The check suites must pass on the real code and catch planted faults."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import count
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,8 +97,9 @@ def test_cylinder_suite_catches_scaled_metric(monkeypatch):
 
 def test_ultrametric_suite_catches_a_fault_only_triples_show(monkeypatch):
     # Hamming distance on zero-padded words, mapped onto the powers of 1/m:
-    # it keeps identity, symmetry and the value range, but (1, 1), (0, 2),
-    # (2, 2, 2) are at 1/9, 1/9 and 1/3
+    # it keeps identity, symmetry and the value range, but the first triple
+    # in row-major order, (), (1,), (1, 1), has d((), (1,)) = d((1,), (1, 1))
+    # = 1/27 and d((), (1, 1)) = 1/9
     def hamming(p, q, m, tail=0):
         n = max(len(p), len(q))
         differ = sum(a != b for a, b in zip(p + (tail,) * (n - len(p)), q + (tail,) * (n - len(q))))
@@ -103,8 +108,24 @@ def test_ultrametric_suite_catches_a_fault_only_triples_show(monkeypatch):
     monkeypatch.setattr(checks, "ultrametric", hamming)
     result = check_ultrametric()
     assert (result.ok, result.detail, result.counterexample) == (
-        False, "strong triangle inequality fails", ((1, 1), (0, 2), (2, 2, 2)))
+        False, "strong triangle inequality fails", ((), (1,), (1, 1)))
 
+
+
+def test_ultrametric_suite_catches_one_corrupted_pair(monkeypatch):
+    # (0, 1) and (0, 1, 1) moved from 1/9 to 1/27, in both orders, keeps
+    # identity, symmetry and the value range; it breaks only 2 of the 64,000
+    # triples, which 20,000 randomly drawn triples miss with probability
+    # about (1 - 2/64000)**20000 = 0.54
+    def corrupted(p, q, m, tail=0):
+        if {p, q} == {(0, 1), (0, 1, 1)}:
+            return Fraction(1, m**3)
+        return ultrametric(p, q, m, tail=tail)
+
+    monkeypatch.setattr(checks, "ultrametric", corrupted)
+    result = check_ultrametric()
+    assert (result.ok, result.detail, result.counterexample) == (
+        False, "strong triangle inequality fails", ((0, 1, 0), (0, 1), (0, 1, 1)))
 
 def test_orbit_suite_catches_length_only_criterion(monkeypatch):
     def sloppy(w, m, blank_pinned=False):
@@ -139,8 +160,8 @@ def _long_shrunk(p, q, m, tail=0):
 
 
 @pytest.mark.parametrize("seed, detail, counterexample", [
-    (0, "metric/cell disagreement at resolution 2", ((2, 2, 0, 2, 1), (2, 1, 0, 2, 0, 0, 2), 2)),
-    (3, "metric/cell disagreement at resolution 1", ((1, 1, 2, 0, 0, 2, 0, 2), (2, 0, 2, 0, 0, 2), 1)),
+    (0, "metric/cell disagreement at resolution 1", ((1, 0, 2, 2, 2), (2, 2, 1, 1, 2, 0, 2), 1)),
+    (3, "metric/cell disagreement at resolution 1", ((1, 2, 0, 2, 1, 0, 0, 2), (0, 2, 1, 0, 0, 2, 2, 0), 1)),
 ], ids=["seed0", "seed3"])
 def test_cylinder_suite_catches_a_fault_only_sampled_pairs_show(monkeypatch, seed, detail, counterexample):
     # the pairs of words of length <= 4 all pass, so the sampled pairs must run
@@ -148,6 +169,35 @@ def test_cylinder_suite_catches_a_fault_only_sampled_pairs_show(monkeypatch, see
     result = check_cylinders(seed=seed)
     assert (result.ok, result.detail, result.counterexample) == (False, detail, counterexample)
 
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_cylinder_pairs_take_every_length_on_both_sides(monkeypatch, seed):
+    # _late_shrunk and _long_shrunk are wrong only on words of 7 and of more
+    # than 4 symbols, which only the sampled pairs hold
+    lengths = []
+
+    def recording(p, q, m, tail=0):
+        lengths.append((len(p), len(q)))
+        return ultrametric(p, q, m, tail=tail)
+
+    monkeypatch.setattr(checks, "ultrametric", recording)
+    assert check_cylinders(seed=seed).ok
+    sampled = lengths[121**2:]  # after every pair of the 121 words of length <= 4
+    assert len(sampled) == 10000
+    assert {p for p, _ in sampled} == {q for _, q in sampled} == set(range(9))
+
+
+def test_the_suites_leave_numpy_random_unimported():
+    # importing numpy.random adds about 5 MB of resident memory to a check
+    # run, whose draws come from the random module
+    code = ("import sys; import godelnet.checks as checks; "
+            "assert all(result.ok for result in checks.run_checks()); "
+            "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))")
+    src = str(Path(checks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 def _grown(p, q, m, tail=0):
     """Each distance m times larger: the law now fails from above."""
@@ -183,7 +233,7 @@ def _unpinned_key(w, m, blank_pinned=False):
     (check_orbits, "pattern_of", _unpinned_key,
      "pattern criterion disagrees with permutation search (m=2 pinned=True)", ((0,), (1,))),
     (check_cylinders, "ultrametric", _late_shrunk,
-     "metric/cell disagreement at resolution 1", ((0, 2, 0, 2, 0, 2, 1), (1,), 1)),
+     "metric/cell disagreement at resolution 1", ((2, 1, 0, 1, 1, 2, 0), (1, 2, 1, 0), 1)),
 ], ids=["orbits-unpinned", "cylinders-sampled"])
 def test_suites_report_the_first_counterexample_in_iteration_order(monkeypatch, suite, name, fake, detail,
                                                                    counterexample):
@@ -251,7 +301,7 @@ def test_partition_suite_catches_merged_classes(monkeypatch, name, build, mode, 
 #: of its geometry's 4 or 48 pairs: 243 * 4 * 2 + 675 * 5 * 2 points, then
 #: 300 composition laws.
 SEED0_DETAILS = {
-    "ultrametric": "1600 pairs (identity, symmetry, range) and 20000 sampled triples",
+    "ultrametric": "1600 pairs (identity, symmetry, range) and 64000 triples",
     "cylinders": "143205 word pairs x resolutions",
     "orbits": "136736 word pairs, m in {2, 3}, lengths <= 5, both modes",
     "recoding": "1460 composition triples plus inverse/identity laws",
@@ -269,7 +319,7 @@ def test_seed0_suite_details_are_unchanged(suite_runs):
 #: ``godelnet check --seed 3`` stdout; seed 3 draws other cross-length
 #: orbit pairs than seed 0, so the orbits count differs.
 SEED3_STDOUT = """\
-ok   ultrametric  1600 pairs (identity, symmetry, range) and 20000 sampled triples
+ok   ultrametric  1600 pairs (identity, symmetry, range) and 64000 triples
 ok   cylinders    143205 word pairs x resolutions
 ok   orbits       136774 word pairs, m in {2, 3}, lengths <= 5, both modes
 ok   recoding     1460 composition triples plus inverse/identity laws

@@ -448,10 +448,12 @@ def test_cli_orbit_digits(capsys):
 
 
 def test_cli_orbit_past_the_budget_exits_4(capsys):
-    start = time.perf_counter()
-    assert cli.main(["orbit", "0123456", "--m", "40"]) == cli.EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr() == ("", "error: orbit needs more than its budget of 1000000 images\n")
+    # P(40, 7) images, then the 2,000,000 images of one digit, whose universe is never built
+    for word, m in (("0123456", "40"), ("0", "2000000")):
+        start = time.perf_counter()
+        assert cli.main(["orbit", word, "--m", m]) == cli.EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", "error: orbit needs more than its budget of 1000000 images\n")
 
 
 def test_cli_partition(tmp_path, capsys):

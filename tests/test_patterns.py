@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -136,6 +137,25 @@ def test_orbit_past_the_budget_is_refused_before_enumerating(word, m, pinned):
     with pytest.raises(ResourceLimitError, match="orbit needs more than its budget of 1000000 images"):
         orbit(word, m, blank_pinned=pinned)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("word, m, images", [
+    ((), 10**6, {()}),  # one image, whatever m is
+    ((0,), 2 * 10**6, None),  # 2,000,000 images, twice the budget
+], ids=["empty-word", "over-budget"])
+def test_orbit_of_a_digit_word_does_not_build_its_universe(word, m, images):
+    # the universe 0..m-1 alone would take tens of megabytes
+    tracemalloc.start()
+    try:
+        if images is None:
+            with pytest.raises(ResourceLimitError, match="orbit needs more than its budget"):
+                orbit(word, m)
+        else:
+            assert orbit(word, m) == images
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_pinned_orbit_reads_the_zero_token_off_the_distinct_tokens():

@@ -18,6 +18,7 @@ from godelnet import (
     recode_ordering,
     ultrametric,
 )
+from godelnet import symbols
 from godelnet.errors import DomainError
 from godelnet.symbols import (
     all_permutations,
@@ -120,6 +121,20 @@ def test_ultrametric_matches_padded_oracle_on_sequences_with_other_tails():
     words = [w for n in range(3) for w in product(range(3), repeat=n)]
     for p, q in product(words, repeat=2):
         assert ultrametric(list(p), q, 3, tail=1) == _padded_distance(p, q, 1, 3), (p, q)
+
+
+def test_ultrametric_shares_one_fraction_per_radius():
+    m, k = 10**6, 40
+    p, q = (7,) * k + (1,), (7,) * k + (2,)
+    d = ultrametric(p, q, m, tail=0)
+    assert d == _padded_distance(p, q, 0, m) == Fraction(1, m**k)
+    assert ultrametric(q, p, m, tail=0) is d
+    assert ultrametric((), (0, 0), m, tail=0) is ultrametric((1,), (1,), 3, tail=0) == 0
+    # the shared radii are kept in a bounded cache, so many bases cannot grow it without end
+    cache = symbols._radius.cache_info
+    for base in range(2, cache().maxsize + 12):
+        assert ultrametric((1,), (2,), base, tail=0) == 1
+    assert cache().currsize <= cache().maxsize
 
 
 def test_ultrametric_rejects_a_base_below_two():
