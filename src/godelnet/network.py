@@ -49,11 +49,18 @@ computes block @ x[:width] and activates it in one vectorised call.
 The dense n x n matrix is built only when something reads it.
 
 The blocks give the dense W x its bits.  The BLAS matrix-vector product
-(OpenBLAS dgemv_t) sums each row on its own, so leaving rows out changes
-nothing.  Leaving columns out can: a kernel spreads a row over SIMD lanes
-and unrolled groups counted from column 0, and sums a short tail apart.
-Each block starts at column 0 and its width is a multiple of the column
-unroll of every dgemv_t kernel (64 is checked under the default, Prescott,
+(OpenBLAS dgemv_t) sums each row on its own, but not each row alike: a
+kernel takes the rows four at a time and sums a short last group apart, so
+a row multiplied alone can round unlike the same row in its block (of the
+2,544 rows released in 60 seeded G_10 runs and the two demo runs, 10 did
+under Haswell, 299 under Prescott and Sandybridge, none under SkylakeX).
+Rows keep their bits in aligned groups of four: block[4g:4g + 4], clipped
+at the block's end, gives those rows' bits of the whole block under every
+kernel tried.  Leaving columns
+out can change bits too: a kernel spreads a row over SIMD lanes and
+unrolled groups counted from column 0, and sums a short tail apart.  Each
+block starts at column 0 and its width is a multiple of the column unroll
+of every dgemv_t kernel (64 is checked under the default, Prescott,
 Sandybridge, Haswell, Zen and SkylakeX kernels), so each weight keeps its
 lane and group, and only whole groups of zero weights drop out, which add
 exact zeros (and 0.0 and -0.0 activate alike).  A width cut at the last
@@ -61,8 +68,18 @@ column read moves the last weights into the tail and changes the bits of
 some runs.  This holds for states of finite values, which every state from
 ``embed`` or from the activations is: a hand-built state with NaN or an
 infinity in a column at or past a block's width no longer turns that
-phase's sums into NaN.  tests/test_network.py holds the engine to the dense
-update, bit for bit.
+phase's sums into NaN.
+
+The LTL phase of a certified spec multiplies only the row groups of the
+released cells: the group g = k // 2 of each cell k whose branch unit is
+on, which holds the pairs of cells 2g and 2g + 1.  Every other affine unit
+is set to 0.0, the value the certificate proves its row clamps to while its
+branch unit is off.  This is exact for the states ``embed`` and the
+activations produce: the MCL in [0, 1], the always-on unit at 1 and each
+branch unit at 0 or 1.  A hand-built state outside them (a branch unit at
+0.5, say) can read otherwise than the dense product, and a spec without a
+certificate, built or ``replace``d by hand, multiplies every row.
+tests/test_network.py holds the engine to the dense update, bit for bit.
 
 ``synthesize`` certifies its network without running it: ``_certify`` reads
 the banks back and checks, in exact arithmetic (a float64 converts to a
@@ -96,7 +113,8 @@ unit.  The numbers are kept on ``NetworkSpec.certificate``, one CellBound
 
 Each fact is proved once, in integers wherever it can be: each comparator
 pair once per axis cell (its ends n/d against the edges t/count by
-cross-multiplication), each AND bank once per distinct row, the MCL in one
+cross-multiplication), each AND bank once per distinct row (its three sums
+as numerators over the row's power-of-two denominator), the MCL in one
 vectorised test, and each affine row once per distinct (row, side map)
 pair.  Rows are told apart by their bytes and side maps (lambda, a) by the
 identities of their Fraction objects, which the cell table shares among
@@ -137,6 +155,8 @@ SOUNDNESS = 1e-9
 #: summation order, so the blocks give the dense product's bits (see the
 #: module docstring); a width cut at the last column read does not.
 BLOCK_ALIGN = 64
+#: Index in ``NetworkSpec.phases`` of the LTL (phase 4); the BSL is the one before it.
+_LTL = 3
 
 
 class Bank(NamedTuple):
@@ -370,11 +390,17 @@ def _check_and_bank(spec, units, weights):
     other pair in {0, 1}, every sum beyond its rounding bound.  The products
     are exact, so only the two additions round: gamma_2.  The pair (0, 0)
     needs no test: its sum w1 is the two silent sums less the firing one.
-    Each distinct row is tested once, at its first unit, in unit order."""
+    Each distinct row is tested once, at its first unit, in unit order, in
+    integers: the weights are numerators over their common denominator (a
+    power of two), and each s + gamma_2 r (silent) or s - gamma_2 r (firing),
+    scaled by gamma_2's denominator, is compared with 0."""
     first = np.sort(_distinct(_row_keys(weights))[0])
+    g_num, g_den = _GAMMA2.numerator, _GAMMA2.denominator
     for unit, triple in zip(first.tolist(), weights[first].tolist()):
-        wa, wb, w1 = map(Fraction, triple)
-        if not all((s - _GAMMA2 * r >= 0) if fires else (s + _GAMMA2 * r < 0)
+        ratios = [w.as_integer_ratio() for w in triple]
+        den = max(d for _, d in ratios)
+        wa, wb, w1 = (n * (den // d) for n, d in ratios)
+        if not all((s * g_den - g_num * r >= 0) if fires else (s * g_den + g_num * r < 0)
                    for s, r, fires in ((wb + w1, abs(wb) + abs(w1), False),
                                        (wa + w1, abs(wa) + abs(w1), False),
                                        (wa + wb + w1, abs(wa) + abs(wb) + abs(w1), True))):
@@ -547,10 +573,21 @@ def activate(kind, net):
 
 
 def na_micro_step(spec, state):
-    """Advance one micro step: units of the next phase update, others hold."""
+    """Advance one micro step: units of the next phase update, others hold.
+    On a certified spec the LTL phase multiplies only the released cells'
+    groups of four rows (see the module docstring)."""
     lo, hi, kind, block = spec.phases[state.micro]
     x = state.x.copy()
-    x[lo:hi] = activate(kind, block @ state.x[:block.shape[1]])
+    columns = state.x[:block.shape[1]]
+    if state.micro == _LTL and spec.certificate is not None:
+        out = x[lo:hi]
+        out[:] = 0.0
+        b_lo, b_hi = spec.phases[_LTL - 1][:2]
+        for cell in state.x[b_lo:b_hi].nonzero()[0].tolist():
+            rows = slice(cell // 2 * 4, cell // 2 * 4 + 4)  # cells 2g and 2g + 1 share rows 4g..4g + 3
+            out[rows] = activate(kind, block[rows] @ columns)
+    else:
+        x[lo:hi] = activate(kind, block @ columns)
     micro = state.micro + 1
     macro = state.macro
     if micro == spec.micro_steps_per_macro:
@@ -583,10 +620,17 @@ def na_run(spec, state, macro_steps, *, reference, point, tol=SOUNDNESS):
     the exact orbit at every macro boundary, and a deviation above SOUNDNESS
     flags the run as diverged.  ``tol`` is accepted only as SOUNDNESS, for
     the callers that still pass it (ROADMAP item 14); any other value is a
-    DomainError.  ``na_micro_step`` is the unchecked engine.
+    DomainError.  So is a ``macro_steps`` that is not a non-negative int, and
+    a ``state`` off a macro boundary (micro != 0), whose MCL the check would
+    compare between boundaries.  ``na_micro_step`` is the unchecked engine,
+    its LTL gate included.
     """
     if tol != SOUNDNESS:
         raise DomainError("na_run checks the orbit at SOUNDNESS = %r only, got tol = %r" % (SOUNDNESS, tol))
+    if not (isinstance(macro_steps, int) and macro_steps >= 0):
+        raise DomainError("macro_steps must be a non-negative integer, got %r" % (macro_steps,))
+    if state.micro != 0:
+        raise DomainError("na_run starts at a macro boundary (micro 0), got micro %r" % (state.micro,))
     states = [state]
     max_div, div_step = 0.0, -1
     for k in range(macro_steps):
