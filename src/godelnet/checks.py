@@ -454,10 +454,13 @@ def check_commutation(seed=0):
 # ---------------------------------------------------------------------------
 # suite: invariance
 
-#: A generating set of the zero-fixing permutations of 0..m-1 for each base
-#: the invariance suite moves: the transposition of 1 and 2 for m = 3, and
-#: with it the 4-cycle 1 -> 2 -> 3 -> 4 -> 1 for m = 5.
-_ZERO_FIXING_GENERATORS = {3: ((0, 2, 1),), 5: ((0, 2, 1, 3, 4), (0, 2, 3, 4, 1))}
+def _zero_fixing_generators(m):
+    """(1 2) and the cycle 1 -> 2 -> ... -> m-1 -> 1, which generate the permutations of 0..m-1
+    fixing 0 for m >= 3; at m = 3 the two are one, and at m = 2 there is none."""
+    if m < 3:
+        return ()
+    swap = (0, 2, 1) + tuple(range(3, m))
+    return (swap,) if m == 3 else (swap, (0,) + tuple(range(2, m)) + (1,))
 
 
 def check_invariance(seed=0):
@@ -482,8 +485,8 @@ def check_invariance(seed=0):
         window, bases = (l, r), (m_in, m_st)
         id_in, id_st = tuple(range(m_in)), tuple(range(m_st))
         moves = [PermutationPair(id_in, id_st)]
-        moves += [PermutationPair(id_in, g) for g in _ZERO_FIXING_GENERATORS[m_st]]
-        moves += [PermutationPair(g, id_st) for g in _ZERO_FIXING_GENERATORS[m_in]]
+        moves += [PermutationPair(id_in, g) for g in _zero_fixing_generators(m_st)]
+        moves += [PermutationPair(g, id_st) for g in _zero_fixing_generators(m_in)]
         others = [pair for pair in (PermutationPair(pi, ps)
                                     for pi in zero_fixing_permutations(m_in)
                                     for ps in zero_fixing_permutations(m_st))

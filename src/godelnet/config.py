@@ -93,6 +93,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.macro_steps < 1:
             raise ConfigError("macro_steps must be >= 1, got %d" % self.macro_steps)
+        if min(self.window) < 0:
+            raise ConfigError("[observables] window lengths must be >= 0, got %d %d" % self.window)
         if len(self.encodings) < 2:
             raise ConfigError("at least two [encoding:NAME:input/stack] pairs are required, got %d"
                               % len(self.encodings))

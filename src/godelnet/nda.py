@@ -50,7 +50,7 @@ from functools import cache
 
 from .errors import DomainError, InternalConsistencyError, MachineBuildError
 from .patterns import _budget_cells
-from .symbols import Ordering, godel_encode, grid_index
+from .symbols import Ordering, check_whole, godel_encode, grid_index
 
 HALT = "halt"
 
@@ -161,7 +161,8 @@ def nda_step(nda, point):
 
 
 def nda_run(nda, point, steps):
-    """Orbit [p0, p1, ..., p_steps]."""
+    """Orbit [p0, p1, ..., p_steps]; ``steps`` must be an int >= 0 (a DomainError otherwise)."""
+    check_whole("steps", steps)
     orbit = [point]
     for _ in range(steps):
         point = nda_step(nda, point)

@@ -136,6 +136,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, ResourceLimitError
 from .nda import nda_step
+from .symbols import check_whole
 
 RAMP = "ramp"
 STEP = "step"
@@ -620,15 +621,14 @@ def na_run(spec, state, macro_steps, *, reference, point, tol=SOUNDNESS):
     the exact orbit at every macro boundary, and a deviation above SOUNDNESS
     flags the run as diverged.  ``tol`` is accepted only as SOUNDNESS, for
     the callers that still pass it (ROADMAP item 14); any other value is a
-    DomainError.  So is a ``macro_steps`` that is not a non-negative int, and
+    DomainError.  So is a ``macro_steps`` that is not an int >= 0, and
     a ``state`` off a macro boundary (micro != 0), whose MCL the check would
     compare between boundaries.  ``na_micro_step`` is the unchecked engine,
     its LTL gate included.
     """
     if tol != SOUNDNESS:
         raise DomainError("na_run checks the orbit at SOUNDNESS = %r only, got tol = %r" % (SOUNDNESS, tol))
-    if not (isinstance(macro_steps, int) and macro_steps >= 0):
-        raise DomainError("macro_steps must be a non-negative integer, got %r" % (macro_steps,))
+    check_whole("macro_steps", macro_steps)
     if state.micro != 0:
         raise DomainError("na_run starts at a macro boundary (micro 0), got micro %r" % (state.micro,))
     states = [state]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .nda import PhasePoint
 from .patterns import square_partition
-from .symbols import check_permutation, grid_index
+from .symbols import check_permutation, check_whole, grid_index
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ def _rigid_move(y, perm, m, window):
 def rho_pi(point, pair, window, bases):
     """Rigid square motion induced by a recoding pair, exact on phase points.
 
-    ``window`` is (l, r) = (stack, input) lengths, each a non-negative
-    int; ``bases`` is (m_in, m_st), and each side's permutation must act on
+    ``window`` is (l, r) = (stack, input) lengths, each an int >= 0;
+    ``bases`` is (m_in, m_st), and each side's permutation must act on
     its base's digits.
     """
     l, r = window
@@ -131,7 +131,7 @@ def rho_pi(point, pair, window, bases):
     if len(pair.input_perm) != m_in or len(pair.stack_perm) != m_st:
         raise DomainError("permutations of sizes (%d, %d) do not act on bases (%d, %d)"
                           % (len(pair.input_perm), len(pair.stack_perm), m_in, m_st))
-    if not (isinstance(l, int) and isinstance(r, int) and l >= 0 and r >= 0):
-        raise DomainError("window lengths must be non-negative integers, got %r" % (window,))
+    check_whole("window length l", l)
+    check_whole("window length r", r)
     return PhasePoint(_rigid_move(point.y1, pair.input_perm, m_in, r),
                       _rigid_move(point.y2, pair.stack_perm, m_st, l))

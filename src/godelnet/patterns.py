@@ -20,7 +20,7 @@ from operator import index
 
 from .errors import DomainError, InternalConsistencyError, ResourceLimitError
 from .svg import grid_svg, strip_svg
-from .symbols import BLANK, index_to_digits
+from .symbols import BLANK, check_whole, index_to_digits
 
 #: Enumeration guard: the most cells a partition or cell-table build, or images an orbit, may enumerate.
 DEFAULT_CELL_BUDGET = 1_000_000
@@ -66,13 +66,14 @@ def same_orbit(w, u, m, blank_pinned=False):
 
 
 def orbit(word, m, blank_pinned=False, universe=None):
-    """All images of ``word`` under digit permutations of an m-symbol universe.
+    """All images of ``word`` under digit permutations of an m-symbol universe, m an int >= 1.
 
     Digit words use the universe 0..m-1.  Symbol words need ``universe``
     (an ordered m-tuple) unless they already use exactly m distinct symbols,
     in which case the sorted symbol set serves.  Pinned mode permutes only
     the non-blank symbols; the empty word takes its kind from the universe.
     """
+    check_whole("base m", m, 1)
     word = tuple(word)
     tokens = dict.fromkeys(word)  # the distinct tokens, in order of first occurrence
     if universe is None and _zero_token_for(tokens) == 0:
@@ -196,9 +197,9 @@ def _budget_cells(what, *sides):
 
 
 def interval_partition(m, l, blank_pinned=False):
-    """Group the m**l corner words of length l by equality pattern."""
-    if m < 2 or l < 0:
-        raise DomainError("need m >= 2 and l >= 0, got m=%r l=%r" % (m, l))
+    """Group the m**l corner words of length l by equality pattern; m is an int >= 2, l an int >= 0."""
+    check_whole("base m", m, 2)
+    check_whole("window length l", l)
     count = _budget_cells("interval partition", (m, l))
     keys = (pattern_of(index_to_digits(k, m, l), m, blank_pinned) for k in range(count))
     key_to_id = {}
@@ -222,10 +223,11 @@ def square_partition(m, l, r, mode="joint", blank_pinned=False, m_right=None):
         raise DomainError("mode must be 'joint' or 'product', got %r" % (mode,))
     if m_right is None:
         m_right = m
+    for name, value, least in (("base m", m, 2), ("base m_right", m_right, 2),
+                               ("window length l", l, 0), ("window length r", r, 0)):
+        check_whole(name, value, least)
     if mode == "joint" and m_right != m:
         raise DomainError("joint mode needs one shared base, got m=%d vs m_right=%d" % (m, m_right))
-    if m < 2 or m_right < 2 or l < 0 or r < 0:
-        raise DomainError("need bases >= 2 and lengths >= 0")
     _budget_cells("square partition", (m, l), (m_right, r))
     if mode == "joint":
         ids = interval_partition(m, l + r, blank_pinned).assignment

@@ -27,7 +27,7 @@ from itertools import product
 
 from .errors import DomainError, GrammarError, MachineBuildError, ResourceLimitError
 from .patterns import DEFAULT_CELL_BUDGET, _budget_cells
-from .symbols import BLANK, Alphabet, DottedSequence
+from .symbols import BLANK, Alphabet, DottedSequence, check_whole
 
 ACCEPT = "accept"
 REJECT = "halt-reject"
@@ -42,8 +42,8 @@ class DoD:
     r: int
 
     def __post_init__(self):
-        if self.l < 0 or self.r < 0:
-            raise MachineBuildError("window sizes must be >= 0, got (%d, %d)" % (self.l, self.r))
+        check_whole("window length l", self.l)
+        check_whole("window length r", self.r)
 
 
 @dataclass(frozen=True)
@@ -207,10 +207,9 @@ def vs_run(machine, state, max_steps=100):
 
     Each trace row carries the operation applied at that time; the final row
     carries the terminal verdict (accept, halt-reject, or step-limit).
-    A negative budget raises DomainError.
+    A budget that is not an int >= 0 raises DomainError.
     """
-    if max_steps < 0:
-        raise DomainError("max_steps must be >= 0, got %d" % max_steps)
+    check_whole("max_steps", max_steps)
     steps = []
     for t in range(max_steps + 1):
         nxt, label = vs_step(machine, state)
@@ -224,18 +223,12 @@ def vs_run(machine, state, max_steps=100):
 
 
 def trace_csv(trace):
-    """CSV text with columns time, stack, input, operation.
-
-    Sides print in tape order (stack reversed, top adjacent to the dot);
-    empty sides print as the empty-word glyph.
-    """
+    """CSV text with columns time, stack, input (as ``DottedSequence.side_texts`` writes them), operation."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["time", "stack", "input", "operation"])
     for step in trace.steps:
-        left = " ".join(map(str, reversed(step.state.stack))) or "ε"
-        right = " ".join(map(str, step.state.input)) or "ε"
-        w.writerow([step.time, left, right, step.operation])
+        w.writerow([step.time, *step.state.side_texts(), step.operation])
     return out.getvalue()
 
 
@@ -263,21 +256,12 @@ class Cfg:
 
     @property
     def nonterminals(self):
-        seen = []
-        for lhs, _ in self.productions:
-            if lhs not in seen:
-                seen.append(lhs)
-        return tuple(seen)
+        return tuple(dict.fromkeys(lhs for lhs, _ in self.productions))
 
     @property
     def terminals(self):
         nts = set(self.nonterminals)
-        seen = []
-        for _, rhs in self.productions:
-            for sym in rhs:
-                if sym not in nts and sym not in seen:
-                    seen.append(sym)
-        return tuple(seen)
+        return tuple(dict.fromkeys(sym for _, rhs in self.productions for sym in rhs if sym not in nts))
 
 
 def parse_grammar(text, source="<grammar>"):

@@ -27,6 +27,12 @@ from .errors import DomainError
 BLANK = "⊔"
 
 
+def check_whole(name, value, least=0):
+    """DomainError naming ``name`` unless ``value`` is a plain int (no bool or numpy integer) >= ``least``."""
+    if type(value) is not int or value < least:
+        raise DomainError("%s must be an integer >= %d, got %r" % (name, least, value))
+
+
 def _check_symbols(symbols):
     if len(symbols) < 2:
         raise DomainError("alphabet needs at least 2 symbols, got %d" % len(symbols))
@@ -176,8 +182,7 @@ def ultrametric(p, q, m, tail=BLANK):
     at distance 0; sequences already differing in the first symbol are at
     distance 1.
     """
-    if m < 2:
-        raise DomainError("base m must be >= 2, got %r" % (m,))
+    check_whole("base m", m, 2)
     # a word's trailing tail symbols need no trimming: they equal the tail that follows them
     p, q = tuple(p), tuple(q)
     p_len, q_len = len(p), len(q)
@@ -279,10 +284,12 @@ class DottedSequence:
         it, padded with blanks beyond the support."""
         return _pad(self.stack, l, self.blank), _pad(self.input, r, self.blank)
 
+    def side_texts(self):
+        """(left, right): each side's symbols in tape order, or ε for an empty side."""
+        return " ".join(map(str, reversed(self.stack))) or "ε", " ".join(map(str, self.input)) or "ε"
+
     def __str__(self):
-        left = " ".join(str(s) for s in reversed(self.stack)) or "ε"
-        right = " ".join(str(s) for s in self.input) or "ε"
-        return f"{left} . {right}"
+        return "%s . %s" % self.side_texts()
 
 
 def _pad(word, n, blank):

@@ -399,10 +399,10 @@ def test_invariance_suite_reports_the_first_interior_point_a_stack_recoding_move
                                      PhasePoint(Fraction(1, 54), Fraction(1, 18)))
 
 
-@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("m", range(2, 8))
 def test_invariance_generators_generate_every_zero_fixing_permutation(m):
     # breadth-first closure of the generators under composition, from the identity
-    generators = checks._ZERO_FIXING_GENERATORS[m]
+    generators = checks._zero_fixing_generators(m)
     reached, queue = {tuple(range(m))}, deque([tuple(range(m))])
     while queue:
         p = queue.popleft()
@@ -429,7 +429,7 @@ def _reversed_stack_shifted(point, pair, window, bases):
 def test_invariance_suite_catches_a_motion_wrong_only_off_the_generators(monkeypatch, seed, cell, pair,
                                                                          point):
     # the identity and generator pairs all pass, so only a drawn pair can show it
-    assert (0, 4, 3, 2, 1) not in checks._ZERO_FIXING_GENERATORS[5]
+    assert (0, 4, 3, 2, 1) not in checks._zero_fixing_generators(5)
     monkeypatch.setattr(checks, "rho_pi", _reversed_stack_shifted)
     result = check_invariance(seed=seed)
     assert (result.ok, result.detail) == (False, "recoding changed the observable on cell (%d, %d)" % cell)

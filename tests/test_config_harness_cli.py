@@ -132,12 +132,14 @@ def test_config_rejects_keys_and_sections_it_would_ignore(tmp_path, capsys, old,
 @pytest.mark.parametrize("old, new, message", [
     ("macro_steps = 6\n", "macro_steps = six\n", "error: macro_steps: integer expected, got 'six'\n"),
     ("window = 2 3\n", "window = 2\n", "error: [observables] window needs two lengths, got '2'\n"),
+    ("window = 2 3\n", "window = -1 3\n", "error: [observables] window lengths must be >= 0, got -1 3\n"),
     ("macro_steps = 6\n", "macro_steps = 0\n", "error: macro_steps must be >= 1, got 0\n"),
     ("[observables]\n", "[run]\nid = again\n\n[observables]\n", "error: malformed config "),
     ("[grammar]\npath = parser.grammar\nsentence = NP V NP\n", "", "error: missing [grammar] section\n"),
     ("[encoding:gamma:input]\n", "[encoding:gamma]\n",
      "error: bad encoding section [encoding:gamma]; expected [encoding:NAME:input|stack]\n"),
-], ids=["integer", "window", "macro-steps", "duplicate-section", "no-grammar", "encoding-section"])
+], ids=["integer", "window", "negative-window", "macro-steps", "duplicate-section", "no-grammar",
+        "encoding-section"])
 def test_cli_run_exits_4_on_a_config_error(tmp_path, capsys, old, new, message):
     path = _shipped_config_with(tmp_path, old, new)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
@@ -425,7 +427,7 @@ def test_cli_parse_missing_grammar(capsys):
 def test_cli_parse_refuses_a_negative_step_budget(capsys):
     grammar = str(CONFIG_DIR / "parser.grammar")
     assert cli.main(["parse", grammar, "NP", "V", "NP", "--max-steps", "-1"]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "error: max_steps must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: max_steps must be an integer >= 0, got -1\n"
     # a zero budget prints the start row with the step-limit verdict
     assert cli.main(["parse", grammar, "NP", "V", "NP", "--max-steps", "0"]) == cli.EXIT_OK
     assert capsys.readouterr().out == "t=0   S . NP V NP   [step-limit]\nverdict: step-limit\n"
@@ -437,6 +439,14 @@ def test_cli_orbit(capsys):
     assert code == 0
     assert out.splitlines()[:2] == ["aaabcabc", "aaacbacb"]
     assert "orbit size: 6" in out
+
+
+def test_cli_orbit_of_one_repeated_symbol_and_of_the_empty_word(capsys):
+    # "aaa" uses one symbol, so m = 1 and the orbit is the word itself; "" uses none, and m = 0 is refused
+    assert cli.main(["orbit", "aaa"]) == cli.EXIT_OK
+    assert capsys.readouterr() == ("aaa\norbit size: 1\n", "")
+    assert cli.main(["orbit", ""]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: base m must be an integer >= 1, got 0\n")
 
 
 def test_cli_orbit_digits(capsys):

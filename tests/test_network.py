@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -267,7 +268,8 @@ def test_a_bound_other_than_soundness_is_refused(tol, plain_nda, plain_net, plai
 
 @pytest.mark.parametrize("macro_steps", [-1, 2.0, None])
 def test_a_run_of_a_bad_length_is_refused(macro_steps, plain_nda, plain_net, plain_start):
-    with pytest.raises(DomainError, match="^macro_steps must be a non-negative integer"):
+    message = r"^macro_steps must be an integer >= 0, got %s$" % re.escape(repr(macro_steps))
+    with pytest.raises(DomainError, match=message):
         na_run(plain_net, embed(plain_net, plain_start), macro_steps, reference=plain_nda, point=plain_start)
 
 

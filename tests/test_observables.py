@@ -211,14 +211,19 @@ def test_rho_refuses_a_permutation_of_another_size(swap_pair, perm, y1):
         rho_pi(point, PermutationPair(swap_pair.input_perm, perm), WINDOW, BASES)
 
 
-@pytest.mark.parametrize("window", [(2, -1), (-1, 3), (2.5, 3), (2, 2.5), (2, Fraction(3))],
-                         ids=["negative-input", "negative-stack", "float-stack", "float-input", "fraction"])
-def test_rho_refuses_a_window_length_that_is_not_a_non_negative_int(window):
+@pytest.mark.parametrize("window, message", [
+    ((2, -1), "window length r must be an integer >= 0, got -1"),
+    ((-1, 3), "window length l must be an integer >= 0, got -1"),
+    ((2.5, 3), "window length l must be an integer >= 0, got 2.5"),
+    ((2, 2.5), "window length r must be an integer >= 0, got 2.5"),
+    ((2, Fraction(3)), "window length r must be an integer >= 0, got Fraction(3, 1)"),
+], ids=["negative-input", "negative-stack", "float-stack", "float-input", "fraction"])
+def test_rho_refuses_a_window_length_that_is_not_a_non_negative_int(window, message):
     # a negative length would leave its side unmoved, and range() refuses a non-int
     point = PhasePoint(Fraction(5, 27), Fraction(7, 25))
     with pytest.raises(DomainError) as err:
         rho_pi(point, PermutationPair((0, 2, 1), (0, 3, 1, 4, 2)), window, BASES)
-    assert str(err.value) == "window lengths must be non-negative integers, got %r" % (window,)
+    assert str(err.value) == message
 
 
 def test_rho_with_empty_windows_moves_nothing(swap_pair):

@@ -1,5 +1,7 @@
 """Grammar parsing, machine compilation, and machine runs."""
 
+import csv
+import io
 import random
 from itertools import product
 from pathlib import Path
@@ -43,6 +45,12 @@ def test_parse_grammar_with_comments():
     assert cfg.start == "S"
     assert cfg.nonterminals == ("S", "B")
     assert cfg.terminals == ("a", "b")
+
+
+def test_grammar_symbols_are_listed_once_in_order_of_first_occurrence():
+    cfg = parse_grammar("S -> c B a B\nB -> b C c\nC -> a b\nB -> C a\n")
+    assert cfg.nonterminals == ("S", "B", "C")
+    assert cfg.terminals == ("c", "a", "b")
 
 
 @pytest.mark.parametrize("text,line", [
@@ -125,6 +133,16 @@ def test_trace_csv_matches(machine, start_state):
     assert lines[-1] == "5,ε,ε,accept"
 
 
+@pytest.mark.parametrize("sentence", [("NP", "V", "NP"), (), ("V",)], ids=["accept", "empty-input", "reject"])
+def test_trace_csv_writes_each_side_as_the_tape_prints_it(machine, sentence):
+    # the empty sentence leaves the input side empty from the start: S . ε
+    trace = vs_run(machine, initial_state(machine, sentence, "S"))
+    rows = list(csv.reader(io.StringIO(trace_csv(trace))))[1:]
+    assert [" . ".join(row[1:3]) for row in rows] == [str(step.state) for step in trace.steps]
+    if not sentence:
+        assert rows == [["0", "S", "ε", REJECT]]
+
+
 def test_rejection_on_wrong_sentence(machine):
     state = initial_state(machine, ("V",), "S")
     trace = vs_run(machine, state, max_steps=10)
@@ -156,7 +174,7 @@ def test_step_limit_verdict():
     # a zero budget still traces the start state; a negative one is refused
     trace = vs_run(machine, DottedSequence(("x",), ()), max_steps=0)
     assert [(st.time, st.operation) for st in trace.steps] == [(0, STEP_LIMIT)]
-    with pytest.raises(DomainError, match=r"^max_steps must be >= 0, got -1$"):
+    with pytest.raises(DomainError, match=r"^max_steps must be an integer >= 0, got -1$"):
         vs_run(machine, DottedSequence(("x",), ()), max_steps=-1)
 
 

@@ -5,18 +5,31 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from godelnet import (
     Alphabet,
     BLANK,
+    DoD,
     DottedSequence,
     Ordering,
+    PermutationPair,
+    PhasePoint,
+    embed,
     godel_encode,
     identity_ordering,
+    interval_partition,
+    na_run,
+    nda_run,
+    orbit,
     recode,
     recode_ordering,
+    rho_pi,
+    square_partition,
+    synthesize,
     ultrametric,
+    vs_run,
 )
 from godelnet import symbols
 from godelnet.errors import DomainError
@@ -138,8 +151,61 @@ def test_ultrametric_shares_one_fraction_per_radius():
 
 
 def test_ultrametric_rejects_a_base_below_two():
-    with pytest.raises(DomainError, match="base m must be >= 2, got 1"):
+    with pytest.raises(DomainError, match="^base m must be an integer >= 2, got 1$"):
         ultrametric((0,), (1,), 1)
+
+
+#: Every entry point that takes a whole number: (the argument's name in the
+#: message, its least value, a call passing the value ``v`` with ``c`` the
+#: demo machine's parts).  Bases are at least 2, except an orbit's, since a
+#: word of one repeated symbol has m = 1; counts and lengths are at least 0.
+WHOLE_NUMBER_ENTRIES = {
+    "ultrametric": ("base m", 2, lambda v, c: ultrametric((0,), (1,), v)),
+    "DoD-l": ("window length l", 0, lambda v, c: DoD(v, 1)),
+    "DoD-r": ("window length r", 0, lambda v, c: DoD(1, v)),
+    "vs_run": ("max_steps", 0, lambda v, c: vs_run(c["machine"], c["state"], v)),
+    "nda_run": ("steps", 0, lambda v, c: nda_run(c["nda"], c["point"], v)),
+    "na_run": ("macro_steps", 0, lambda v, c: na_run(c["net"], embed(c["net"], c["point"]), v,
+                                                    reference=c["nda"], point=c["point"])),
+    "rho_pi-l": ("window length l", 0, lambda v, c: rho_pi(c["point"], c["pair"], (v, 1), (3, 5))),
+    "rho_pi-r": ("window length r", 0, lambda v, c: rho_pi(c["point"], c["pair"], (1, v), (3, 5))),
+    "interval-m": ("base m", 2, lambda v, c: interval_partition(v, 1)),
+    "interval-l": ("window length l", 0, lambda v, c: interval_partition(3, v)),
+    "square-m": ("base m", 2, lambda v, c: square_partition(v, 1, 1, mode="product", m_right=3)),
+    "square-m_right": ("base m_right", 2, lambda v, c: square_partition(3, 1, 1, mode="product", m_right=v)),
+    "square-l": ("window length l", 0, lambda v, c: square_partition(3, v, 1)),
+    "square-r": ("window length r", 0, lambda v, c: square_partition(3, 1, v)),
+    "orbit": ("base m", 1, lambda v, c: orbit((0, 1), v)),
+}
+
+
+@pytest.fixture(scope="module")
+def demo_parts(machine, plain_nda, start_state, plain_start):
+    return {"machine": machine, "state": start_state, "nda": plain_nda, "point": plain_start,
+            "net": synthesize(plain_nda), "pair": PermutationPair((0, 2, 1), (0, 3, 1, 4, 2))}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in WHOLE_NUMBER_ENTRIES for bad in ("below-least", 2.0, True, None, Fraction(3), np.int64(3))
+    if (entry, bad) != ("square-m_right", None)  # None is m_right's default: the base m
+], ids=lambda x: x if isinstance(x, str) else repr(x))
+def test_every_whole_number_entry_refuses_what_is_not_an_int_at_least_its_least(entry, bad, demo_parts):
+    name, least, call = WHOLE_NUMBER_ENTRIES[entry]
+    value = least - 1 if bad == "below-least" else bad
+    with pytest.raises(DomainError) as err:
+        call(value, demo_parts)
+    assert str(err.value) == "%s must be an integer >= %d, got %r" % (name, least, value)
+
+
+def test_the_least_whole_numbers_are_accepted(plain_nda, plain_start):
+    assert nda_run(plain_nda, plain_start, 0) == [plain_start]
+    # godelnet orbit aaa has m = 1
+    assert orbit(("a", "a", "a"), 1) == {("a", "a", "a")}
+    assert orbit((0, 0), 1) == {(0, 0)}
+    assert (DoD(0, 0).l, DoD(0, 0).r) == (0, 0)
+    assert ultrametric((0,), (1,), 2) == 1
+    assert interval_partition(2, 0).class_count == 1
+    assert square_partition(2, 0, 0).class_count == 1
 
 
 def test_ordering_requires_exact_digit_cover():
