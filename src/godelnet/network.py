@@ -120,8 +120,15 @@ pair.  Rows are told apart by their bytes and side maps (lambda, a) by the
 identities of their Fraction objects, which the cell table shares among
 equal maps; equal maps held in distinct objects are proved once each, to
 the same result.  A pair's bound is proved once when the row's gain is the
-exact lambda, else once per axis cell it is read on.  Nothing is cached past
-one call.
+exact lambda, else once per axis cell it is read on.
+
+Only the affine (LTL) bank carries lambda and a.  The other banks' proof
+(``_certify_detection``) and their blocks of phases 1, 2, 3 and 5, shared
+read-only by every spec of one key (``_detection_phases``), are memoised
+across calls in ``lru_cache``s of 32 keys, keyed on (p, q) and the exact
+bytes of those banks (``_detection_key``).  A bank one bit apart is a new
+key, so a ``replace``d or corrupted spec is proved afresh; a fault is raised,
+never cached.  The LTL block and the affine proofs are built per spec.
 """
 
 import math
@@ -226,8 +233,11 @@ class NetworkSpec:
     is phase k + 1: its units lo..hi - 1, their activation, and the block
     W[lo:hi, :width] of the weight matrix that the engine multiplies, built
     from the banks; ``weights``, the dense n x n matrix, is built from the
-    blocks when first read.  All are read-only copies, so the engine runs
-    the weights the certificate read.  Treat instances as immutable.
+    blocks when first read.  All are read-only, so the engine runs the
+    weights the certificate read: the banks, the LTL block and ``weights``
+    are the spec's own copies, and the other blocks are shared by every spec
+    of the same detection banks (``_detection_phases``).  Treat instances as
+    immutable.
     """
 
     banks: dict
@@ -243,28 +253,19 @@ class NetworkSpec:
     certificate: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        table = _bank_table(self.x_cells, self.y_cells)
-        self.n = n = table["ltl"].units.stop  # the LTL is laid out last
-        banks, by_phase = {}, {}
+        p, q = self.x_cells, self.y_cells
+        table = _bank_table(p, q)
+        self.n = table["ltl"].units.stop  # the LTL is laid out last
+        banks = {}
         for name, bank in table.items():
             values = banks[name] = np.array(self.banks[name], dtype=np.float64)
             if values.shape != bank.inputs.shape:
                 raise InternalConsistencyError("bank %s of a %d x %d table needs %r weights, got %r" % (
-                    name, self.x_cells, self.y_cells, bank.inputs.shape, values.shape))
+                    name, p, q, bank.inputs.shape, values.shape))
             values.flags.writeable = False
-            by_phase.setdefault(bank.phase, []).append((bank, values))
-        phases = []
-        for phase in sorted(by_phase):
-            # the banks of one phase are adjacent and share its activation
-            members = by_phase[phase]
-            lo, hi = members[0][0].units.start, members[-1][0].units.stop
-            reads = max(int(bank.inputs.max(initial=-1)) + 1 for bank, _ in members)
-            block = np.zeros((hi - lo, min(-(-reads // BLOCK_ALIGN) * BLOCK_ALIGN, n)), dtype=np.float64)
-            for bank, values in members:
-                np.put_along_axis(block[bank.units.start - lo:bank.units.stop - lo], bank.inputs, values, 1)
-            block.flags.writeable = False
-            phases.append((lo, hi, members[0][0].activation, block))
-        self.banks, self.phases = MappingProxyType(banks), tuple(phases)
+        self.banks = MappingProxyType(banks)
+        shared = _detection_phases(*_detection_key(p, q, banks))
+        self.phases = (*shared[:_LTL], _phase_block(p, q, _LTL + 1, banks), *shared[_LTL:])
 
     @cached_property
     def weights(self):
@@ -274,6 +275,47 @@ class NetworkSpec:
             weights[lo:hi, :block.shape[1]] = block
         weights.flags.writeable = False
         return weights
+
+
+def _phase_block(p, q, phase, banks):
+    """Entry (lo, hi, activation, block) of ``NetworkSpec.phases`` for ``phase``,
+    built from the weights ``banks`` of the p x q table's banks of that phase."""
+    table = _bank_table(p, q)
+    # the banks of one phase are adjacent and share its activation
+    members = [(bank, banks[name]) for name, bank in table.items() if bank.phase == phase]
+    lo, hi = members[0][0].units.start, members[-1][0].units.stop
+    reads = max(int(bank.inputs.max(initial=-1)) + 1 for bank, _ in members)
+    width = min(-(-reads // BLOCK_ALIGN) * BLOCK_ALIGN, table["ltl"].units.stop)
+    block = np.zeros((hi - lo, width), dtype=np.float64)
+    for bank, values in members:
+        np.put_along_axis(block[bank.units.start - lo:bank.units.stop - lo], bank.inputs, values, 1)
+    block.flags.writeable = False
+    return lo, hi, members[0][0].activation, block
+
+
+#: The banks but the LTL that hold weights; the always-on unit reads nothing.
+_DETECTION = ("cmp", "ax", "bsl", "mcl")
+
+
+def _detection_key(p, q, banks):
+    """Key of the detection memos: (p, q) and the bytes of each ``_DETECTION``
+    bank, so a bank that differs by one bit is a new key."""
+    return (p, q, *(banks[name].tobytes() for name in _DETECTION))
+
+
+def _detection_banks(p, q, data):
+    """Every bank but the LTL, by name, as read-only arrays over the bytes ``data`` of a key."""
+    table = _bank_table(p, q)
+    banks = {name: np.frombuffer(raw).reshape(table[name].inputs.shape) for name, raw in zip(_DETECTION, data)}
+    return {"one": np.empty(table["one"].inputs.shape), **banks}
+
+
+@lru_cache(maxsize=32)
+def _detection_phases(p, q, *data):
+    """The phase entries but the LTL's, in phase order, shared read-only by every
+    spec whose ``_detection_key`` is (p, q, *data)."""
+    banks = _detection_banks(p, q, data)
+    return tuple(_phase_block(p, q, phase, banks) for phase in (1, 2, 3, 5))
 
 
 @dataclass(frozen=True)
@@ -324,13 +366,13 @@ def synthesize(nda):
     return spec
 
 
-def _role(spec, unit):
-    bank = next(bank for bank in _bank_table(spec.x_cells, spec.y_cells).values() if unit in bank.units)
+def _role(p, q, unit):
+    bank = next(bank for bank in _bank_table(p, q).values() if unit in bank.units)
     return bank.roles[unit - bank.units.start]
 
 
-def _fault(spec, unit, message, *args):
-    return InternalConsistencyError(("%s (unit %d): " % (_role(spec, unit), unit)) + message % args)
+def _fault(p, q, unit, message, *args):
+    return InternalConsistencyError(("%s (unit %d): " % (_role(p, q, unit), unit)) + message % args)
 
 
 #: Unit roundoff of float64 arithmetic (round to nearest even).
@@ -386,7 +428,7 @@ def _side_maps(nda):
     return [tuple(objects[2 * u:2 * u + 2]) for u in first.tolist()], which
 
 
-def _check_and_bank(spec, units, weights):
+def _check_and_bank(p, q, units, weights):
     """Each unit theta(wa*xa + wb*xb + w1) must fire on xa = xb = 1 and on no
     other pair in {0, 1}, every sum beyond its rounding bound.  The products
     are exact, so only the two additions round: gamma_2.  The pair (0, 0)
@@ -405,11 +447,11 @@ def _check_and_bank(spec, units, weights):
                    for s, r, fires in ((wb + w1, abs(wb) + abs(w1), False),
                                        (wa + w1, abs(wa) + abs(w1), False),
                                        (wa + wb + w1, abs(wa) + abs(wb) + abs(w1), True))):
-            raise _fault(spec, units[unit], "weights %r do not make an AND of its two inputs beyond their "
+            raise _fault(p, q, units[unit], "weights %r do not make an AND of its two inputs beyond their "
                          "rounding, so the branch bank is not one-hot", tuple(triple))
 
 
-def _certify_comparators(spec, units, weights):
+def _certify_comparators(p, q, units, weights):
     """Detection interval of each axis cell and its margins against the true edges.
 
     A lo comparator fires iff y + w >= 0 and a hi comparator iff w - y >= 0:
@@ -425,19 +467,19 @@ def _certify_comparators(spec, units, weights):
     wrong = np.flatnonzero(gains != want)
     if len(wrong):
         t = wrong[0]
-        raise _fault(spec, units[t], "reads its coordinate with weight %r, not %r",
+        raise _fault(p, q, units[t], "reads its coordinate with weight %r, not %r",
                      gains[t].item(), want[t].item())
     # 0.0 - w and w + 0.0 are exact and turn -0.0 into 0.0
     lo, hi = (0.0 - weights[0::2, 1]).tolist(), (weights[1::2, 1] + 0.0).tolist()
     margins, domains = [], []
-    for first, count in ((0, spec.x_cells), (spec.x_cells, spec.y_cells)):
+    for first, count in ((0, p), (p, q)):
         for t in range(count):
             a = first + t
             (ln, ld), (hn, hd) = lo[a].as_integer_ratio(), hi[a].as_integer_ratio()
             below = ln * count > (t - 1) * ld if t else True
             above = hn * count < (t + 1) * hd if t + 1 < count else True
             if not (below and ln * count < t * ld and t * hd < hn * count and above):
-                raise _fault(spec, units[2 * a], "its detection interval [%r, %r] does not hold the "
+                raise _fault(p, q, units[2 * a], "its detection interval [%r, %r] does not hold the "
                              "cell's lower edge %s alone, so the branch bank is not one-hot there",
                              lo[a], hi[a], Fraction(t, count))
             # the cell reads from the higher of its lo end and the hi end below,
@@ -500,6 +542,27 @@ def _round_up(num, den):
     return math.nextafter(f if n * den >= num * d else math.nextafter(f, math.inf), math.inf)
 
 
+@lru_cache(maxsize=32)
+def _certify_detection(p, q, *data):
+    """Certify the banks but the LTL of the p x q table, given as the bytes
+    ``data`` of a ``_detection_key``: the comparators, the axis and branch
+    ANDs and the MCL (see the module docstring).  Returns per cell its margins
+    (lo1, hi1, lo2, hi2), in the table's order, and per axis cell the interval
+    of coordinates the affine rows are bounded on; raises
+    InternalConsistencyError on a fault, naming the first faulting unit.
+    """
+    table, banks = _bank_table(p, q), _detection_banks(p, q, data)
+    margins, domains = _certify_comparators(p, q, table["cmp"].units, banks["cmp"])
+    _check_and_bank(p, q, table["ax"].units, banks["ax"])
+    _check_and_bank(p, q, table["bsl"].units, banks["bsl"])
+    wrong = np.argwhere(banks["mcl"] != 1.0)
+    if len(wrong):
+        row, col = wrong[0].tolist()
+        raise _fault(p, q, table["mcl"].units[row], "reads %s with weight %r, not 1",
+                     _role(p, q, int(table["mcl"].inputs[row, col])), banks["mcl"][row, col].item())
+    return tuple(x + y for x, y in product(margins[:p], margins[p:])), tuple(domains)
+
+
 def _certify(spec, side_maps):
     """Certify one macro step of ``spec`` over every whole cell of the table
     whose ``_side_maps`` are ``side_maps``.
@@ -513,15 +576,7 @@ def _certify(spec, side_maps):
     table, banks = _bank_table(p, q), spec.banks
     if not all(np.isfinite(values).all() for values in banks.values()):
         raise InternalConsistencyError("the network has a weight that is not finite")
-
-    margins, domains = _certify_comparators(spec, table["cmp"].units, banks["cmp"])
-    _check_and_bank(spec, table["ax"].units, banks["ax"])
-    _check_and_bank(spec, table["bsl"].units, banks["bsl"])
-    wrong = np.argwhere(banks["mcl"] != 1.0)
-    if len(wrong):
-        row, col = wrong[0].tolist()
-        raise _fault(spec, table["mcl"].units[row], "reads %s with weight %r, not 1",
-                     _role(spec, int(table["mcl"].inputs[row, col])), banks["mcl"][row, col].item())
+    margins, domains = _certify_detection(*_detection_key(p, q, banks))
 
     # affine rows: each distinct (row, side map) pair is worked out once, and
     # bounded once per axis cell when the row's gain is not the exact lambda
@@ -544,15 +599,14 @@ def _certify(spec, side_maps):
         t = int(np.argmax(faults))  # the first faulting unit
         unit = table["ltl"].units[t]
         if not clamped[pair_of[t]]:
-            raise _fault(spec, unit, "does not clamp to 0 while its branch unit is off")
-        raise _fault(spec, unit, "off by %g from the exact image over cell (%d, %d), more than SOUNDNESS",
+            raise _fault(p, q, unit, "does not clamp to 0 while its branch unit is off")
+        raise _fault(p, q, unit, "off by %g from the exact image over cell (%d, %d), more than SOUNDNESS",
                      bounds[bound_of[t]], *divmod(t // 2, q))
 
     gains = [abs(maps[which[u]][0]) for u in bound_first.tolist()]
     rounding = [Fraction(bound) for bound in bounds]
-    cells = zip(product(margins[:p], margins[p:]), bound_of.reshape(-1, 2).tolist())
-    return tuple(CellBound(x + y, (gains[b1], gains[b2]), (rounding[b1], rounding[b2]))
-                 for (x, y), (b1, b2) in cells)
+    return tuple(CellBound(margin, (gains[b1], gains[b2]), (rounding[b1], rounding[b2]))
+                 for margin, (b1, b2) in zip(margins, bound_of.reshape(-1, 2).tolist()))
 
 
 def embed(spec, point):

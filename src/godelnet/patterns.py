@@ -20,7 +20,7 @@ from operator import index
 
 from .errors import DomainError, InternalConsistencyError, ResourceLimitError
 from .svg import grid_svg, strip_svg
-from .symbols import BLANK, check_whole, index_to_digits
+from .symbols import BLANK, check_whole, digit_outside, index_to_digits
 
 #: Enumeration guard: the most cells a partition or cell-table build, or images an orbit, may enumerate.
 DEFAULT_CELL_BUDGET = 1_000_000
@@ -47,7 +47,7 @@ def pattern_of(word, m, blank_pinned=False):
         block = blocks.get(tok)
         if block is None:
             if isinstance(tok, int) and not 0 <= tok < m:
-                raise DomainError("digit %r outside 0..%d" % (tok, m - 1))
+                raise digit_outside(tok, m)
             block = blocks[tok] = len(blocks)
         key.append(block)
     if len(blocks) > m:

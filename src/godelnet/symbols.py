@@ -33,6 +33,11 @@ def check_whole(name, value, least=0):
         raise DomainError("%s must be an integer >= %d, got %r" % (name, least, value))
 
 
+def digit_outside(d, m):
+    """The DomainError refusing a digit ``d`` outside 0..m-1; callers test the range inline."""
+    return DomainError("digit %r outside 0..%d" % (d, m - 1))
+
+
 def _check_symbols(symbols):
     if len(symbols) < 2:
         raise DomainError("alphabet needs at least 2 symbols, got %d" % len(symbols))
@@ -150,7 +155,7 @@ def digits_to_index(digits, m):
     k = 0
     for d in digits:
         if not 0 <= d < m:
-            raise DomainError("digit %r outside 0..%d" % (d, m - 1))
+            raise digit_outside(d, m)
         k = k * m + d
     return k
 
@@ -212,7 +217,7 @@ def recode(word, perm):
     out = []
     for d in word:
         if not 0 <= d < m:
-            raise DomainError("digit %r outside 0..%d" % (d, m - 1))
+            raise digit_outside(d, m)
         out.append(perm[d])
     return tuple(out)
 

@@ -391,11 +391,21 @@ SEEDED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", ["plain", "chain", *SEEDED_RUNS])
+def _comparator_ulp(spec):
+    """``spec`` with the threshold of comparator cmp:x:1:lo moved one ulp up."""
+    unit = _unit_of(spec)["cmp:x:1:lo"]
+    return _with_weight(spec, unit, spec.always_on, float(np.nextafter(spec.weights[unit, spec.always_on], 1.0)))
+
+
+@pytest.mark.parametrize("case", ["plain", "plain-ulp", "chain", *SEEDED_RUNS])
 def test_micro_states_match_dense_reference_bit_for_bit(case, plain_nda, plain_net, plain_start, chain_case):
     spec, start, nda, macro_steps = plain_net, plain_start, plain_nda, 6
     diverges = False
-    if case == "chain":
+    if case == "plain-ulp":
+        # its own phase-1 block, certified so that its LTL steps are gated too
+        spec = _comparator_ulp(plain_net)
+        spec.certificate = _certify(spec, _side_maps(plain_nda))
+    elif case == "chain":
         spec, start, nda = chain_case
         macro_steps = 2 * CHAIN_K + 3
     elif case in SEEDED_RUNS:
@@ -535,11 +545,26 @@ def _corrupted(spec, unit, column, delta):
     return _with_weight(spec, unit, column, spec.weights[unit, column] + delta)
 
 
+def _clear_memos():
+    network._certify_detection.cache_clear()
+    network._detection_phases.cache_clear()
+
+
+def _under_each_memo(nda):
+    """Yields "cleared" with the detection memos empty, then "warm" after a
+    clean synthesis of ``nda`` has filled them for its table shape."""
+    _clear_memos()
+    yield "cleared"
+    synthesize(nda)
+    yield "warm"
+
+
 def test_validation_catches_a_corrupted_branch_weight(plain_nda, plain_net):
     # raising the threshold of one branch unit silences it on its own cell
     unit = _unit_of(plain_net)["bsl:1:2"]
-    with pytest.raises(InternalConsistencyError, match="one-hot"):
-        _certify(_corrupted(plain_net, unit, plain_net.always_on, -1.0), _side_maps(plain_nda))
+    for _ in _under_each_memo(plain_nda):
+        with pytest.raises(InternalConsistencyError, match="one-hot"):
+            _certify(_corrupted(plain_net, unit, plain_net.always_on, -1.0), _side_maps(plain_nda))
 
 
 #: Higham's gamma_2 = 2u / (1 - 2u), u = 2**-53, restated here.
@@ -583,7 +608,7 @@ def test_the_integer_and_bank_test_agrees_with_fractions(plain_net):
     verdicts = []
     for triple in _and_threshold_triples():
         try:
-            network._check_and_bank(plain_net, units, np.array([triple]))
+            network._check_and_bank(plain_net.x_cells, plain_net.y_cells, units, np.array([triple]))
             got = True
         except InternalConsistencyError as err:
             assert "do not make an AND of its two inputs" in str(err)
@@ -600,8 +625,9 @@ def test_validation_catches_a_corrupted_affine_weight(plain_nda, plain_net, delt
     i, j = next(divmod(k, 5) for k, c in enumerate(plain_nda.cells)
                 if 0.1 < float(c.apply(PhasePoint(Fraction(k // 5, 3), Fraction(k % 5, 5))).y1) < 0.9)
     unit = _unit_of(plain_net)["ltl:%d:%d:y1" % (i, j)]
-    with pytest.raises(InternalConsistencyError, match="off by"):
-        _certify(_corrupted(plain_net, unit, plain_net.always_on, delta), _side_maps(plain_nda))
+    for _ in _under_each_memo(plain_nda):
+        with pytest.raises(InternalConsistencyError, match="off by"):
+            _certify(_corrupted(plain_net, unit, plain_net.always_on, delta), _side_maps(plain_nda))
 
 
 def _ungated(spec, role):
@@ -811,14 +837,19 @@ PARENT_PASSED = {
 PARENT_REJECTED_SHA256 = "33e9f9554b0c115f35d30300bff0d2df4e161ee1285d453347197cc8cfadb043"
 
 
-def test_validation_outcomes_under_every_unit_weight_corruption(plain_nda, mixed_nda):
-    # +1.0, then -1.0, on each nonzero weight of both demo networks in turn
+def _sweep_outcomes(memo, ndas):
+    """(outcomes, rejected by the corner check) of the corruption sweep below.
+    With ``memo`` "cleared" the detection memos are emptied before each
+    corrupted network is built and proved; "warm" leaves in them what the
+    clean synthesis and the earlier corruptions put there."""
     outcomes, parent_rejected = [], []
-    for name, nda in (("plain", plain_nda), ("mixed", mixed_nda)):
+    for name, nda in ndas:
         spec = synthesize(nda)
         rows, cols = np.nonzero(spec.weights)
         for unit, column in zip(rows.tolist(), cols.tolist()):
             for delta in (1, -1):
+                if memo == "cleared":
+                    _clear_memos()
                 try:
                     _certify(_corrupted(spec, unit, column, float(delta)), _side_maps(nda))
                     outcomes.append("passed")
@@ -826,6 +857,16 @@ def test_validation_outcomes_under_every_unit_weight_corruption(plain_nda, mixed
                     outcomes.append("rejected: %s" % err)
                 if (unit, column, delta) not in PARENT_PASSED[name]:
                     parent_rejected.append(("%s,%d,%d,%+d" % (name, unit, column, delta), outcomes[-1]))
+    return outcomes, parent_rejected
+
+
+def test_validation_outcomes_under_every_unit_weight_corruption(plain_nda, mixed_nda):
+    # +1.0, then -1.0, on each nonzero weight of both demo networks in turn,
+    # once on cleared memos and once on warm ones: a memo must neither hide
+    # a fault nor change the unit a fault names
+    ndas = (("plain", plain_nda), ("mixed", mixed_nda))
+    outcomes, parent_rejected = _sweep_outcomes("cleared", ndas)
+    assert _sweep_outcomes("warm", ndas) == (outcomes, parent_rejected)
     assert len(outcomes) == 884
     assert outcomes.count("passed") == 8
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == CORRUPTION_SWEEP_SHA256
@@ -1063,6 +1104,44 @@ def test_a_run_leaves_the_dense_matrix_unbuilt():
     assert spec.weights is spec.weights
     with pytest.raises(ValueError, match="read-only"):
         spec.weights[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("case", ["plain", "mixed", "G_4:1", "G_10:1"])
+def test_a_memoised_certificate_is_the_one_proved_afresh(case, plain_nda, mixed_nda):
+    if case in ("plain", "mixed"):
+        nda = plain_nda if case == "plain" else mixed_nda
+    else:
+        k, seed = case[2:].split(":")
+        nda = _seeded_nda(chain_grammar(int(k)), int(seed))
+    synthesize(nda)
+    spec = synthesize(nda)  # its detection proof and blocks from the memos
+    _clear_memos()
+    certificate = _certify(spec, _side_maps(nda))
+    assert certificate == spec.certificate and repr(certificate) == repr(spec.certificate)
+    fresh = replace(spec, banks=spec.banks)
+    for (*bounds, block), (*fresh_bounds, fresh_block) in zip(spec.phases, fresh.phases):
+        assert bounds == fresh_bounds and block is not fresh_block and _same_bits(block, fresh_block)
+
+
+def test_encodings_of_one_machine_share_their_detection_blocks(plain_nda, mixed_nda):
+    # the blocks of phases 1, 2, 3 and 5 read no lambda or a; the LTL's do
+    specs = [synthesize(plain_nda), synthesize(mixed_nda), synthesize(plain_nda)]
+    for k, (_, _, _, block) in enumerate(specs[0].phases):
+        others = [spec.phases[k][3] for spec in specs[1:]]
+        if k == network._LTL:
+            assert all(other is not block for other in others)
+        else:
+            assert all(other is block for other in others) and not block.flags.writeable
+
+
+def test_a_spec_one_ulp_apart_gets_blocks_of_its_own(plain_net):
+    moved = _comparator_ulp(plain_net)
+    lo, _, _, block = plain_net.phases[0]
+    own = moved.phases[0][3]
+    at = (_unit_of(plain_net)["cmp:x:1:lo"] - lo, plain_net.always_on)
+    assert own is not block and not own.flags.writeable
+    assert np.argwhere(own != block).tolist() == [list(at)]
+    assert own[at] == np.nextafter(block[at], 1.0)
 
 
 def test_only_synthesis_carries_a_certificate(plain_nda, plain_net):

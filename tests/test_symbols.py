@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +24,7 @@ from godelnet import (
     na_run,
     nda_run,
     orbit,
+    pattern_of,
     recode,
     recode_ordering,
     rho_pi,
@@ -36,6 +38,7 @@ from godelnet.errors import DomainError
 from godelnet.symbols import (
     all_permutations,
     compose_perms,
+    digits_to_index,
     encode_digits,
     grid_index,
     index_to_digits,
@@ -255,6 +258,20 @@ def test_permutation_helpers():
         (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
     with pytest.raises(DomainError):
         recode((0, 3), (1, 0, 2))
+
+
+@pytest.mark.parametrize("refuse", [digits_to_index, lambda word, m: recode(word, tuple(range(m))), pattern_of],
+                         ids=["digits_to_index", "recode", "pattern_of"])
+@pytest.mark.parametrize("word, m, message", [
+    ((0, 3), 3, "digit 3 outside 0..2"),
+    ((1, -1, 0), 2, "digit -1 outside 0..1"),
+    ((0, 1, 7, 9), 5, "digit 7 outside 0..4"),
+])
+def test_a_digit_outside_the_base_is_refused_in_one_text(refuse, word, m, message):
+    # the first digit outside 0..m-1 is named, and the passing words still pass
+    with pytest.raises(DomainError, match="^%s$" % re.escape(message)):
+        refuse(word, m)
+    refuse(tuple(d % m for d in word), m)
 
 
 def test_dotted_sequence_trims_and_compares():
