@@ -44,7 +44,7 @@ Godel encoding of the stepped tape on random machines that shift both ways.
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -127,20 +127,17 @@ class Nda:
     l: int
     r: int
     cells: tuple  # of NdaCell; cell (i, j) at position i * y_cells + j
+    # the grid's size, m_in**r by m_st**l, worked out once: every step reads it
+    x_cells: int = field(init=False, repr=False, compare=False)
+    y_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
+        object.__setattr__(self, "x_cells", self.enc.m_in**self.r)
+        object.__setattr__(self, "y_cells", self.enc.m_st**self.l)
         if len(self.cells) != self.x_cells * self.y_cells:
             raise InternalConsistencyError("cell table must list the %d x %d grid, got %d cells"
                                            % (self.x_cells, self.y_cells, len(self.cells)))
-
-    @property
-    def x_cells(self):
-        return self.enc.m_in**self.r
-
-    @property
-    def y_cells(self):
-        return self.enc.m_st**self.l
 
     def cell_at(self, i, j):
         if not (0 <= i < self.x_cells and 0 <= j < self.y_cells):

@@ -44,8 +44,9 @@ is one contiguous range with a single activation, and but for the MCL its
 units read only units laid out before them.  So the spec keeps for phase
 k + 1 one entry phases[k] = (lo, hi, activation, block), block being
 W[lo:hi, :width] of the weights, width one past the last column the phase
-reads, rounded up to BLOCK_ALIGN = 64 and capped at n; a micro step
-computes block @ x[:width] and activates it in one vectorised call.
+reads, rounded up to BLOCK_ALIGN = 64 and capped at n; a micro step of
+the bank engine computes block @ x[:width] and activates it in one
+vectorised call.
 The dense n x n matrix is built only when something reads it.
 
 The blocks give the dense W x its bits.  The BLAS matrix-vector product
@@ -70,16 +71,31 @@ some runs.  This holds for states of finite values, which every state from
 infinity in a column at or past a block's width no longer turns that
 phase's sums into NaN.
 
-The LTL phase of a certified spec multiplies only the row groups of the
-released cells: the group g = k // 2 of each cell k whose branch unit is
-on, which holds the pairs of cells 2g and 2g + 1.  Every other affine unit
-is set to 0.0, the value the certificate proves its row clamps to while its
-branch unit is off.  This is exact for the states ``embed`` and the
-activations produce: the MCL in [0, 1], the always-on unit at 1 and each
-branch unit at 0 or 1.  A hand-built state outside them (a branch unit at
-0.5, say) can read otherwise than the dense product, and a spec without a
-certificate, built or ``replace``d by hand, multiplies every row.
-tests/test_network.py holds the engine to the dense update, bit for bit.
+``na_run`` runs a spec that ``synthesize`` certified by the facts its
+certificate proves (below), one macro step at a time:
+
+  1. the always-on unit is 1, and the lo (hi) comparator of axis cell a is
+     y >= lo_a (y <= hi_a) on its coordinate, exactly;
+  2. each axis unit is the AND of its two comparators;
+  3. each branch unit is the AND of its input-axis and stack-axis units;
+  4. the affine units of the released cells (branch unit on) are their
+     aligned groups of four rows, block[4g:4g + 4] @ x[:width] for cell k
+     and g = k // 2 (cells 2g and 2g + 1 share the group), ramped; every
+     other affine unit is 0.0, the value its row is proved to clamp to;
+  5. with one cell released, the MCL is that cell's two affine outputs,
+     which the MCL rows add to exact zeros; with none (defect 3a) or two or
+     more (cells that share a rounded edge) the MCL block is multiplied.
+
+The only sums whose bits depend on summation order are the released affine
+rows and the MCL under several released cells; they keep the bank engine's
+BLAS calls, so every micro state keeps its bits under every kernel.  Every
+other output is 0 or 1 by a proved sign, or one value added to exact zeros.
+This is exact on the domain ``na_run`` admits, which every later state stays
+in: a start whose x is a 1-d float64 array of n finite entries, with the
+always-on unit at 1 and the MCL in [0, 1].  ``na_micro_step`` is the bank
+engine, every row of every block: it runs a spec without a certificate
+(built or ``replace``d by hand) and is the certified step's oracle.
+tests/test_network.py holds both to the dense update, bit for bit.
 
 ``synthesize`` certifies its network without running it: ``_certify`` reads
 the banks back and checks, in exact arithmetic (a float64 converts to a
@@ -108,8 +124,12 @@ most gamma_k = k u / (1 - k u), u = 2**-53, times the sum of the terms'
 magnitudes, in any summation order, with or without fused multiply-adds,
 so the bounds hold under every BLAS kernel; zero weights add exact zeros.
 Any fault above is an InternalConsistencyError, naming the first faulting
-unit.  The numbers are kept on ``NetworkSpec.certificate``, one CellBound
-(margins, gain, rounding) per cell.
+unit.  The numbers are kept on ``NetworkSpec.certificate``, a Certificate
+that holds each fact once: per axis cell its exact detection interval and
+margins, shared by every spec of one detection key; the distinct bounds,
+each with its gain and rounding; and per affine unit the index of its
+bound.  Entry k, built on read, is cell k's CellBound (margins, gain,
+rounding).
 
 Each fact is proved once, in integers wherever it can be: each comparator
 pair once per axis cell (its ends n/d against the edges t/count by
@@ -132,10 +152,11 @@ never cached.  The LTL block and the affine proofs are built per spec.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -248,9 +269,10 @@ class NetworkSpec:
     micro_steps_per_macro = MICRO_STEPS_PER_MACRO
     n: int = field(init=False, repr=False)
     phases: tuple = field(init=False, repr=False)
-    # per-cell CellBound table; only synthesize sets it, so a spec built or
-    # replaced with other banks carries none
-    certificate: tuple = field(init=False, default=None, repr=False)
+    # the Certificate of the banks; only synthesize sets it, so a spec built
+    # or replaced with other banks carries none and na_run runs it on the
+    # bank engine
+    certificate: "Certificate" = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         p, q = self.x_cells, self.y_cells
@@ -334,8 +356,8 @@ def synthesize(nda):
     the budget is checked from the table's size before the layout is built.
     Before returning, the weights are certified over every whole cell
     without running the network (``_certify``, see the module docstring):
-    a structural fault raises InternalConsistencyError, and the per-cell
-    bounds are kept on the spec's ``certificate``.
+    a structural fault raises InternalConsistencyError, and what it proves
+    is kept on the spec's ``certificate``.
     """
     p, q = nda.x_cells, nda.y_cells
     _bank_sizes(p, q)  # on every call: a cached layout must not skip the budget
@@ -407,6 +429,52 @@ class CellBound(NamedTuple):
     rounding: tuple
 
 
+class Certificate(Sequence):
+    """What ``_certify`` proves about one macro step, each fact held once.
+
+    Per axis cell a (input-axis cell a < p, stack-axis cell a - p): the ends
+    lo[a], hi[a] of its exact detection interval, two read-only float
+    arrays (its lo comparator fires iff y >= lo[a], its hi comparator iff
+    y <= hi[a]), and margins[a] = (lo, hi), as in CellBound.  Per distinct
+    bound d: gains[d], the |lambda| of its exact map, and rounding[d], its
+    float64 bound rounded up.  Per affine unit u (unit ltl + u):
+    bound_of[u], the index of its bound, a read-only array.
+
+    As a sequence of the p*q cells, entry k is the CellBound of cell k,
+    built on read.  Two certificates are equal when their cells and their
+    detection intervals are.
+    """
+
+    def __init__(self, x_cells, y_cells, lo, hi, margins, gains, rounding, bound_of):
+        self.x_cells, self.y_cells = x_cells, y_cells
+        self.lo, self.hi, self.margins = lo, hi, margins
+        self.gains, self.rounding, self.bound_of = gains, rounding, bound_of
+
+    def __len__(self):
+        return self.x_cells * self.y_cells
+
+    def __getitem__(self, k):
+        """The CellBound of cell k = i*q + j."""
+        k = range(len(self))[k]  # an IndexError past either end, as a tuple's
+        i, j = divmod(k, self.y_cells)
+        b1, b2 = self.bound_of[2 * k:2 * k + 2].tolist()
+        return CellBound(self.margins[i] + self.margins[self.x_cells + j],
+                         (self.gains[b1], self.gains[b2]), (self.rounding[b1], self.rounding[b2]))
+
+    cell = __getitem__
+
+    def __eq__(self, other):
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return (np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+                and (self.x_cells, self.y_cells) == (other.x_cells, other.y_cells) and tuple(self) == tuple(other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "Certificate(%d x %d cells, %d bounds)" % (self.x_cells, self.y_cells, len(self.gains))
+
+
 def _distinct(keys):
     """(first, inverse): the first position of each distinct key, and each position's key."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -459,7 +527,8 @@ def _certify_comparators(p, q, units, weights):
     when it is 0, so the interval [-w_lo, w_hi] is exact.  The comparators
     must read each cell's lower edge as that cell's alone.  Each end n/d is
     compared with the edges t/count by cross-multiplying integers.  Returns
-    per axis cell the margins (lo, hi) as Fractions, and the interval of
+    per axis cell its detection interval's ends lo and hi, as two read-only
+    float arrays, its margins (lo, hi) as Fractions, and the interval of
     coordinates, true cell and certified part together, that the affine rows
     are bounded on, as two (numerator, denominator) pairs.
     """
@@ -470,7 +539,8 @@ def _certify_comparators(p, q, units, weights):
         raise _fault(p, q, units[t], "reads its coordinate with weight %r, not %r",
                      gains[t].item(), want[t].item())
     # 0.0 - w and w + 0.0 are exact and turn -0.0 into 0.0
-    lo, hi = (0.0 - weights[0::2, 1]).tolist(), (weights[1::2, 1] + 0.0).tolist()
+    ends = 0.0 - weights[0::2, 1], weights[1::2, 1] + 0.0
+    lo, hi = (end.tolist() for end in ends)
     margins, domains = [], []
     for first, count in ((0, p), (p, q)):
         for t in range(count):
@@ -490,7 +560,9 @@ def _certify_comparators(p, q, units, weights):
                             Fraction(sn * count - (t + 1) * sd, count * sd)))
             top = (sn, sd) if sn * count > (t + 1) * sd else (t + 1, count)
             domains.append(((gn, gd) if gn > 0 else (0, 1), top if top[0] < top[1] else (1, 1)))
-    return margins, domains
+    for end in ends:
+        end.flags.writeable = False
+    return (*ends, tuple(margins), tuple(domains))
 
 
 def _affine_row(lam_w, off_w, gate_w, lam, a):
@@ -546,13 +618,13 @@ def _round_up(num, den):
 def _certify_detection(p, q, *data):
     """Certify the banks but the LTL of the p x q table, given as the bytes
     ``data`` of a ``_detection_key``: the comparators, the axis and branch
-    ANDs and the MCL (see the module docstring).  Returns per cell its margins
-    (lo1, hi1, lo2, hi2), in the table's order, and per axis cell the interval
-    of coordinates the affine rows are bounded on; raises
-    InternalConsistencyError on a fault, naming the first faulting unit.
+    ANDs and the MCL (see the module docstring).  Returns per axis cell, as
+    ``_certify_comparators`` does, the ends of its detection interval, its
+    margins and the interval of coordinates the affine rows are bounded on;
+    raises InternalConsistencyError on a fault, naming the first faulting unit.
     """
     table, banks = _bank_table(p, q), _detection_banks(p, q, data)
-    margins, domains = _certify_comparators(p, q, table["cmp"].units, banks["cmp"])
+    detection = _certify_comparators(p, q, table["cmp"].units, banks["cmp"])
     _check_and_bank(p, q, table["ax"].units, banks["ax"])
     _check_and_bank(p, q, table["bsl"].units, banks["bsl"])
     wrong = np.argwhere(banks["mcl"] != 1.0)
@@ -560,7 +632,7 @@ def _certify_detection(p, q, *data):
         row, col = wrong[0].tolist()
         raise _fault(p, q, table["mcl"].units[row], "reads %s with weight %r, not 1",
                      _role(p, q, int(table["mcl"].inputs[row, col])), banks["mcl"][row, col].item())
-    return tuple(x + y for x, y in product(margins[:p], margins[p:])), tuple(domains)
+    return detection
 
 
 def _certify(spec, side_maps):
@@ -568,15 +640,15 @@ def _certify(spec, side_maps):
     whose ``_side_maps`` are ``side_maps``.
 
     Reads the banks back, without running the network, and checks them in
-    exact arithmetic (see the module docstring).  Returns one CellBound per
-    cell in the table's order; raises InternalConsistencyError on a
-    structural fault, naming the first faulting unit.
+    exact arithmetic (see the module docstring).  Returns the Certificate;
+    raises InternalConsistencyError on a structural fault, naming the first
+    faulting unit.
     """
     p, q = spec.x_cells, spec.y_cells
     table, banks = _bank_table(p, q), spec.banks
     if not all(np.isfinite(values).all() for values in banks.values()):
         raise InternalConsistencyError("the network has a weight that is not finite")
-    margins, domains = _certify_detection(*_detection_key(p, q, banks))
+    lo, hi, margins, domains = _certify_detection(*_detection_key(p, q, banks))
 
     # affine rows: each distinct (row, side map) pair is worked out once, and
     # bounded once per axis cell when the row's gain is not the exact lambda
@@ -603,10 +675,9 @@ def _certify(spec, side_maps):
         raise _fault(p, q, unit, "off by %g from the exact image over cell (%d, %d), more than SOUNDNESS",
                      bounds[bound_of[t]], *divmod(t // 2, q))
 
-    gains = [abs(maps[which[u]][0]) for u in bound_first.tolist()]
-    rounding = [Fraction(bound) for bound in bounds]
-    return tuple(CellBound(margin, (gains[b1], gains[b2]), (rounding[b1], rounding[b2]))
-                 for margin, (b1, b2) in zip(margins, bound_of.reshape(-1, 2).tolist()))
+    gains = tuple(abs(maps[which[u]][0]) for u in bound_first.tolist())
+    bound_of.flags.writeable = False
+    return Certificate(p, q, lo, hi, margins, gains, tuple(map(Fraction, bounds)), bound_of)
 
 
 def embed(spec, point):
@@ -628,26 +699,73 @@ def activate(kind, net):
 
 
 def na_micro_step(spec, state):
-    """Advance one micro step: units of the next phase update, others hold.
-    On a certified spec the LTL phase multiplies only the released cells'
-    groups of four rows (see the module docstring)."""
+    """Advance one micro step of the bank engine: the units of the next phase
+    update from every row of its block, the others hold.  It runs specs
+    without a certificate, and it is the oracle of ``na_run``'s certified
+    macro step."""
     lo, hi, kind, block = spec.phases[state.micro]
     x = state.x.copy()
-    columns = state.x[:block.shape[1]]
-    if state.micro == _LTL and spec.certificate is not None:
-        out = x[lo:hi]
-        out[:] = 0.0
-        b_lo, b_hi = spec.phases[_LTL - 1][:2]
-        for cell in state.x[b_lo:b_hi].nonzero()[0].tolist():
-            rows = slice(cell // 2 * 4, cell // 2 * 4 + 4)  # cells 2g and 2g + 1 share rows 4g..4g + 3
-            out[rows] = activate(kind, block[rows] @ columns)
-    else:
-        x[lo:hi] = activate(kind, block @ columns)
+    x[lo:hi] = activate(kind, block @ state.x[:block.shape[1]])
     micro = state.micro + 1
     macro = state.macro
     if micro == spec.micro_steps_per_macro:
         micro, macro = 0, macro + 1
     return NeuralState(x=x, macro=macro, micro=micro)
+
+
+def _bank_states(spec, state, macro_steps):
+    """``state`` and the micro states of ``macro_steps`` macro steps of the bank engine."""
+    states = [state]
+    for _ in range(macro_steps * spec.micro_steps_per_macro):
+        states.append(na_micro_step(spec, states[-1]))
+    return states
+
+
+def _certified_states(spec, state, macro_steps):
+    """``state`` and the micro states of ``macro_steps`` certified macro steps:
+    the bank engine's states, bit for bit, computed from the facts that
+    ``spec.certificate`` proves (see the module docstring)."""
+    certificate, p = spec.certificate, spec.x_cells
+    table = _bank_table(p, spec.y_cells)
+    coordinate = table["cmp"].inputs[0::2, 0]  # the coordinate each axis cell's comparators read
+    cmp, ax, bsl, ltl = (table[name].units for name in ("cmp", "ax", "bsl", "ltl"))
+    block, (mcl_lo, mcl_hi, _, mcl) = spec.phases[_LTL][3], spec.phases[_LTL + 1]
+    affine = block.shape[1]
+    states = [state]
+    for _ in range(macro_steps):
+        x, macro = states[-1].x, states[-1].macro
+        # phase 1: the always-on unit and each comparator, exactly
+        y = x[coordinate]
+        lo, hi = y >= certificate.lo, y <= certificate.hi
+        x1 = x.copy()
+        x1[ALWAYS_ON] = 1.0
+        x1[cmp.start:cmp.stop:2], x1[cmp.start + 1:cmp.stop:2] = lo, hi
+        # phases 2 and 3: ANDs proved beyond their rounding
+        axis = lo & hi
+        x2 = x1.copy()
+        x2[ax.start:ax.stop] = axis
+        branch = (axis[:p, None] & axis[None, p:]).ravel()
+        x3 = x2.copy()
+        x3[bsl.start:bsl.stop] = branch
+        # phase 4: the released cells' aligned four-row groups (cells 2g and
+        # 2g + 1 share rows 4g..4g + 3); every other affine unit is 0.0
+        released = np.flatnonzero(branch).tolist()
+        x4 = x3.copy()
+        out = x4[ltl.start:]
+        out[:] = 0.0
+        for cell in released:
+            rows = slice(cell // 2 * 4, cell // 2 * 4 + 4)
+            out[rows] = activate(RAMP, block[rows] @ x3[:affine])
+        # phase 5: one released cell's outputs added to exact zeros are its
+        # outputs; none or several are summed as the MCL block sums them
+        x5 = x4.copy()
+        if len(released) == 1:
+            x5[mcl_lo:mcl_hi] = out[2 * released[0]:2 * released[0] + 2]
+        else:
+            x5[mcl_lo:mcl_hi] = activate(RAMP, mcl @ x4[:mcl.shape[1]])
+        states += (NeuralState(x1, macro, 1), NeuralState(x2, macro, 2), NeuralState(x3, macro, 3),
+                   NeuralState(x4, macro, 4), NeuralState(x5, macro + 1, 0))
+    return states
 
 
 @dataclass(frozen=True)
@@ -667,6 +785,25 @@ class NaRun:
         return self.divergence_step >= 0
 
 
+def _check_start(spec, state):
+    """Refuse a start ``state`` off the domain on which the certified step is
+    exact: a macro boundary whose x is a 1-d float64 array of spec.n finite
+    entries, the always-on unit at 1.0 and the MCL in [0, 1]."""
+    if state.micro != 0:
+        raise DomainError("na_run starts at a macro boundary (micro 0), got micro %r" % (state.micro,))
+    x = state.x
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (spec.n,)):
+        got = "%s array of shape %r" % (x.dtype, x.shape) if isinstance(x, np.ndarray) else type(x).__name__
+        raise DomainError("na_run starts from a float64 array of shape (%d,), got a %s" % (spec.n, got))
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        raise DomainError("na_run starts from finite values, got %r at unit %d" % (x[bad[0]].item(), bad[0]))
+    if x[ALWAYS_ON] != 1.0:
+        raise DomainError("na_run starts with the always-on unit at 1.0, got %r" % (x[ALWAYS_ON].item(),))
+    if not (0.0 <= x[MCL[0]] <= 1.0 and 0.0 <= x[MCL[1]] <= 1.0):
+        raise DomainError("na_run starts with the MCL in [0, 1], got (%r, %r)" % tuple(x[:2].tolist()))
+
+
 def na_run(spec, state, macro_steps, *, reference, point, tol=SOUNDNESS):
     """Run ``macro_steps`` macro steps from ``state`` against the exact orbit.
 
@@ -675,24 +812,27 @@ def na_run(spec, state, macro_steps, *, reference, point, tol=SOUNDNESS):
     the exact orbit at every macro boundary, and a deviation above SOUNDNESS
     flags the run as diverged.  ``tol`` is accepted only as SOUNDNESS, for
     the callers that still pass it (ROADMAP item 14); any other value is a
-    DomainError.  So is a ``macro_steps`` that is not an int >= 0, and
-    a ``state`` off a macro boundary (micro != 0), whose MCL the check would
-    compare between boundaries.  ``na_micro_step`` is the unchecked engine,
-    its LTL gate included.
+    DomainError.  So is a ``macro_steps`` that is not an int >= 0, and a
+    ``state`` off the certified step's domain: off a macro boundary
+    (micro != 0), whose MCL the check would compare between boundaries, or
+    whose x is not a 1-d float64 array of spec.n finite entries with the
+    always-on unit at 1.0 and the MCL in [0, 1].
+
+    A spec with a certificate runs the certified macro step, one without runs
+    the bank engine ``na_micro_step``; both give the same micro states (see
+    the module docstring).
     """
     if tol != SOUNDNESS:
         raise DomainError("na_run checks the orbit at SOUNDNESS = %r only, got tol = %r" % (SOUNDNESS, tol))
     check_whole("macro_steps", macro_steps)
-    if state.micro != 0:
-        raise DomainError("na_run starts at a macro boundary (micro 0), got micro %r" % (state.micro,))
-    states = [state]
+    _check_start(spec, state)
+    engine = _bank_states if spec.certificate is None else _certified_states
+    states = engine(spec, state, macro_steps)
     max_div, div_step = 0.0, -1
-    for k in range(macro_steps):
-        for _ in range(spec.micro_steps_per_macro):
-            state = na_micro_step(spec, state)
-            states.append(state)
+    for k, boundary in enumerate(states[spec.micro_steps_per_macro::spec.micro_steps_per_macro]):
         point = nda_step(reference, point)
-        err = max(abs(state.x[MCL[0]] - float(point.y1)), abs(state.x[MCL[1]] - float(point.y2)))
+        x = boundary.x
+        err = max(abs(x[MCL[0]] - float(point.y1)), abs(x[MCL[1]] - float(point.y2)))
         max_div = max(max_div, err)
         if err > SOUNDNESS and div_step < 0:
             div_step = k + 1

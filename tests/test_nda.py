@@ -32,7 +32,7 @@ from godelnet import (
 )
 from godelnet.checks import fan_grammar, random_encoding, random_machine
 from godelnet.errors import DomainError, InternalConsistencyError, MachineBuildError, ResourceLimitError
-from godelnet.nda import HALT, nda_csv
+from godelnet.nda import HALT, Nda, nda_csv
 from godelnet.symbols import grid_index, index_to_digits
 
 
@@ -99,6 +99,18 @@ def test_cell_table_geometry(plain_nda):
     for i, j in ((3, 0), (0, 5), (-1, 0), (0, -1)):
         with pytest.raises(DomainError):
             plain_nda.cell_at(i, j)
+
+
+def test_the_grid_size_is_worked_out_once_and_kept_out_of_repr_eq_and_hash(plain_nda):
+    # x_cells and y_cells are set when the table is built, not on each read;
+    # the table's repr, equality and hash stay those of (enc, l, r, cells)
+    assert (vars(plain_nda)["x_cells"], vars(plain_nda)["y_cells"]) == (3, 5)
+    assert "x_cells" not in repr(plain_nda) and "y_cells" not in repr(plain_nda)
+    assert hashlib.sha256(repr(plain_nda).encode()).hexdigest() == (
+        "c57cfefb0b7fbdf09e695a6a0cf64b5294931156e90004c6f020879de20945a7")
+    copy = Nda(plain_nda.enc, plain_nda.l, plain_nda.r, list(plain_nda.cells))
+    assert copy == plain_nda and hash(copy) == hash(plain_nda)
+    assert hash(plain_nda) == hash((plain_nda.enc, plain_nda.l, plain_nda.r, plain_nda.cells))
 
 
 def test_cell_table_must_hold_every_cell(plain_nda):

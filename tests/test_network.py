@@ -287,6 +287,65 @@ def test_a_run_off_a_macro_boundary_is_refused(plain_nda, plain_net, plain_start
         na_run(plain_net, state, 1, reference=plain_nda, point=plain_start)
 
 
+def _start_with(x):
+    return NeuralState(x=x, macro=0, micro=0)
+
+
+def _start_edited(spec, start, unit, value):
+    x = embed(spec, start).x
+    x[unit] = value
+    return x
+
+
+#: Starts off the certified step's domain, and the refusal of each.
+BAD_STARTS = {
+    # a column would run, with max_divergence an array
+    "column": (lambda spec, start: embed(spec, start).x.reshape(-1, 1),
+               r"^na_run starts from a float64 array of shape \(72,\), got a float64 array of shape \(72, 1\)$"),
+    # an integer array would run, its states truncated
+    "int": (lambda spec, start: embed(spec, start).x.astype(np.int64),
+            r"^na_run starts from a float64 array of shape \(72,\), got a int64 array of shape \(72,\)$"),
+    "short": (lambda spec, start: embed(spec, start).x[:-1],
+              r"^na_run starts from a float64 array of shape \(72,\), got a float64 array of shape \(71,\)$"),
+    "list": (lambda spec, start: embed(spec, start).x.tolist(),
+             r"^na_run starts from a float64 array of shape \(72,\), got a list$"),
+    "nan": (lambda spec, start: _start_edited(spec, start, 40, float("nan")),
+            r"^na_run starts from finite values, got nan at unit 40$"),
+    "inf": (lambda spec, start: _start_edited(spec, start, 1, float("-inf")),
+            r"^na_run starts from finite values, got -inf at unit 1$"),
+    "always-on": (lambda spec, start: _start_edited(spec, start, 2, 0.5),
+                  r"^na_run starts with the always-on unit at 1\.0, got 0\.5$"),
+    "below": (lambda spec, start: _start_edited(spec, start, 0, -0.25),
+              r"^na_run starts with the MCL in \[0, 1\], got \(-0\.25, 0\.8\)$"),
+    "above": (lambda spec, start: _start_edited(spec, start, 1, 1.5),
+              r"^na_run starts with the MCL in \[0, 1\], got \(0\.5925925925925926, 1\.5\)$"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_STARTS))
+def test_a_start_off_the_certified_domain_is_refused(case, plain_nda, plain_net, plain_start):
+    # the certified step is exact on 1-d float64 starts of n finite entries
+    # with the always-on unit at 1 and the MCL in [0, 1]; the bank engine
+    # runs on the same domain
+    build, message = BAD_STARTS[case]
+    uncertified = replace(plain_net, banks=plain_net.banks)
+    for spec in (plain_net, uncertified):
+        with pytest.raises(DomainError, match=message):
+            na_run(spec, _start_with(build(spec, plain_start)), 1, reference=plain_nda, point=plain_start)
+
+
+def test_a_start_on_the_edges_of_the_certified_domain_runs(plain_nda, plain_net, plain_start):
+    # the MCL at 0.0, -0.0 and 1.0 and every other unit at any finite value
+    for mcl in ((0.0, 1.0), (-0.0, 0.0), (1.0, 0.0)):
+        x = np.full(plain_net.n, -1e300)
+        x[:3] = (*mcl, 1.0)
+        run = na_run(plain_net, _start_with(x), 1, reference=plain_nda, point=plain_start)
+        x = run.states[0].x
+        for t, state in enumerate(run.states[1:]):
+            x = _reference_step(_schedule(plain_net), plain_net.weights, x, t + 1)
+            assert _same_bits(state.x, x)
+
+
 def test_the_benchmark_call_at_soundness_still_runs(plain_nda, plain_net, plain_start, plain_run):
     # perfbench's chain workload passes tol=SOUNDNESS explicitly
     run = na_run(plain_net, embed(plain_net, plain_start), 6,
@@ -402,7 +461,7 @@ def test_micro_states_match_dense_reference_bit_for_bit(case, plain_nda, plain_n
     spec, start, nda, macro_steps = plain_net, plain_start, plain_nda, 6
     diverges = False
     if case == "plain-ulp":
-        # its own phase-1 block, certified so that its LTL steps are gated too
+        # its own phase-1 block, certified so that na_run runs it by the certified step too
         spec = _comparator_ulp(plain_net)
         spec.certificate = _certify(spec, _side_maps(plain_nda))
     elif case == "chain":
@@ -421,7 +480,7 @@ def test_micro_states_match_dense_reference_bit_for_bit(case, plain_nda, plain_n
         assert last < width
     run = na_run(spec, embed(spec, start), macro_steps, reference=nda, point=start)
     assert len(run.states) == 1 + macro_steps * spec.micro_steps_per_macro
-    assert spec.certificate is not None  # so the LTL steps are gated
+    assert spec.certificate is not None  # so na_run runs the certified macro step
     assert run.diverged or not diverges
     schedule = _schedule(spec)
     x = run.states[0].x
@@ -430,33 +489,44 @@ def test_micro_states_match_dense_reference_bit_for_bit(case, plain_nda, plain_n
         assert _same_bits(state.x, x), "micro state %d differs from the dense reference" % (t + 1)
 
 
-def _step_against_dense_reference(spec, state, micro_steps):
-    """Advance ``micro_steps`` micro steps, holding each state to the dense
-    reference bit for bit; the branch units on after the first BSL phase,
-    and the last state."""
-    schedule, x, released = _schedule(spec), state.x, None
-    for t in range(micro_steps):
-        phase = state.micro + 1
-        state = na_micro_step(spec, state)
+def _held_to_dense_reference(spec, states):
+    """Hold each micro state after the first to the dense reference, bit for
+    bit; the branch units on after the first BSL phase, and the last state."""
+    schedule, x, released = _schedule(spec), states[0].x, None
+    for t, state in enumerate(states[1:]):
+        phase = (states[0].micro + t) % spec.micro_steps_per_macro + 1
         x = _reference_step(schedule, spec.weights, x, phase)
         assert _same_bits(state.x, x), "micro state %d differs from the dense reference" % (t + 1)
         if phase == 3 and released is None:
             bank = _bsl_bank(spec, state)
             released = sorted(cell for cell, value in bank.items() if value)
-    return released, state
+    return released, states[-1]
 
 
-@pytest.mark.parametrize("y1, y2, released", [
+def _step_against_dense_reference(spec, state, micro_steps):
+    """Advance ``micro_steps`` micro steps of the bank engine, held to the dense reference."""
+    states = [state]
+    for _ in range(micro_steps):
+        states.append(na_micro_step(spec, states[-1]))
+    return _held_to_dense_reference(spec, states)
+
+
+#: (y1, y2, released cells): starts whose LTL phase is gated in an unusual way.
+GATED_CASES = [
     # both comparators of the interior edge 1/3 fire at their shared rounded
-    # threshold (CHANGES.md, PR 23 FOUND): rows 0..3 and 8..11 are multiplied
-    (0.33333333333233334, 0.1, [(0, 0), (1, 0)]),
+    # threshold (the double fire in CHANGES.md): rows 0..3 and 8..11 are multiplied,
+    # and the MCL sums both cells' outputs
+    pytest.param(0.33333333333233334, 0.1, [(0, 0), (1, 0)], id="two-cells"),
     # defect 3a: less than EPS_B below the top edge 1 no cell reads the point,
     # so no row is multiplied and the MCL falls to 0
-    (1.0 - EPS_B / 2, 0.1, []),
+    pytest.param(1.0 - EPS_B / 2, 0.1, [], id="no-cell"),
     # cell (2, 4) is cell 14 of 15: its rows 28, 29 make the LTL's last,
     # short group of two
-    (0.8, 0.9, [(2, 4)]),
-], ids=["two-cells", "no-cell", "short-last-group"])
+    pytest.param(0.8, 0.9, [(2, 4)], id="short-last-group"),
+]
+
+
+@pytest.mark.parametrize("y1, y2, released", GATED_CASES)
 def test_the_gated_affine_phase_matches_the_dense_reference(y1, y2, released, plain_net):
     assert plain_net.phases[3][3].shape[0] == 30
     state = embed(plain_net, PhasePoint(Fraction(y1), Fraction(y2)))
@@ -466,21 +536,36 @@ def test_the_gated_affine_phase_matches_the_dense_reference(y1, y2, released, pl
         assert state.x[:2].tolist() == [0.0, 0.0]
 
 
-def test_a_spec_without_a_certificate_multiplies_every_affine_row(plain_net):
+@pytest.mark.parametrize("y1, y2, released", GATED_CASES)
+def test_the_certified_macro_step_matches_the_dense_reference(y1, y2, released, plain_nda, plain_net):
+    # na_run runs a certified spec by its certificate's facts
+    assert plain_net.certificate is not None
+    point = PhasePoint(Fraction(y1), Fraction(y2))
+    run = na_run(plain_net, embed(plain_net, point), 2, reference=plain_nda, point=point)
+    got, state = _held_to_dense_reference(plain_net, run.states)
+    assert got == released
+    if not released:
+        assert state.x[:2].tolist() == [0.0, 0.0]
+
+
+def test_a_spec_without_a_certificate_multiplies_every_affine_row(plain_nda, plain_net):
     # an affine unit of cell (1, 2) that no longer waits for its branch unit:
     # read from cell (0, 0), its row sums its own image 1/10 and not 0
     units = _unit_of(plain_net)
     ungated = _ungated(plain_net, "ltl:1:2:y1")
     assert ungated.certificate is None
-    state = embed(ungated, PhasePoint(Fraction(1, 10), Fraction(1, 10)))
-    released, after = _step_against_dense_reference(ungated, state, 4)
+    point = PhasePoint(Fraction(1, 10), Fraction(1, 10))
+    released, after = _step_against_dense_reference(ungated, embed(ungated, point), 4)
     assert released == [(0, 0)] and after.x[units["ltl:1:2:y1"]] == 0.1
-    # the gate skips exactly the rows a certificate says are silent: with the
-    # clean network's certificate pinned on, the unit's row is not multiplied
+    run = na_run(ungated, embed(ungated, point), 1, reference=plain_nda, point=point)
+    assert run.states[4].x[units["ltl:1:2:y1"]] == 0.1
+    # the certified step skips exactly the rows a certificate says are
+    # silent: with the clean network's certificate pinned on, na_run does not
+    # multiply the unit's row, and the bank engine still does
     ungated.certificate = plain_net.certificate
-    for _ in range(4):
-        state = na_micro_step(ungated, state)
-    assert state.x[units["ltl:1:2:y1"]] == 0.0
+    run = na_run(ungated, embed(ungated, point), 1, reference=plain_nda, point=point)
+    assert run.states[4].x[units["ltl:1:2:y1"]] == 0.0
+    assert _step_against_dense_reference(ungated, embed(ungated, point), 4)[1].x[units["ltl:1:2:y1"]] == 0.1
 
 
 @pytest.mark.parametrize("kind", [RAMP, STEP])
@@ -904,11 +989,12 @@ def test_network_csv_keeps_its_bytes(name, grammar, seed, units, digest):
 
 
 def _synthesis_digest(ndas):
-    """sha256 of each table's certificate repr and weight bytes, in turn."""
+    """sha256 of each table's certificate, as the repr of its tuple of
+    CellBounds, and weight bytes, in turn."""
     digest = hashlib.sha256()
     for nda in ndas:
         spec = synthesize(nda)
-        digest.update(repr(spec.certificate).encode())
+        digest.update(repr(tuple(spec.certificate)).encode())
         digest.update(spec.weights.tobytes())
     return digest.hexdigest()
 
@@ -964,7 +1050,7 @@ def test_equal_maps_in_distinct_fractions_synthesize_the_same_network(case, plai
     assert len(network._side_maps(nda)[0]) < len(network._side_maps(apart)[0]) == 2 * len(nda.cells)
     spec, copy = synthesize(nda), synthesize(apart)
     assert all(_same_bits(spec.banks[name], copy.banks[name]) for name in spec.banks)
-    assert copy.certificate == spec.certificate and repr(copy.certificate) == repr(spec.certificate)
+    assert copy.certificate == spec.certificate and repr(tuple(copy.certificate)) == repr(tuple(spec.certificate))
 
 
 def _clamp(y):
@@ -1117,7 +1203,7 @@ def test_a_memoised_certificate_is_the_one_proved_afresh(case, plain_nda, mixed_
     spec = synthesize(nda)  # its detection proof and blocks from the memos
     _clear_memos()
     certificate = _certify(spec, _side_maps(nda))
-    assert certificate == spec.certificate and repr(certificate) == repr(spec.certificate)
+    assert certificate == spec.certificate and repr(tuple(certificate)) == repr(tuple(spec.certificate))
     fresh = replace(spec, banks=spec.banks)
     for (*bounds, block), (*fresh_bounds, fresh_block) in zip(spec.phases, fresh.phases):
         assert bounds == fresh_bounds and block is not fresh_block and _same_bits(block, fresh_block)
@@ -1142,6 +1228,55 @@ def test_a_spec_one_ulp_apart_gets_blocks_of_its_own(plain_net):
     assert own is not block and not own.flags.writeable
     assert np.argwhere(own != block).tolist() == [list(at)]
     assert own[at] == np.nextafter(block[at], 1.0)
+
+
+#: sha256 of the repr of each certificate's tuple of CellBounds, in turn,
+#: recorded from the build that kept one CellBound per cell: both demo
+#: encodings, the tables of SEEDED_RUNS in their order, and 300 seeded
+#: blank-pinned encodings of G_10.
+CERTIFICATE_CELLS_SHA256 = {
+    "demo": "a5101efcd339137341ca24d8e82ea3414c3829396ea2f5a8efbddc64e186bab4",
+    "seeded": "b43c10dff115373223ac2405ee10cc4e001e660a647a9aa52f574c1b87fa33ea",
+    "G_10": "f36b484dcdfdead0f96f667ce8ba5cb2449bf1da512c28d58a8df370289990f1",
+}
+
+
+def _certificate_tables(case, plain_nda, mixed_nda):
+    if case == "demo":
+        return [plain_nda, mixed_nda]
+    if case == "seeded":
+        return [_seeded_nda(grammar, seed) for grammar, _, _, seed, _ in SEEDED_RUNS.values()]
+    machine = compile_cfg_topdown(parse_grammar(chain_grammar(10)))
+    return [from_versatile_shift(machine, random_encoding(machine, random.Random("chain:%d" % i)))
+            for i in range(300)]
+
+
+@pytest.mark.parametrize("case", list(CERTIFICATE_CELLS_SHA256))
+def test_the_certificate_holds_each_fact_once_and_reads_as_its_cells(case, plain_nda, mixed_nda):
+    digest = hashlib.sha256()
+    for nda in _certificate_tables(case, plain_nda, mixed_nda):
+        certificate = synthesize(nda).certificate
+        p, q, cells = nda.x_cells, nda.y_cells, len(nda.cells)
+        # the facts: per axis cell, per distinct bound, per affine unit
+        assert len(certificate.lo) == len(certificate.hi) == len(certificate.margins) == p + q
+        assert not certificate.lo.flags.writeable and not certificate.hi.flags.writeable
+        assert len(certificate.gains) == len(certificate.rounding) <= 2 * cells
+        assert certificate.bound_of.shape == (2 * cells,) and not certificate.bound_of.flags.writeable
+        assert set(certificate.bound_of.tolist()) == set(range(len(certificate.gains)))
+        # read as a sequence of the cells
+        bounds = tuple(certificate)
+        assert len(certificate) == len(bounds) == cells
+        assert certificate[-1] == certificate.cell(cells - 1) == bounds[-1]
+        with pytest.raises(IndexError):
+            certificate[cells]
+        digest.update(repr(bounds).encode())
+    assert digest.hexdigest() == CERTIFICATE_CELLS_SHA256[case]
+
+
+def test_encodings_of_one_machine_share_their_detection_facts(plain_nda, mixed_nda):
+    plain, mixed = synthesize(plain_nda).certificate, synthesize(mixed_nda).certificate
+    assert plain.lo is mixed.lo and plain.hi is mixed.hi and plain.margins is mixed.margins
+    assert plain != mixed and plain == synthesize(plain_nda).certificate
 
 
 def test_only_synthesis_carries_a_certificate(plain_nda, plain_net):
